@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from bolalg.core import BolAlgebra, check_axioms, direct_sum
 from bolalg.errors import FatalInconsistency, UnknownExample
+from bolalg.lie import LieAlgebra
 from bolalg.linalg import ONE, ZERO
 
 _SL2 = {  # [e,f]=h, [h,e]=2e, [h,f]=-2f
@@ -46,27 +47,13 @@ def _lie_to_bol(n: int, sparse: dict, labels, with_binary: bool, ternary: str) -
     (x,y,z) = [[x,y],z].
     """
     C = _bracket_table(n, sparse)
-
-    def brk(u: tuple, v: tuple) -> tuple:
-        out = [ZERO] * n
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                c = ui * vj
-                for k in range(n):
-                    if C[i][j][k] != 0:
-                        out[k] += c * C[i][j][k]
-        return tuple(out)
-
-    basis = [tuple(ONE if t == s else ZERO for t in range(n)) for s in range(n)]
+    L = LieAlgebra.from_constants(n, C)
+    basis = L.basis()
     T = [[C[i][j] if with_binary else (ZERO,) * n for j in range(n)] for i in range(n)]
     R = [
         [
             [
-                brk(basis[k], C[i][j]) if ternary == "zxy" else brk(C[i][j], basis[k])
+                L.bracket(basis[k], C[i][j]) if ternary == "zxy" else L.bracket(C[i][j], basis[k])
                 for k in range(n)
             ]
             for j in range(n)

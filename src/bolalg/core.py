@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from bolalg.errors import DimensionMismatch, IllDefinedQuotient, NotAnIdeal, NotASubsystem
 from bolalg.linalg import (
@@ -25,12 +26,14 @@ from bolalg.linalg import (
     Vec,
     ZERO,
     basis_vec,
+    closure,
+    failures,
     frac,
     full_space,
-    is_zero_vec,
-    kernel,
+    kernel_of,
     span,
     subspace_sum,
+    transpose,
     vec_add,
     vec_scale,
     zero_vec,
@@ -139,18 +142,6 @@ class BolAlgebra:
             raise DimensionMismatch(f"vector of length {len(v)} in algebra of dimension {self.n}")
 
 
-def binary(B: BolAlgebra, x: Vec, y: Vec) -> Vec:
-    return B.binary(x, y)
-
-
-def ternary(B: BolAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
-    return B.ternary(x, y, z)
-
-
-def left_op(B: BolAlgebra, x: Vec, y: Vec) -> Mat:
-    return B.left_op(x, y)
-
-
 @dataclass(frozen=True)
 class IdentityCheck:
     """Outcome of one defining identity, with a witness when it fails."""
@@ -203,14 +194,12 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
 
     def first_failure(name, tuples, defect_fn):
         witness = defect = None
-        failures = 0
-        for t in tuples:
-            d = defect_fn(*t)
-            if not is_zero_vec(d):
-                failures += 1
-                if witness is None:
-                    witness, defect = t, d
-        return IdentityCheck(name, failures == 0, witness, defect, failures)
+        count = 0
+        for t, d in failures(tuples, defect_fn):
+            count += 1
+            if witness is None:
+                witness, defect = t, d
+        return IdentityCheck(name, count == 0, witness, defect, count)
 
     a1 = first_failure(
         "A1",
@@ -224,7 +213,7 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
     )
     a3 = first_failure(
         "A3",
-        ((i, j, k) for i in range(n) for j in range(n) for k in range(n)),
+        product(range(n), repeat=3),
         lambda i, j, k: vec_add(vec_add(Rv[i][j][k], Rv[j][k][i]), Rv[k][i][j]),
     )
 
@@ -238,7 +227,7 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
 
     a4 = first_failure(
         "A4",
-        ((i, j, k, l) for i in range(n) for j in range(n) for k in range(n) for l in range(n)),
+        product(range(n), repeat=4),
         a4_defect,
     )
 
@@ -249,18 +238,7 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
         rhs = vec_add(rhs, B.ternary(bas[k], bas[l], Rv[i][j][m]))
         return vec_add(lhs, vec_scale(-ONE, rhs))
 
-    a5 = first_failure(
-        "A5",
-        (
-            (i, j, k, l, m)
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-            for l in range(n)
-            for m in range(n)
-        ),
-        a5_defect,
-    )
+    a5 = first_failure("A5", product(range(n), repeat=5), a5_defect)
     return AxiomReport((a1, a2, a3, a4, a5))
 
 
@@ -314,28 +292,18 @@ def ideal_closure(B: BolAlgebra, S: Subspace) -> Subspace:
     """
     _check_ambient(B, S)
     full = full_space(B.n)
-    current = S
-    while True:
-        grown = subspace_sum(current, subspace_sum(prod_span(B, current, full), tri_span(B, current, full, full)))
-        if grown.dim == current.dim:
-            return current
-        current = grown
+    return closure(S, lambda s: prod_span(B, s, full).basis + tri_span(B, s, full, full).basis)
 
 
 def center(B: BolAlgebra) -> Subspace:
     """{x : b*x = 0 and (b, b', x) = 0 for all basis b, b'}."""
     constraints = []
     for i in range(B.n):
-        # rows of the operator x -> e_i * x
-        op = [[B.T[i][j][k] for j in range(B.n)] for k in range(B.n)]
-        constraints.extend(op)
+        # rows of the operators x -> e_i * x and x -> (e_i, e_j, x)
+        constraints.extend(transpose(B.T[i]))
         for j in range(B.n):
-            op3 = [[B.R[i][j][k][l] for k in range(B.n)] for l in range(B.n)]
-            constraints.extend(op3)
-    rows = tuple(tuple(r) for r in constraints if any(c != 0 for c in r))
-    if not rows:
-        return full_space(B.n)
-    return kernel(rows)
+            constraints.extend(transpose(B.R[i][j]))
+    return kernel_of(tuple(constraints), B.n)
 
 
 def quotient(B: BolAlgebra, I: Subspace, labels=None) -> BolAlgebra:

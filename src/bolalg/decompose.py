@@ -11,7 +11,6 @@ flagged uncertified instead of failing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from bolalg.core import BolAlgebra, center, ideal_closure, is_ideal, prod_span, restrict, tri_span
 from bolalg.errors import FatalInconsistency, PreconditionViolation
@@ -23,9 +22,6 @@ from bolalg.linalg import (
     intersect,
     span,
     subspace_sum,
-    vec_add,
-    vec_scale,
-    zero_vec,
 )
 from bolalg.radical import SimplicityResult, is_simple
 
@@ -77,18 +73,6 @@ def _trivial_derived_ideal_probe(B: BolAlgebra, seed: int | None) -> Subspace | 
 def _restrict_form(b: BilinearForm, S: Subspace) -> BilinearForm:
     rows = tuple(tuple(b.value(u, v) for v in S.basis) for u in S.basis)
     return BilinearForm(rows, provenance=b.provenance)
-
-
-def _embed(frame: Subspace, local: Subspace) -> Subspace:
-    """Map a subspace given in frame coordinates back to ambient coordinates."""
-    vecs = []
-    for v in local.basis:
-        w = zero_vec(frame.ambient)
-        for c, row in zip(v, frame.basis):
-            if c != 0:
-                w = vec_add(w, vec_scale(c, row))
-        vecs.append(w)
-    return span(vecs, frame.ambient)
 
 
 def decompose_semisimple(
@@ -144,7 +128,8 @@ def decompose_semisimple(
         ):
             raise FatalInconsistency("orthogonal complement of an ideal failed to split the algebra")
         for part in (ideal, complement):
-            recurse(restrict(algebra, part), _restrict_form(form, part), _embed(frame, part))
+            embedded = span([frame.element(v) for v in part.basis], frame.ambient)
+            recurse(restrict(algebra, part), _restrict_form(form, part), embedded)
 
     recurse(B, b, full_space(B.n))
 
@@ -175,11 +160,11 @@ def verify_reassembly(B: BolAlgebra, dec: Decomposition) -> bool:
         comp = dec.components[a]
         for p, u in enumerate(fa.basis):
             for q, v in enumerate(fa.basis):
-                want = _embed_vec(fa, comp.T[p][q])
+                want = fa.element(comp.T[p][q])
                 if B.binary(u, v) != want:
                     return False
                 for r, w in enumerate(fa.basis):
-                    want3 = _embed_vec(fa, comp.R[p][q][r])
+                    want3 = fa.element(comp.R[p][q][r])
                     if B.ternary(u, v, w) != want3:
                         return False
         for bidx, fb in enumerate(frames):
@@ -190,14 +175,6 @@ def verify_reassembly(B: BolAlgebra, dec: Decomposition) -> bool:
                     if not all(c == 0 for c in B.binary(u, v)):
                         return False
     return True
-
-
-def _embed_vec(frame: Subspace, coords) -> tuple[Fraction, ...]:
-    w = zero_vec(frame.ambient)
-    for c, row in zip(coords, frame.basis):
-        if c != 0:
-            w = vec_add(w, vec_scale(c, row))
-    return w
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from bolalg.core import BolAlgebra, is_ideal, require_verified
 from bolalg.errors import FatalInconsistency, NotAnIdeal, PreconditionViolation
@@ -40,13 +41,15 @@ from bolalg.linalg import (
     Vec,
     ZERO,
     basis_vec,
+    closure,
     commutator,
+    derived_chain,
+    failures,
     full_space,
     is_zero_vec,
     mat_sub,
     mat_vec,
     span,
-    subspace_sum,
     vec_add,
     vec_scale,
     vec_sub,
@@ -96,31 +99,29 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
         Pi(x*y)   = (Pi x)*y + x*(Pi y) + (x, y, a) + (x*y)*a
         Pi(x,y,z) = (Pi x, y, z) + (x, Pi y, z) + (x, y, Pi z)
     """
-    n = B.n
+    r = range(B.n)
     bas = B.basis()
     a = P.comp
     pi = P.pi
-    for i in range(n):
-        px = mat_vec(pi, bas[i])
-        for j in range(n):
-            lhs = mat_vec(pi, B.T[i][j])
-            rhs = B.binary(px, bas[j])
-            rhs = vec_add(rhs, B.binary(bas[i], mat_vec(pi, bas[j])))
-            rhs = vec_add(rhs, B.ternary(bas[i], bas[j], a))
-            rhs = vec_add(rhs, B.binary(B.T[i][j], a))
-            if lhs != rhs:
-                return PseudoDerivationReport(False, False, True, (i, j), vec_sub(lhs, rhs))
-    for i in range(n):
-        pxi = mat_vec(pi, bas[i])
-        for j in range(n):
-            pxj = mat_vec(pi, bas[j])
-            for k in range(n):
-                lhs = mat_vec(pi, B.R[i][j][k])
-                rhs = B.ternary(pxi, bas[j], bas[k])
-                rhs = vec_add(rhs, B.ternary(bas[i], pxj, bas[k]))
-                rhs = vec_add(rhs, B.ternary(bas[i], bas[j], mat_vec(pi, bas[k])))
-                if lhs != rhs:
-                    return PseudoDerivationReport(False, True, False, (i, j, k), vec_sub(lhs, rhs))
+    pb = [mat_vec(pi, e) for e in bas]
+
+    def product_defect(i, j):
+        d = vec_sub(mat_vec(pi, B.T[i][j]), B.binary(pb[i], bas[j]))
+        d = vec_sub(d, B.binary(bas[i], pb[j]))
+        d = vec_sub(d, B.ternary(bas[i], bas[j], a))
+        return vec_sub(d, B.binary(B.T[i][j], a))
+
+    def ternary_defect(i, j, k):
+        d = vec_sub(mat_vec(pi, B.R[i][j][k]), B.ternary(pb[i], bas[j], bas[k]))
+        d = vec_sub(d, B.ternary(bas[i], pb[j], bas[k]))
+        return vec_sub(d, B.ternary(bas[i], bas[j], pb[k]))
+
+    first = next(failures(product(r, repeat=2), product_defect), None)
+    if first is not None:
+        return PseudoDerivationReport(False, False, True, *first)
+    first = next(failures(product(r, repeat=3), ternary_defect), None)
+    if first is not None:
+        return PseudoDerivationReport(False, True, False, *first)
     return PseudoDerivationReport(True, True, True)
 
 
@@ -149,35 +150,27 @@ def induced_bracket(B: BolAlgebra, P: PairEndo, Q: PairEndo) -> PairEndo:
     return PairEndo(pi, comp)
 
 
-def h_closure(B: BolAlgebra, verify: bool = True) -> tuple[PairEndo, ...]:
+def h_closure(B: BolAlgebra) -> tuple[PairEndo, ...]:
     """Basis of the smallest induced-bracket-closed span of the inner pairs.
 
     Every element of the closure is checked to be a pseudo-derivation;
     a failure here is fatal and indicates non-Bol input.
     """
     n = B.n
-    dim_pairs = n * n + n
     gens = [inner_pair(B, B.basis_vec(i), B.basis_vec(j)) for i in range(n) for j in range(i + 1, n)]
-    space = span([g.flatten() for g in gens if not g.is_zero()], dim_pairs)
-    while True:
+
+    def brackets(space: Subspace):
         members = [PairEndo.unflatten(v, n) for v in space.basis]
-        new_vecs = []
         for i, P in enumerate(members):
             for Q in members[i + 1 :]:
-                br = induced_bracket(B, P, Q).flatten()
-                if not space.contains(br):
-                    new_vecs.append(br)
-        if not new_vecs:
-            break
-        space = subspace_sum(space, span(new_vecs, dim_pairs))
+                yield induced_bracket(B, P, Q).flatten()
+
+    space = closure(span([g.flatten() for g in gens if not g.is_zero()], n * n + n), brackets)
     basis = tuple(PairEndo.unflatten(v, n) for v in space.basis)
-    if verify:
-        for idx, P in enumerate(basis):
-            rep = is_pseudo_derivation(B, P)
-            if not rep.ok:
-                raise FatalInconsistency(
-                    f"closure element {idx} is not a pseudo-derivation (witness {rep.witness})"
-                )
+    for idx, P in enumerate(basis):
+        rep = is_pseudo_derivation(B, P)
+        if not rep.ok:
+            raise FatalInconsistency(f"closure element {idx} is not a pseudo-derivation (witness {rep.witness})")
     return basis
 
 
@@ -185,16 +178,20 @@ def h_closure(B: BolAlgebra, verify: bool = True) -> tuple[PairEndo, ...]:
 class EnvelopingLie:
     """The Lie algebra G = B (+) h with its bookkeeping tensors.
 
-    Coordinates 0..b_dim-1 of `lie` are B; the rest are the h basis.
-    Dtau[i][j] are the h-coordinates of the inner pair of (e_i, e_j);
-    K[tau][i] is the B-component of [h_tau, e_i].
+    Coordinates 0..b_dim-1 of `lie` are the base algebra B; the rest are
+    the h basis.  Dtau[i][j] are the h-coordinates of the inner pair of
+    (e_i, e_j); K[tau][i] is the B-component of [h_tau, e_i].
     """
 
     lie: LieAlgebra
-    b_dim: int
+    base: BolAlgebra
     h_basis: tuple[PairEndo, ...]
     Dtau: tuple[tuple[tuple[Fraction, ...], ...], ...]
     K: tuple[tuple[tuple[Fraction, ...], ...], ...]
+
+    @property
+    def b_dim(self) -> int:
+        return self.base.n
 
     @property
     def total_dim(self) -> int:
@@ -284,7 +281,7 @@ def envelope(B: BolAlgebra) -> EnvelopingLie:
         tuple(vec_sub(mat_vec(P.pi, B.basis_vec(i)), B.binary(B.basis_vec(i), P.comp)) for i in range(n))
         for P in h
     )
-    return EnvelopingLie(G, n, h, Dtau, K)
+    return EnvelopingLie(G, B, h, Dtau, K)
 
 
 @dataclass(frozen=True)
@@ -308,32 +305,15 @@ def ideal_extension(E: EnvelopingLie, V: Subspace) -> IdealExtensionReport:
     n = E.b_dim
     if V.ambient != n:
         raise NotAnIdeal("ideal must live in the base algebra")
-    # reconstruct B from the envelope tensors to run the Bol-side checks
-    B = _base_algebra(E)
+    B = E.base
     if not is_ideal(B, V, "def2"):
         raise NotAnIdeal("ideal_extension requires a def2-ideal")
     lifted = [E.lift(v) for v in V.basis]
     brackets = [G.bracket(w, basis_vec(j, m)) for w in lifted for j in range(n)]
     W = span(lifted + brackets, m)
-    S = W
-    while True:
-        grown = subspace_sum(S, bracket_span(G, S, S))
-        if grown == S:
-            break
-        S = grown
+    S = closure(W, lambda s: (G.bracket(u, v) for u in s.basis for v in s.basis))
     ideal_ok = bracket_span(G, S, W) <= W
-    chain = [W]
-    current = W
-    solvable = current.is_zero()
-    for _ in range(W.dim + 1):
-        nxt = bracket_span(G, current, current)
-        if nxt == current:
-            break
-        chain.append(nxt)
-        current = nxt
-        if current.is_zero():
-            solvable = True
-            break
+    _, _, solvable = derived_chain(W, lambda s: bracket_span(G, s, s))
     bol_solv = is_solvable(B, V)
     return IdealExtensionReport(W, ideal_ok, solvable, bol_solv, (not bol_solv) or solvable)
 
@@ -358,34 +338,36 @@ def standard_embedding_check(E: EnvelopingLie) -> EmbeddingReport:
 
     Rejects algebras with a nonzero binary product.
     """
-    B = _base_algebra(E)
+    B = E.base
     if any(c != 0 for p in B.T for r in p for c in r):
         raise PreconditionViolation("standard-embedding relations require a zero binary product")
     G = E.lie
     m = G.m
     n = E.b_dim
-    bas = [basis_vec(i, m) for i in range(n)]
-    d = [[G.bracket(bas[i], bas[j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if not is_zero_vec(d[i][j][:n]):
-                return EmbeddingReport(False, False, True, True, (i, j))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                got = G.bracket(bas[k], d[i][j])
-                want = E.lift(B.R[i][j][k])
-                if got != want:
-                    return EmbeddingReport(False, True, False, True, (i, j, k))
-    for i in range(n):
-        for j in range(n):
-            for u in range(n):
-                for v in range(n):
-                    lhs = G.bracket(d[i][j], d[u][v])
-                    t1 = G.bracket(E.lift(B.R[u][v][i]), bas[j])
-                    t2 = G.bracket(bas[i], E.lift(B.R[u][v][j]))
-                    if lhs != vec_add(t1, t2):
-                        return EmbeddingReport(False, True, True, False, (i, j, u, v))
+    r = range(n)
+    bas = [basis_vec(i, m) for i in r]
+    d = [[G.bracket(bas[i], bas[j]) for j in r] for i in r]
+
+    def action_defect(i, j, k):
+        return vec_sub(G.bracket(bas[k], d[i][j]), E.lift(B.R[i][j][k]))
+
+    def derivation_defect(i, j, u, v):
+        lhs = G.bracket(d[i][j], d[u][v])
+        lhs = vec_sub(lhs, G.bracket(E.lift(B.R[u][v][i]), bas[j]))
+        return vec_sub(lhs, G.bracket(bas[i], E.lift(B.R[u][v][j])))
+
+    def first_witness(tuples, defect):
+        return next((t for t, _ in failures(tuples, defect)), None)
+
+    witness = first_witness(product(r, repeat=2), lambda i, j: d[i][j][:n])
+    if witness is not None:
+        return EmbeddingReport(False, False, True, True, witness)
+    witness = first_witness(product(r, repeat=3), action_defect)
+    if witness is not None:
+        return EmbeddingReport(False, True, False, True, witness)
+    witness = first_witness(product(r, repeat=4), derivation_defect)
+    if witness is not None:
+        return EmbeddingReport(False, True, True, False, witness)
     return EmbeddingReport(True, True, True, True)
 
 
@@ -401,22 +383,3 @@ def solvability_transfer_check(B: BolAlgebra) -> SolvabilityTransferReport:
     bol_solv = is_solvable(B, full_space(B.n))
     lie_solv = lie_is_solvable(envelope(B).lie)
     return SolvabilityTransferReport(bol_solv, lie_solv, (not bol_solv) or lie_solv)
-
-
-def _base_algebra(E: EnvelopingLie) -> BolAlgebra:
-    """Recover the base Bol algebra from the envelope's verified identities."""
-    G = E.lie
-    n = E.b_dim
-    m = G.m
-    T = [[tuple(G.bracket(basis_vec(i, m), basis_vec(j, m))[:n]) for j in range(n)] for i in range(n)]
-    R = [
-        [
-            [
-                tuple(G.bracket(basis_vec(k, m), G.bracket(basis_vec(i, m), basis_vec(j, m)))[:n])
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return BolAlgebra.from_tensors(n, T, R, G.labels[:n])

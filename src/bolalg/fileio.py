@@ -82,8 +82,12 @@ def _check_index(x, dim: int, field: str) -> int:
     return x
 
 
-def parse_bol_document(text: str) -> tuple[BolAlgebra, str]:
-    """Parse and validate a Bol document; returns (algebra, name)."""
+def _read_header(text: str, fields: tuple[str, ...], label: str) -> tuple[dict, str, int, tuple[str, ...]]:
+    """Parse a document and check what every kind shares; returns (doc, name, dim, basis).
+
+    `fields` are the kind's own keys besides name, dim and basis; default
+    basis labels are `label` followed by the index.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -99,49 +103,52 @@ def parse_bol_document(text: str) -> tuple[BolAlgebra, str]:
     dim = doc["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise DocumentError("dim: must be a non-negative integer", "dim")
-    basis = doc.get("basis", [f"e{i}" for i in range(dim)])
+    basis = doc.get("basis", [f"{label}{i}" for i in range(dim)])
     if not isinstance(basis, list) or len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise DocumentError(f"basis: must be a list of {dim} strings", "basis")
-    unknown = set(doc) - {"name", "dim", "basis", "binary", "ternary"}
+    unknown = set(doc) - {"name", "dim", "basis", *fields}
     if unknown:
         raise DocumentError(f"unknown fields: {sorted(unknown)}")
+    return doc, name, dim, tuple(basis)
 
+
+def _sparse_entries(doc: dict, key: str, dim: int, arity: int):
+    """Yield (indices, coeff) for each entry [i, j, ..., coeff] under `key`.
+
+    Every index is checked against `dim`; i < j is required, since the
+    antisymmetric completion in (i, j) is implied, and no index tuple
+    may repeat.
+    """
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise DocumentError(f"{key}: must be a list of entries", key)
+    slots = ", ".join("ijkl"[:arity])
+    seen: set[tuple] = set()
+    for pos, entry in enumerate(entries):
+        field = f"{key}[{pos}]"
+        if not isinstance(entry, list) or len(entry) != arity + 1:
+            raise DocumentError(f"{field}: expected [{slots}, coeff]", field)
+        idx = tuple(_check_index(x, dim, field) for x in entry[:arity])
+        if idx[0] >= idx[1]:
+            raise DocumentError(f"{field}: requires i < j (antisymmetric completion is implied)", field)
+        if idx in seen:
+            raise DocumentError(f"{field}: duplicate entry for ({','.join(map(str, idx))})", field)
+        seen.add(idx)
+        yield idx, _parse_scalar(entry[arity], field)
+
+
+def parse_bol_document(text: str) -> tuple[BolAlgebra, str]:
+    """Parse and validate a Bol document; returns (algebra, name)."""
+    doc, name, dim, basis = _read_header(text, ("binary", "ternary"), "e")
     T = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     R = [[[[ZERO] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    seen: set[tuple] = set()
-    for pos, entry in enumerate(doc.get("binary", [])):
-        field = f"binary[{pos}]"
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise DocumentError(f"{field}: expected [i, j, k, coeff]", field)
-        i = _check_index(entry[0], dim, field)
-        j = _check_index(entry[1], dim, field)
-        k = _check_index(entry[2], dim, field)
-        if i >= j:
-            raise DocumentError(f"{field}: requires i < j (antisymmetric completion is implied)", field)
-        if (i, j, k) in seen:
-            raise DocumentError(f"{field}: duplicate entry for ({i},{j},{k})", field)
-        seen.add((i, j, k))
-        c = _parse_scalar(entry[3], field)
+    for (i, j, k), c in _sparse_entries(doc, "binary", dim, 3):
         T[i][j][k] = c
         T[j][i][k] = -c
-    seen3: set[tuple] = set()
-    for pos, entry in enumerate(doc.get("ternary", [])):
-        field = f"ternary[{pos}]"
-        if not isinstance(entry, list) or len(entry) != 5:
-            raise DocumentError(f"{field}: expected [i, j, k, l, coeff]", field)
-        i = _check_index(entry[0], dim, field)
-        j = _check_index(entry[1], dim, field)
-        k = _check_index(entry[2], dim, field)
-        l = _check_index(entry[3], dim, field)
-        if i >= j:
-            raise DocumentError(f"{field}: requires i < j (antisymmetric completion is implied)", field)
-        if (i, j, k, l) in seen3:
-            raise DocumentError(f"{field}: duplicate entry for ({i},{j},{k},{l})", field)
-        seen3.add((i, j, k, l))
-        c = _parse_scalar(entry[4], field)
+    for (i, j, k, l), c in _sparse_entries(doc, "ternary", dim, 4):
         R[i][j][k][l] = c
         R[j][i][k][l] = -c
-    return BolAlgebra.from_tensors(dim, T, R, tuple(basis)), name
+    return BolAlgebra.from_tensors(dim, T, R, basis), name
 
 
 def emit_bol_document(B: BolAlgebra, name: str) -> str:
@@ -204,46 +211,18 @@ def emit_lie_document(L: LieAlgebra, name: str, env: EnvelopingLie | None = None
 
 def parse_lie_document(text: str) -> tuple[LieAlgebra, str, int | None, tuple[PairEndo, ...] | None]:
     """Parse a Lie document; returns (algebra, name, b_dim, h_basis)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DocumentError("top-level value must be an object")
-    for key in ("name", "dim"):
-        if key not in doc:
-            raise DocumentError(f"missing required field {key!r}", key)
-    dim = doc["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-        raise DocumentError("dim: must be a non-negative integer", "dim")
-    basis = doc.get("basis", [f"f{i}" for i in range(dim)])
-    if not isinstance(basis, list) or len(basis) != dim:
-        raise DocumentError(f"basis: must be a list of {dim} strings", "basis")
-    unknown = set(doc) - {"name", "dim", "basis", "brackets", "b_dim", "h_basis"}
-    if unknown:
-        raise DocumentError(f"unknown fields: {sorted(unknown)}")
+    doc, name, dim, basis = _read_header(text, ("brackets", "b_dim", "h_basis"), "f")
     C = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    seen: set[tuple] = set()
-    for pos, entry in enumerate(doc.get("brackets", [])):
-        field = f"brackets[{pos}]"
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise DocumentError(f"{field}: expected [i, j, k, coeff]", field)
-        i = _check_index(entry[0], dim, field)
-        j = _check_index(entry[1], dim, field)
-        k = _check_index(entry[2], dim, field)
-        if i >= j:
-            raise DocumentError(f"{field}: requires i < j", field)
-        if (i, j, k) in seen:
-            raise DocumentError(f"{field}: duplicate entry for ({i},{j},{k})", field)
-        seen.add((i, j, k))
-        c = _parse_scalar(entry[3], field)
+    for (i, j, k), c in _sparse_entries(doc, "brackets", dim, 3):
         C[i][j][k] = c
         C[j][i][k] = -c
-    L = LieAlgebra.from_constants(dim, C, tuple(basis))
+    L = LieAlgebra.from_constants(dim, C, basis)
     b_dim = doc.get("b_dim")
+    if b_dim is not None and (isinstance(b_dim, bool) or not isinstance(b_dim, int) or not 0 <= b_dim <= dim):
+        raise DocumentError(f"b_dim: must be an integer between 0 and {dim}", "b_dim")
     h_basis = None
     if "h_basis" in doc:
-        n = b_dim if isinstance(b_dim, int) else dim
+        n = dim if b_dim is None else b_dim
         pairs = []
         for pos, item in enumerate(doc["h_basis"]):
             field = f"h_basis[{pos}]"
@@ -257,4 +236,4 @@ def parse_lie_document(text: str) -> tuple[LieAlgebra, str, int | None, tuple[Pa
                 raise DocumentError(f"{field}: pi must be {n}x{n} and comp length {n}", field)
             pairs.append(PairEndo(pi, comp))
         h_basis = tuple(pairs)
-    return L, doc["name"], b_dim, h_basis
+    return L, name, b_dim, h_basis

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from bolalg.core import BolAlgebra, center, prod_span, tri_span
 from bolalg.errors import DimensionMismatch
-from bolalg.linalg import Mat, Subspace, ZERO, full_space, kernel_of, mat, rank, transpose
+from bolalg.linalg import Mat, Subspace, ZERO, failures, full_space, kernel_of, mat, mat_vec, rank, transpose
 
 
 @dataclass(frozen=True)
@@ -90,39 +91,19 @@ def invariance_check(B: BolAlgebra, b: BilinearForm, variant: str = "skew") -> I
     """
     if variant not in ("skew", "paper"):
         raise ValueError(f"unknown invariance variant {variant!r}")
-    n = B.n
+    r = range(B.n)
     bas = B.basis()
-    b_ok, b_wit = True, None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = b.value(B.T[i][j], bas[k])
-                rhs = b.value(bas[i], B.T[j][k])
-                if lhs != rhs:
-                    b_ok, b_wit = False, (i, j, k)
-                    break
-            if not b_ok:
-                break
-        if not b_ok:
-            break
     sign = Fraction(1) if variant == "paper" else Fraction(-1)
-    t_ok, t_wit = True, None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    lhs = b.value(B.R[i][j][k], bas[l])
-                    rhs = sign * b.value(bas[k], B.R[i][j][l])
-                    if lhs != rhs:
-                        t_ok, t_wit = False, (i, j, k, l)
-                        break
-                if not t_ok:
-                    break
-            if not t_ok:
-                break
-        if not t_ok:
-            break
-    return InvarianceReport(variant, b_ok, t_ok, b_wit, t_wit)
+
+    def binary_defect(i, j, k):
+        return (b.value(B.T[i][j], bas[k]) - b.value(bas[i], B.T[j][k]),)
+
+    def ternary_defect(i, j, k, l):
+        return (b.value(B.R[i][j][k], bas[l]) - sign * b.value(bas[k], B.R[i][j][l]),)
+
+    b_wit = next((t for t, _ in failures(product(r, repeat=3), binary_defect)), None)
+    t_wit = next((t for t, _ in failures(product(r, repeat=4), ternary_defect)), None)
+    return InvarianceReport(variant, b_wit is None, t_wit is None, b_wit, t_wit)
 
 
 @lru_cache(maxsize=None)
@@ -171,20 +152,15 @@ def left_perp(b: BilinearForm, S: Subspace) -> Subspace:
     """{x : b(x, s) = 0 for all s in S}."""
     if b.n != S.ambient:
         raise DimensionMismatch("form and subspace ambient dimensions disagree")
-    rows = []
-    for s in S.basis:
-        rows.append(tuple(sum((b.gram[i][j] * s[j] for j in range(b.n) if s[j] != 0), ZERO) for i in range(b.n)))
-    return kernel_of(tuple(r for r in rows if any(c != 0 for c in r)), b.n)
+    return kernel_of(tuple(mat_vec(b.gram, s) for s in S.basis), b.n)
 
 
 def right_perp(b: BilinearForm, S: Subspace) -> Subspace:
     """{x : b(s, x) = 0 for all s in S}."""
     if b.n != S.ambient:
         raise DimensionMismatch("form and subspace ambient dimensions disagree")
-    rows = []
-    for s in S.basis:
-        rows.append(tuple(sum((s[i] * b.gram[i][j] for i in range(b.n) if s[i] != 0), ZERO) for j in range(b.n)))
-    return kernel_of(tuple(r for r in rows if any(c != 0 for c in r)), b.n)
+    gram_t = transpose(b.gram)
+    return kernel_of(tuple(mat_vec(gram_t, s) for s in S.basis), b.n)
 
 
 def is_nondegenerate(b: BilinearForm) -> bool:

@@ -18,10 +18,12 @@ from bolalg.linalg import (
     Vec,
     ZERO,
     basis_vec,
+    derived_chain,
+    failures,
     frac,
     full_space,
-    is_zero_vec,
     kernel_of,
+    mat_vec,
     span,
     vec_add,
     zero_vec,
@@ -84,14 +86,16 @@ def jacobi_check(L: LieAlgebra) -> JacobiReport:
         L.C[i][j][k] == -L.C[j][i][k] for i in range(L.m) for j in range(i, L.m) for k in range(L.m)
     )
     bas = L.basis()
-    for i in range(L.m):
-        for j in range(i + 1, L.m):
-            for k in range(j + 1, L.m):
-                d = L.bracket(L.bracket(bas[i], bas[j]), bas[k])
-                d = vec_add(d, L.bracket(L.bracket(bas[j], bas[k]), bas[i]))
-                d = vec_add(d, L.bracket(L.bracket(bas[k], bas[i]), bas[j]))
-                if not is_zero_vec(d):
-                    return JacobiReport(False, antisym, (i, j, k), d)
+
+    def defect(i, j, k):
+        d = L.bracket(L.bracket(bas[i], bas[j]), bas[k])
+        d = vec_add(d, L.bracket(L.bracket(bas[j], bas[k]), bas[i]))
+        return vec_add(d, L.bracket(L.bracket(bas[k], bas[i]), bas[j]))
+
+    triples = ((i, j, k) for i in range(L.m) for j in range(i + 1, L.m) for k in range(j + 1, L.m))
+    first = next(failures(triples, defect), None)
+    if first is not None:
+        return JacobiReport(False, antisym, *first)
     return JacobiReport(antisym, antisym, None, None)
 
 
@@ -141,17 +145,7 @@ def lie_derived_series(L: LieAlgebra, S: Subspace) -> LieSeriesResult:
     """Standard derived series S >= [S,S] >= ... of an ideal S."""
     if not lie_is_ideal(L, S):
         raise NotAnIdeal("derived series requires a Lie ideal")
-    chain = [S]
-    current = S
-    for _ in range(S.dim + 1):
-        nxt = derived_subspace(L, current)
-        if nxt == current:
-            break
-        chain.append(nxt)
-        current = nxt
-        if current.is_zero():
-            break
-    return LieSeriesResult(tuple(chain), len(chain) - 1, chain[-1].is_zero())
+    return LieSeriesResult(*derived_chain(S, lambda s: derived_subspace(L, s)))
 
 
 def lie_is_solvable(L: LieAlgebra) -> bool:
@@ -166,10 +160,7 @@ def lie_radical(L: LieAlgebra) -> Subspace:
     """
     g = killing_gram(L)
     derived = derived_subspace(L, full_space(L.m))
-    rows = []
-    for d in derived.basis:
-        rows.append(tuple(sum((g[i][j] * d[j] for j in range(L.m) if d[j] != 0), ZERO) for i in range(L.m)))
-    rad = kernel_of(tuple(r for r in rows if any(c != 0 for c in r)), L.m)
+    rad = kernel_of(tuple(mat_vec(g, d) for d in derived.basis), L.m)
     if not lie_is_ideal(L, rad):
         raise FatalInconsistency("radical candidate is not an ideal")
     if not lie_derived_series(L, rad).solvable:

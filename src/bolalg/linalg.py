@@ -194,6 +194,14 @@ class Subspace:
             return None
         return tuple(cs)
 
+    def element(self, coords) -> Vec:
+        """The vector with the given coordinates in the canonical basis; inverse of `coords`."""
+        w = zero_vec(self.ambient)
+        for c, row in zip(coords, self.basis):
+            if c != 0:
+                w = vec_add(w, vec_scale(c, row))
+        return w
+
     def is_subspace_of(self, other: Subspace) -> bool:
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient dimensions disagree")
@@ -238,15 +246,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     cols = a.basis + tuple(vec_scale(-ONE, row) for row in b.basis)
     system = transpose(cols)
     sols = kernel(system)
-    vectors = []
-    for s in sols.basis:
-        coeffs = s[: a.dim]
-        v = zero_vec(a.ambient)
-        for c, row in zip(coeffs, a.basis):
-            if c != 0:
-                v = vec_add(v, vec_scale(c, row))
-        vectors.append(v)
-    return span(vectors, a.ambient)
+    return span([a.element(s[: a.dim]) for s in sols.basis], a.ambient)
 
 
 def kernel(m: Mat) -> Subspace:
@@ -268,10 +268,60 @@ def kernel(m: Mat) -> Subspace:
 
 
 def kernel_of(m: Mat, ncols: int) -> Subspace:
-    """Kernel that tolerates matrices with zero rows (constraint lists)."""
-    if not m:
+    """Kernel of a constraint list; all-zero rows are dropped, no rows means no constraint."""
+    rows = tuple(row for row in m if not is_zero_vec(row))
+    if not rows:
         return full_space(ncols)
-    return kernel(m)
+    return kernel(rows)
+
+
+def closure(start: Subspace, grow) -> Subspace:
+    """Least subspace that contains `start` and is closed under `grow`.
+
+    `grow(space)` yields vectors that must lie in the closure of `space`
+    (for example the images of its basis under a family of linear maps).
+    The vectors not yet contained are added until a round adds none.
+    The result is canonical, so it does not depend on the order in which
+    `grow` yields its vectors.
+    """
+    space = start
+    while True:
+        new = tuple(w for w in grow(space) if not space.contains(w))
+        if not new:
+            return space
+        space = span(space.basis + new, space.ambient)
+
+
+def derived_chain(start: Subspace, step) -> tuple[tuple[Subspace, ...], int, bool]:
+    """The chain start, step(start), step(step(start)), ... run until it stabilizes.
+
+    Returns (chain, stabilized_at, solvable): the chain stops at the
+    first repeated space or at zero, `stabilized_at` is the index of its
+    last member, and `solvable` says whether that member is zero.
+    """
+    chain = [start]
+    current = start
+    for _ in range(start.dim + 1):
+        nxt = step(current)
+        if nxt == current:
+            break
+        chain.append(nxt)
+        current = nxt
+        if current.is_zero():
+            break
+    return tuple(chain), len(chain) - 1, chain[-1].is_zero()
+
+
+def failures(tuples, defect):
+    """Yield (t, defect(*t)) for each tuple t whose defect is nonzero, in sweep order.
+
+    A defect is a vector; the sweep is lazy, so `next(failures(...), None)`
+    stops at the first witness.
+    """
+    for t in tuples:
+        d = defect(*t)
+        if not is_zero_vec(d):
+            yield t, d
 
 
 def charpoly(m: Mat) -> tuple[Fraction, ...]:

@@ -29,6 +29,7 @@ from bolalg.linalg import (
     ZERO,
     basis_vec,
     charpoly,
+    closure,
     full_space,
     identity,
     intersect,
@@ -187,20 +188,6 @@ def _operator_family(B: BolAlgebra) -> list[Mat]:
     return [op for op in ops if any(c != 0 for row in op for c in row)]
 
 
-def _dual_closure(ops_t: list[Mat], start, n: int) -> Subspace:
-    space = span([start], n)
-    while True:
-        new = []
-        for v in space.basis:
-            for op in ops_t:
-                w = mat_vec(op, v)
-                if not space.contains(w):
-                    new.append(w)
-        if not new:
-            return space
-        space = subspace_sum(space, span(new, n))
-
-
 def is_simple(B: BolAlgebra, n_random: int = 32, seed: int = DEFAULT_SEED) -> SimplicityResult:
     """Three-valued simplicity test.
 
@@ -258,7 +245,7 @@ def is_simple(B: BolAlgebra, n_random: int = 32, seed: int = DEFAULT_SEED) -> Si
                 ker_t = kernel(transpose(shifted))
                 dual_full = True
                 for w in ker_t.basis:
-                    dual = _dual_closure(ops_t, w, n)
+                    dual = closure(span([w], n), lambda s: (mat_vec(op, v) for v in s.basis for op in ops_t))
                     if dual.dim < n:
                         # annihilator of a proper dual-invariant subspace is a proper ideal
                         rows = tuple(dual.basis)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from bolalg.core import BolAlgebra, is_ideal, prod_span, tri_span
 from bolalg.errors import NotAnIdeal
-from bolalg.linalg import Subspace, full_space, subspace_sum
+from bolalg.linalg import Subspace, derived_chain, full_space, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -26,25 +26,11 @@ class SeriesResult:
     solvable: bool
 
 
-def _run_series(B: BolAlgebra, start: Subspace, step) -> tuple[tuple[Subspace, ...], int, bool]:
-    chain = [start]
-    current = start
-    for _ in range(start.dim + 1):
-        nxt = step(current)
-        if nxt == current:
-            break
-        chain.append(nxt)
-        current = nxt
-        if current.is_zero():
-            break
-    return tuple(chain), len(chain) - 1, chain[-1].is_zero()
-
-
 def lts_derived_series(B: BolAlgebra, V: Subspace) -> SeriesResult:
     """V^(k+1) = (V^(k), V^(k), B), run until stabilization."""
     _require_ideal(B, V)
     full = full_space(B.n)
-    chain, k, solvable = _run_series(B, V, lambda s: tri_span(B, s, s, full))
+    chain, k, solvable = derived_chain(V, lambda s: tri_span(B, s, s, full))
     return SeriesResult("lts", chain, k, solvable)
 
 
@@ -56,7 +42,7 @@ def bol_derived_series(B: BolAlgebra, W: Subspace) -> SeriesResult:
     def step(s: Subspace) -> Subspace:
         return subspace_sum(prod_span(B, s, s), tri_span(B, s, s, full))
 
-    chain, k, solvable = _run_series(B, W, step)
+    chain, k, solvable = derived_chain(W, step)
     return SeriesResult("bol", chain, k, solvable)
 
 

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import collect_ideals, mutate_binary, mutate_ternary, transport
+from support import collect_ideals, mutate_binary, mutate_ternary, transport
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import check_axioms, direct_sum, prod_span, summand_embeddings, tri_span

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import collect_ideals, mutate_binary, mutate_ternary
+from support import collect_ideals, mutate_binary, mutate_ternary
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import (

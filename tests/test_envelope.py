@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import collect_ideals
+from support import collect_ideals
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import summand_embeddings

@@ -78,6 +78,8 @@ def test_parse_accepts_fraction_strings():
         ('{"name": "t", "dim": 2, "binary": [[0, 1, 0, "x"]]}', "cannot parse"),
         ('{"name": "t", "dim": 2, "binary": [[0, 1, "1"]]}', "expected"),
         ('{"name": "t", "dim": 2, "ternary": [[0, 1, 0, 0]]}', "expected"),
+        ('{"name": "t", "dim": 2, "binary": null}', "must be a list"),
+        ('{"name": "t", "dim": 2, "ternary": 3}', "must be a list"),
         ("[1, 2]", "object"),
         ("{broken", "invalid JSON"),
     ],
@@ -86,6 +88,33 @@ def test_parse_rejects_invalid_documents(body, fragment):
     with pytest.raises(DocumentError) as err:
         parse_bol_document(body)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "body,fragment",
+    [
+        ('{"name": 5, "dim": 1}', "name"),
+        ('{"name": "g", "dim": 2, "basis": [1, 2]}', "basis"),
+        ('{"name": "g", "dim": 1, "b_dim": true}', "b_dim"),
+        ('{"name": "g", "dim": 1, "b_dim": "3"}', "b_dim"),
+        ('{"name": "g", "dim": 1, "b_dim": 7}', "b_dim"),
+        ('{"name": "g", "dim": 1, "b_dim": -1}', "b_dim"),
+        ('{"name": "g", "dim": 2, "brackets": [[1, 0, 0, "1"]]}', "i < j"),
+        ('{"name": "g", "dim": 2, "brackets": [[0, 1, 5, "1"]]}', "out of range"),
+        ('{"name": "g", "dim": 2, "brackets": {"0": 1}}', "must be a list"),
+        ('{"name": "g", "dim": 2, "binary": []}', "unknown"),
+    ],
+)
+def test_parse_lie_rejects_invalid_documents(body, fragment):
+    with pytest.raises(DocumentError) as err:
+        parse_lie_document(body)
+    assert fragment in str(err.value)
+
+
+def test_parse_lie_accepts_b_dim_bounds():
+    for b_dim in (0, 2):
+        _, _, got, _ = parse_lie_document(f'{{"name": "g", "dim": 2, "b_dim": {b_dim}}}')
+        assert got == b_dim
 
 
 def test_default_basis_labels():

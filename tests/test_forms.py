@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction
 
-from conftest import transport
+from support import transport
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import prod_span

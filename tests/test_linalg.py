@@ -3,14 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+from bolalg.catalog import catalog
+from bolalg.core import prod_span, tri_span
 from bolalg.linalg import (
     Subspace,
+    basis_vec,
     charpoly,
+    closure,
+    derived_chain,
+    failures,
     full_space,
     identity,
     intersect,
     kernel,
+    kernel_of,
     mat,
+    mat_vec,
     rational_roots,
     rref,
     span,
@@ -127,6 +135,19 @@ def test_contains_and_coords():
     assert s.coords(vec([0, 0, 1])) is None
 
 
+def test_element_inverts_coords():
+    s = span([vec([1, 0, 1]), vec([0, 1, 1])], 3)
+    for v in (vec([1, 1, 2]), vec([2, -3, -1]), vec([0, 0, 0])):
+        assert s.element(s.coords(v)) == v
+    assert zero_space(2).element(()) == vec([0, 0])
+
+
+def test_kernel_of_drops_zero_rows():
+    assert kernel_of(mat([[0, 0, 0], [1, 0, -1], [0, 0, 0]]), 3) == kernel(mat([[1, 0, -1]]))
+    assert kernel_of(mat([[0, 0], [0, 0]]), 2) == full_space(2)
+    assert kernel_of((), 2) == full_space(2)
+
+
 def test_charpoly_known_matrix():
     # det(xI - [[2,1],[0,3]]) = x^2 - 5x + 6
     m = mat([[2, 1], [0, 3]])
@@ -146,3 +167,61 @@ def test_subspace_equality_is_canonical():
     a = span([vec([1, 1]), vec([1, -1])], 2)
     assert a == full_space(2)
     assert isinstance(a, Subspace)
+
+
+@pytest.mark.parametrize("start,krylov", [(0, 4), (2, 2), (3, 1)])
+def test_closure_under_a_jordan_block_is_the_krylov_space(start, krylov):
+    # One nilpotent Jordan block on the first four of five coordinates:
+    # e_0 -> e_1 -> e_2 -> e_3 -> 0; e_4 is sent to 0 and never reached.
+    J = mat([[1 if r == c + 1 and c < 3 else 0 for c in range(5)] for r in range(5)])
+    want = Subspace(5, tuple(basis_vec(i, 5) for i in range(start, start + krylov)))
+    got = closure(span([basis_vec(start, 5)], 5), lambda s: (mat_vec(J, v) for v in s.basis))
+    assert got == want
+    reverse = closure(span([basis_vec(start, 5)], 5), lambda s: [mat_vec(J, v) for v in s.basis][::-1])
+    assert reverse == want
+
+
+def test_closure_of_a_closed_space_is_itself():
+    s = span([vec([1, 2, 0])], 3)
+    assert closure(s, lambda space: space.basis) == s
+
+
+def _bol_step(B):
+    full = full_space(B.n)
+    return lambda s: subspace_sum(prod_span(B, s, s), tri_span(B, s, s, full))
+
+
+def test_derived_chain_stalls_on_so3bol():
+    B = catalog("so3bol")
+    chain, stabilized_at, solvable = derived_chain(full_space(3), _bol_step(B))
+    assert chain == (full_space(3),)
+    assert stabilized_at == 0 and not solvable
+
+
+def test_derived_chain_reaches_zero_on_heis3bol():
+    # x*y = z spans B*B, and every ternary product [w,[u,v]] vanishes.
+    B = catalog("heis3bol")
+    chain, stabilized_at, solvable = derived_chain(full_space(3), _bol_step(B))
+    assert chain == (full_space(3), Subspace(3, (vec([0, 0, 1]),)), zero_space(3))
+    assert stabilized_at == 2 and solvable
+
+
+def test_failures_yields_nonzero_defects_in_sweep_order():
+    tuples = [(i, j) for i in range(3) for j in range(3)]
+    got = list(failures(tuples, lambda i, j: vec([i - j, 0])))
+    assert got == [((i, j), vec([i - j, 0])) for i, j in tuples if i != j]
+
+
+def test_failures_is_lazy():
+    seen = []
+
+    def defect(i):
+        seen.append(i)
+        if i > 2:
+            raise AssertionError("swept past the first failure")
+        return vec([1 if i == 2 else 0])
+
+    sweep = failures([(i,) for i in range(6)], defect)
+    assert seen == []
+    assert next(sweep) == ((2,), vec([1]))
+    assert seen == [0, 1, 2]

@@ -48,7 +48,7 @@ def test_radical_with_trace_form_backend():
 
 
 def test_radical_maximality_over_found_solvable_ideals():
-    from conftest import collect_ideals
+    from support import collect_ideals
     from bolalg.catalog import catalog_names
     from bolalg.series import is_solvable
 

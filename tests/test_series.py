@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import collect_ideals
+from support import collect_ideals
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import prod_span, summand_embeddings, tri_span
