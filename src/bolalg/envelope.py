@@ -32,8 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from bolalg.core import BolAlgebra, is_ideal, require_verified
-from bolalg.errors import FatalInconsistency, NotAnIdeal, PreconditionViolation
+from bolalg.core import BolAlgebra, is_ideal, nonzero_row, require_verified
+from bolalg.errors import DimensionMismatch, FatalInconsistency, NotAnIdeal, PreconditionViolation
 from bolalg.lie import LieAlgebra, bracket_span, jacobi_check, lie_is_solvable
 from bolalg.linalg import (
     Mat,
@@ -50,6 +50,7 @@ from bolalg.linalg import (
     mat_sub,
     mat_vec,
     span,
+    transpose,
     vec_add,
     vec_scale,
     vec_sub,
@@ -99,22 +100,50 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
         Pi(x*y)   = (Pi x)*y + x*(Pi y) + (x, y, a) + (x*y)*a
         Pi(x,y,z) = (Pi x, y, z) + (x, Pi y, z) + (x, y, Pi z)
     """
-    r = range(B.n)
-    bas = B.basis()
-    a = P.comp
-    pi = P.pi
-    pb = [mat_vec(pi, e) for e in bas]
+    n = B.n
+    if len(P.pi) != n or any(len(row) != n for row in P.pi) or len(P.comp) != n:
+        raise DimensionMismatch(f"pair of size {len(P.pi)}/{len(P.comp)} in algebra of dimension {n}")
+    T, R = B.nonzero_rows
+    pb = [nonzero_row(col) for col in transpose(P.pi)]  # Pi e_i
+    a = nonzero_row(P.comp)
+    r = range(n)
 
     def product_defect(i, j):
-        d = vec_sub(mat_vec(pi, B.T[i][j]), B.binary(pb[i], bas[j]))
-        d = vec_sub(d, B.binary(bas[i], pb[j]))
-        d = vec_sub(d, B.ternary(bas[i], bas[j], a))
-        return vec_sub(d, B.binary(B.T[i][j], a))
+        out = [ZERO] * n
+        Tij = T[i][j]
+        for p, c in Tij:  # Pi(x*y)
+            for q, v in pb[p]:
+                out[q] += c * v
+        for p, c in pb[i]:  # -(Pi x)*y
+            for q, v in T[p][j]:
+                out[q] -= c * v
+        for p, c in pb[j]:  # -x*(Pi y)
+            for q, v in T[i][p]:
+                out[q] -= c * v
+        for p, c in a:  # -(x, y, a)
+            for q, v in R[i][j][p]:
+                out[q] -= c * v
+        for p, c in Tij:  # -(x*y)*a
+            for s, e in a:
+                for q, v in T[p][s]:
+                    out[q] -= c * e * v
+        return tuple(out)
 
     def ternary_defect(i, j, k):
-        d = vec_sub(mat_vec(pi, B.R[i][j][k]), B.ternary(pb[i], bas[j], bas[k]))
-        d = vec_sub(d, B.ternary(bas[i], pb[j], bas[k]))
-        return vec_sub(d, B.ternary(bas[i], bas[j], pb[k]))
+        out = [ZERO] * n
+        for p, c in R[i][j][k]:  # Pi(x,y,z)
+            for q, v in pb[p]:
+                out[q] += c * v
+        for p, c in pb[i]:  # -(Pi x, y, z)
+            for q, v in R[p][j][k]:
+                out[q] -= c * v
+        for p, c in pb[j]:  # -(x, Pi y, z)
+            for q, v in R[i][p][k]:
+                out[q] -= c * v
+        for p, c in pb[k]:  # -(x, y, Pi z)
+            for q, v in R[i][j][p]:
+                out[q] -= c * v
+        return tuple(out)
 
     first = next(failures(product(r, repeat=2), product_defect), None)
     if first is not None:

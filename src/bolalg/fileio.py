@@ -74,6 +74,12 @@ def _render_document(pairs) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require_list(x, field: str, items: str) -> list:
+    if not isinstance(x, list):
+        raise DocumentError(f"{field}: must be a list of {items}", field)
+    return x
+
+
 def _check_index(x, dim: int, field: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise DocumentError(f"{field}: index must be an integer, got {x!r}", field)
@@ -119,9 +125,7 @@ def _sparse_entries(doc: dict, key: str, dim: int, arity: int):
     antisymmetric completion in (i, j) is implied, and no index tuple
     may repeat.
     """
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        raise DocumentError(f"{key}: must be a list of entries", key)
+    entries = _require_list(doc.get(key, []), key, "entries")
     slots = ", ".join("ijkl"[:arity])
     seen: set[tuple] = set()
     for pos, entry in enumerate(entries):
@@ -224,14 +228,17 @@ def parse_lie_document(text: str) -> tuple[LieAlgebra, str, int | None, tuple[Pa
     if "h_basis" in doc:
         n = dim if b_dim is None else b_dim
         pairs = []
-        for pos, item in enumerate(doc["h_basis"]):
+        for pos, item in enumerate(_require_list(doc["h_basis"], "h_basis", "objects")):
             field = f"h_basis[{pos}]"
             if not isinstance(item, dict) or "pi" not in item or "comp" not in item:
                 raise DocumentError(f"{field}: expected an object with pi and comp", field)
+            rows = _require_list(item["pi"], f"{field}.pi", "rows")
             pi = tuple(
-                tuple(_parse_scalar(c, f"{field}.pi") for c in row) for row in item["pi"]
+                tuple(_parse_scalar(c, f"{field}.pi") for c in _require_list(row, f"{field}.pi[{r}]", "scalars"))
+                for r, row in enumerate(rows)
             )
-            comp = tuple(_parse_scalar(c, f"{field}.comp") for c in item["comp"])
+            comp = _require_list(item["comp"], f"{field}.comp", "scalars")
+            comp = tuple(_parse_scalar(c, f"{field}.comp") for c in comp)
             if len(pi) != n or any(len(r) != n for r in pi) or len(comp) != n:
                 raise DocumentError(f"{field}: pi must be {n}x{n} and comp length {n}", field)
             pairs.append(PairEndo(pi, comp))

@@ -3,9 +3,22 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from bolalg.core import BolAlgebra, center, ideal_closure, is_ideal
-from bolalg.linalg import ONE, Subspace, ZERO, basis_vec, full_space, rref, span, zero_space
+from bolalg.core import AxiomReport, BolAlgebra, IdentityCheck, center, ideal_closure, is_ideal
+from bolalg.linalg import (
+    ONE,
+    Subspace,
+    ZERO,
+    basis_vec,
+    failures,
+    full_space,
+    rref,
+    span,
+    vec_add,
+    vec_scale,
+    zero_space,
+)
 from bolalg.radical import radical
 
 F = Fraction
@@ -71,3 +84,55 @@ def mutate_ternary(B: BolAlgebra, i, j, k, l, delta=F(1)) -> BolAlgebra:
     ]
     R[i][j][k][l] += delta
     return BolAlgebra.from_tensors(B.n, B.T, R, B.labels)
+
+
+def axiom_oracle(B: BolAlgebra) -> dict:
+    """Reference A1-A5 sweeps: {name: (tuples, defect)} in `check_axioms` order.
+
+    `tuples()` gives the basis tuples of the identity in sweep order and
+    `defect(*t)` its defect vector, computed densely with `B.binary` and
+    `B.ternary` on basis vectors, independently of the structure kernel.
+    """
+    n = B.n
+    r = range(n)
+    bas = B.basis()
+    Tv, Rv = B.T, B.R
+
+    def a4_defect(i, j, k, l):
+        d = B.binary(Rv[i][j][k], bas[l])
+        d = vec_add(d, vec_scale(-ONE, B.binary(Rv[i][j][l], bas[k])))
+        d = vec_add(d, B.ternary(bas[k], bas[l], Tv[i][j]))
+        d = vec_add(d, vec_scale(-ONE, B.ternary(bas[i], bas[j], Tv[k][l])))
+        d = vec_add(d, vec_scale(-ONE, B.binary(Tv[i][j], Tv[k][l])))
+        return d
+
+    def a5_defect(i, j, k, l, m):
+        lhs = B.ternary(bas[i], bas[j], Rv[k][l][m])
+        rhs = B.ternary(Rv[i][j][k], bas[l], bas[m])
+        rhs = vec_add(rhs, B.ternary(bas[k], Rv[i][j][l], bas[m]))
+        rhs = vec_add(rhs, B.ternary(bas[k], bas[l], Rv[i][j][m]))
+        return vec_add(lhs, vec_scale(-ONE, rhs))
+
+    return {
+        "A1": (lambda: ((i, j) for i in r for j in range(i, n)), lambda i, j: vec_add(Tv[i][j], Tv[j][i])),
+        "A2": (
+            lambda: ((i, j, k) for i in r for j in range(i, n) for k in r),
+            lambda i, j, k: vec_add(Rv[i][j][k], Rv[j][i][k]),
+        ),
+        "A3": (
+            lambda: product(r, repeat=3),
+            lambda i, j, k: vec_add(vec_add(Rv[i][j][k], Rv[j][k][i]), Rv[k][i][j]),
+        ),
+        "A4": (lambda: product(r, repeat=4), a4_defect),
+        "A5": (lambda: product(r, repeat=5), a5_defect),
+    }
+
+
+def reference_axioms(B: BolAlgebra) -> AxiomReport:
+    """The full reference sweep: first witness, its defect and the failure count per identity."""
+    checks = []
+    for name, (tuples, defect) in axiom_oracle(B).items():
+        found = list(failures(tuples(), defect))
+        witness, vec = found[0] if found else (None, None)
+        checks.append(IdentityCheck(name, not found, witness, vec, len(found)))
+    return AxiomReport(tuple(checks))

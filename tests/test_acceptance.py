@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from support import collect_ideals, mutate_binary, mutate_ternary, transport
+from support import axiom_oracle, collect_ideals, mutate_binary, mutate_ternary, transport
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import check_axioms, direct_sum, prod_span, summand_embeddings, tri_span
@@ -277,3 +277,21 @@ def test_acceptance_12_cli_golden_and_exit_codes():
             assert data["decided"] is True
 
     _report(12, "CLI golden files byte-identical; exit-code table honored", run)
+
+
+def test_acceptance_13_dimension_12_axioms():
+    def run():
+        pair = direct_sum(catalog("sl2bol"), catalog("so3bol"))
+        B = direct_sum(pair, pair)
+        assert B.n == 12
+        assert check_axioms(B).ok
+        bumped = mutate_ternary(B, 0, 1, 2, 5)
+        rep = check_axioms(bumped)
+        assert not rep.ok
+        oracle = axiom_oracle(bumped)
+        for c in rep.identities:
+            if not c.ok:
+                _, defect = oracle[c.name]
+                assert c.witness is not None and defect(*c.witness) == c.defect, c.name
+
+    _report(13, "dimension 12: (sl2bol+so3bol)^2 passes; a ternary bump fails at an oracle-confirmed witness", run)

@@ -242,3 +242,13 @@ def test_mutation_sweep_counts():
                     assert any(c.witness is not None for c in rep.identities if not c.ok)
                     checked += 1
         assert checked >= 27
+
+
+def test_equal_algebras_share_hash_and_cache_entry():
+    A = direct_sum(catalog("sl2bol"), catalog("so3bol"))
+    B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
+    assert A is not B and A == B and hash(A) == hash(B)
+    assert check_axioms(A) is check_axioms(B)
+    relabelled = BolAlgebra.from_tensors(A.n, A.T, A.R, [f"x{i}" for i in range(A.n)])
+    assert relabelled != A
+    assert check_axioms(relabelled) is not check_axioms(A)

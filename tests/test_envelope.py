@@ -17,7 +17,7 @@ from bolalg.envelope import (
     solvability_transfer_check,
     standard_embedding_check,
 )
-from bolalg.errors import PreconditionViolation
+from bolalg.errors import DimensionMismatch, PreconditionViolation
 from bolalg.lie import lie_is_solvable
 from bolalg.linalg import (
     basis_vec,
@@ -67,6 +67,15 @@ def test_identity_pair_fails_on_sl2bol():
     B = catalog("sl2bol")
     rep = is_pseudo_derivation(B, PairEndo(identity(3), zero_vec(3)))
     assert not rep.ok and rep.witness is not None
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [PairEndo.zero(2), PairEndo(zero_mat(3, 2), zero_vec(3)), PairEndo(zero_mat(3, 3), zero_vec(2))],
+)
+def test_pseudo_derivation_rejects_a_pair_of_the_wrong_size(pair):
+    with pytest.raises(DimensionMismatch):
+        is_pseudo_derivation(catalog("sl2bol"), pair)
 
 
 def test_pair_bracket_self_is_zero():

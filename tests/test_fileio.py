@@ -111,6 +111,22 @@ def test_parse_lie_rejects_invalid_documents(body, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "h_basis,field",
+    [
+        ("5", "h_basis"),
+        ('[{"pi": 5, "comp": ["0"]}]', "h_basis[0].pi"),
+        ('[{"pi": [5], "comp": ["0"]}]', "h_basis[0].pi[0]"),
+        ('[{"pi": [["0"]], "comp": 5}]', "h_basis[0].comp"),
+    ],
+)
+def test_parse_lie_rejects_non_list_h_basis_parts(h_basis, field):
+    with pytest.raises(DocumentError) as err:
+        parse_lie_document(f'{{"name": "g", "dim": 1, "b_dim": 1, "h_basis": {h_basis}}}')
+    assert err.value.field == field
+    assert str(err.value).startswith(f"{field}: must be a list")
+
+
 def test_parse_lie_accepts_b_dim_bounds():
     for b_dim in (0, 2):
         _, _, got, _ = parse_lie_document(f'{{"name": "g", "dim": 2, "b_dim": {b_dim}}}')
