@@ -31,6 +31,7 @@ from bolalg.linalg import (
     frac,
     full_space,
     kernel_of,
+    mat_vec,
     span,
     subspace_sum,
     transpose,
@@ -47,12 +48,26 @@ def nonzero_row(v) -> Row:
     return tuple((k, c) for k, c in enumerate(v) if c)
 
 
-def _freeze3(t) -> Tensor3:
-    return tuple(tuple(tuple(frac(c) for c in row) for row in plane) for plane in t)
+def _sized(items, n: int, name: str) -> tuple:
+    items = tuple(items)
+    if len(items) != n:
+        raise DimensionMismatch(f"{name} has length {len(items)}, expected {n}")
+    return items
 
 
-def _freeze4(t) -> Tensor4:
-    return tuple(_freeze3(cube) for cube in t)
+def _freeze3(t, n: int, name: str = "T") -> Tensor3:
+    """t as an n x n x n tensor of Fractions; DimensionMismatch names the first mis-sized index."""
+    return tuple(
+        tuple(
+            tuple(frac(c) for c in _sized(row, n, f"{name}[{i}][{j}]"))
+            for j, row in enumerate(_sized(plane, n, f"{name}[{i}]"))
+        )
+        for i, plane in enumerate(_sized(t, n, name))
+    )
+
+
+def _freeze4(t, n: int) -> Tensor4:
+    return tuple(_freeze3(cube, n, f"R[{i}]") for i, cube in enumerate(_sized(t, n, "R")))
 
 
 @dataclass(frozen=True)
@@ -75,7 +90,7 @@ class BolAlgebra:
         labels = tuple(labels)
         if len(labels) != n:
             raise DimensionMismatch(f"{len(labels)} labels for dimension {n}")
-        return BolAlgebra(n, labels, _freeze3(T), _freeze4(R))
+        return BolAlgebra(n, labels, _freeze3(T, n), _freeze4(R, n))
 
     @staticmethod
     def zero(n: int, labels=None) -> BolAlgebra:
@@ -103,6 +118,35 @@ class BolAlgebra:
         T = tuple(tuple(nonzero_row(v) for v in plane) for plane in self.T)
         R = tuple(tuple(tuple(nonzero_row(v) for v in plane) for plane in cube) for cube in self.R)
         return T, R
+
+    @cached_property
+    def integer_rows(self) -> tuple[int, tuple, tuple]:
+        """(d, T, R): the nonzero rows with T scaled by d and R by d^2, all coefficients ints.
+
+        d is the lcm of every denominator in T and R.  A term with a
+        factors of T and b of R is then d^(a+2b) times its rational value.
+        """
+        T0, R0 = self.nonzero_rows
+        d = lcm(
+            *(c.denominator for plane in T0 for row in plane for _, c in row),
+            *(c.denominator for cube in R0 for plane in cube for row in plane for _, c in row),
+        )
+        T = tuple(scaled_rows(plane, d) for plane in T0)
+        R = tuple(tuple(scaled_rows(plane, d * d) for plane in cube) for cube in R0)
+        return d, T, R
+
+    @cached_property
+    def ideal_operators(self) -> tuple[Mat, ...]:
+        """The nonzero matrices of x -> x*e_i (i = 0..n-1), then of x -> (x, e_i, e_j) (i, j row-major).
+
+        A subspace is a def2-ideal exactly when it is invariant under all
+        of them, so ideal closures, the def2 test and the simplicity
+        search all read this one family.
+        """
+        r = range(self.n)
+        ops = [tuple(tuple(self.T[k][i][l] for k in r) for l in r) for i in r]
+        ops += [tuple(tuple(self.R[k][i][j][l] for k in r) for l in r) for i in r for j in r]
+        return tuple(op for op in ops if any(c != 0 for row in op for c in row))
 
     def basis_vec(self, i: int) -> Vec:
         return basis_vec(i, self.n)
@@ -220,13 +264,7 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
     exactly when it is.
     """
     n = B.n
-    T0, R0 = B.nonzero_rows
-    d = lcm(
-        *(c.denominator for plane in T0 for row in plane for _, c in row),
-        *(c.denominator for cube in R0 for plane in cube for row in plane for _, c in row),
-    )
-    T = tuple(_scaled(plane, d) for plane in T0)
-    R = tuple(tuple(_scaled(plane, d * d) for plane in cube) for cube in R0)
+    d, T, R = B.integer_rows
     r = range(n)
 
     def first_failure(name, weight, tuples, defect_fn):
@@ -235,7 +273,7 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
         for t, v in failures(tuples, defect_fn):
             count += 1
             if witness is None:
-                witness, defect = t, tuple(Fraction(c, d**weight) for c in v)
+                witness, defect = t, unscaled(v, d**weight)
         return IdentityCheck(name, count == 0, witness, defect, count)
 
     def dense(*rows):
@@ -316,9 +354,14 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
     return AxiomReport((a1, a2, a3, a4, a5))
 
 
-def _scaled(plane: tuple[Row, ...], s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Rows of `plane` with every coefficient multiplied by s, which clears its denominator."""
-    return tuple(tuple((k, c.numerator * (s // c.denominator)) for k, c in row) for row in plane)
+def scaled_rows(rows, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows with every coefficient multiplied by s, as ints; s must clear every denominator."""
+    return tuple(tuple((k, c.numerator * (s // c.denominator)) for k, c in row) for row in rows)
+
+
+def unscaled(v, s: int) -> Vec:
+    """The integer vector v divided by s, as Fractions."""
+    return tuple(Fraction(c, s) for c in v)
 
 
 def require_verified(B: BolAlgebra) -> None:
@@ -331,15 +374,47 @@ def require_verified(B: BolAlgebra) -> None:
 def prod_span(B: BolAlgebra, U: Subspace, V: Subspace) -> Subspace:
     """span{ u * v : u in U, v in V }."""
     _check_ambient(B, U, V)
-    vecs = [B.binary(u, v) for u in U.basis for v in V.basis]
-    return span(vecs, B.n)
+    n = B.n
+    T, _ = B.nonzero_rows
+    by_j = tuple(zip(*T))  # by_j[j][i] = T[i][j]
+
+    def products():
+        for u in U.basis:
+            left = [nonzero_row(_combine(u, col, n)) for col in by_j]  # u * e_j
+            for v in V.basis:
+                yield _combine(v, left, n)
+
+    return span(products(), n)
 
 
 def tri_span(B: BolAlgebra, U: Subspace, V: Subspace, W: Subspace) -> Subspace:
     """span{ (u, v, w) : u in U, v in V, w in W }."""
     _check_ambient(B, U, V, W)
-    vecs = [B.ternary(u, v, w) for u in U.basis for v in V.basis for w in W.basis]
-    return span(vecs, B.n)
+    n = B.n
+    r = range(n)
+    _, R = B.nonzero_rows
+    by_jk = tuple(tuple(tuple(R[i][j][k] for i in r) for k in r) for j in r)
+
+    def products():
+        for u in U.basis:
+            # (u, e_j, e_k), stored by k then j
+            uj = [[nonzero_row(_combine(u, by_jk[j][k], n)) for j in r] for k in r]
+            for v in V.basis:
+                uv = [nonzero_row(_combine(v, col, n)) for col in uj]  # (u, v, e_k)
+                for w in W.basis:
+                    yield _combine(w, uv, n)
+
+    return span(products(), n)
+
+
+def _combine(x: Vec, rows, n: int) -> Vec:
+    """sum_k x[k] rows[k], each row given by its nonzero entries."""
+    out = [ZERO] * n
+    for xk, row in zip(x, rows):
+        if xk:
+            for q, c in row:
+                out[q] += xk * c
+    return tuple(out)
 
 
 def is_subsystem(B: BolAlgebra, V: Subspace) -> bool:
@@ -351,27 +426,29 @@ def is_ideal(B: BolAlgebra, V: Subspace, mode: str = "def2") -> bool:
     """Ideal test in one of the two modes supported by the toolkit.
 
     def2: V*B <= V and (V,B,B) <= V (the variant used by every internal
-          algorithm: closures, radical, decomposition).
+          algorithm: closures, radical, decomposition), checked as the
+          invariance of V under `B.ideal_operators`, stopping at the
+          first image outside V; the full space needs no check.
     def3: V is a subsystem and V*V + (V,V,B) <= V.
     """
     _check_ambient(B, V)
-    full = full_space(B.n)
     if mode == "def2":
-        return prod_span(B, V, full) <= V and tri_span(B, V, full, full) <= V
+        return V.is_full() or all(V.contains(w) for w in _images(B, V))
     if mode == "def3":
+        full = full_space(B.n)
         return is_subsystem(B, V) and subspace_sum(prod_span(B, V, V), tri_span(B, V, V, full)) <= V
     raise ValueError(f"unknown ideal mode {mode!r}")
 
 
 def ideal_closure(B: BolAlgebra, S: Subspace) -> Subspace:
-    """Least def2-ideal containing S.
-
-    Fixed point of S -> S + S*B + (S,B,B); dimensions strictly increase,
-    so this terminates in at most n steps.
-    """
+    """Least def2-ideal containing S: the closure of S under `B.ideal_operators`."""
     _check_ambient(B, S)
-    full = full_space(B.n)
-    return closure(S, lambda s: prod_span(B, s, full).basis + tri_span(B, s, full, full).basis)
+    return closure(S, lambda s: _images(B, s))
+
+
+def _images(B: BolAlgebra, V: Subspace):
+    """The images of V's basis vectors under `B.ideal_operators`, lazily."""
+    return (mat_vec(op, v) for v in V.basis for op in B.ideal_operators)
 
 
 def center(B: BolAlgebra) -> Subspace:

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
-from bolalg.core import BolAlgebra, is_ideal, nonzero_row, require_verified
+from bolalg.core import BolAlgebra, is_ideal, nonzero_row, require_verified, scaled_rows, unscaled
 from bolalg.errors import DimensionMismatch, FatalInconsistency, NotAnIdeal, PreconditionViolation
 from bolalg.lie import LieAlgebra, bracket_span, jacobi_check, lie_is_solvable
 from bolalg.linalg import (
@@ -99,17 +100,24 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
 
         Pi(x*y)   = (Pi x)*y + x*(Pi y) + (x, y, a) + (x*y)*a
         Pi(x,y,z) = (Pi x, y, z) + (x, Pi y, z) + (x, y, Pi z)
+
+    The defects are summed in ints from `B.integer_rows` (T scaled by d,
+    R by d^2): with e the lcm of the pair's denominators, Pi is scaled
+    by e*d and a by e, so every product-rule term has weight e*d^2 and
+    every ternary-rule term e*d^3, and a reported defect is the integer
+    one divided by its weight.
     """
     n = B.n
     if len(P.pi) != n or any(len(row) != n for row in P.pi) or len(P.comp) != n:
         raise DimensionMismatch(f"pair of size {len(P.pi)}/{len(P.comp)} in algebra of dimension {n}")
-    T, R = B.nonzero_rows
-    pb = [nonzero_row(col) for col in transpose(P.pi)]  # Pi e_i
-    a = nonzero_row(P.comp)
+    d, T, R = B.integer_rows
+    e = lcm(*(c.denominator for row in P.pi for c in row), *(c.denominator for c in P.comp))
+    pb = scaled_rows((nonzero_row(col) for col in transpose(P.pi)), e * d)  # Pi e_i
+    (a,) = scaled_rows((nonzero_row(P.comp),), e)
     r = range(n)
 
     def product_defect(i, j):
-        out = [ZERO] * n
+        out = [0] * n
         Tij = T[i][j]
         for p, c in Tij:  # Pi(x*y)
             for q, v in pb[p]:
@@ -124,13 +132,13 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
             for q, v in R[i][j][p]:
                 out[q] -= c * v
         for p, c in Tij:  # -(x*y)*a
-            for s, e in a:
+            for s, f in a:
                 for q, v in T[p][s]:
-                    out[q] -= c * e * v
-        return tuple(out)
+                    out[q] -= c * f * v
+        return out
 
     def ternary_defect(i, j, k):
-        out = [ZERO] * n
+        out = [0] * n
         for p, c in R[i][j][k]:  # Pi(x,y,z)
             for q, v in pb[p]:
                 out[q] += c * v
@@ -143,14 +151,14 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
         for p, c in pb[k]:  # -(x, y, Pi z)
             for q, v in R[i][j][p]:
                 out[q] -= c * v
-        return tuple(out)
+        return out
 
     first = next(failures(product(r, repeat=2), product_defect), None)
     if first is not None:
-        return PseudoDerivationReport(False, False, True, *first)
+        return PseudoDerivationReport(False, False, True, first[0], unscaled(first[1], e * d * d))
     first = next(failures(product(r, repeat=3), ternary_defect), None)
     if first is not None:
-        return PseudoDerivationReport(False, True, False, *first)
+        return PseudoDerivationReport(False, True, False, first[0], unscaled(first[1], e * d**3))
     return PseudoDerivationReport(True, True, True)
 
 

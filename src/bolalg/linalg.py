@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from bolalg.errors import DimensionMismatch
 
@@ -220,14 +221,35 @@ def full_space(ambient: int) -> Subspace:
 
 
 def span(vectors, ambient: int) -> Subspace:
-    """Canonical subspace spanned by the given vectors."""
-    vs = tuple(vectors)
-    for v in vs:
+    """Canonical subspace spanned by the given vectors.
+
+    Each vector is reduced into a growing echelon basis as it is read,
+    and one `rref` of at most `ambient` rows makes the result canonical.
+    Once the basis is full, the rest of a list or tuple is only checked
+    for length, while any other iterable is not read further: product
+    generators stop there without forming their remaining vectors.
+    """
+    whole = isinstance(vectors, (list, tuple))
+    rows: list[list[Fraction]] = []  # each is 1 at its pivot and 0 at the pivots of the rows before it
+    pivots: list[int] = []
+    for v in vectors:
         if len(v) != ambient:
             raise DimensionMismatch(f"vector of length {len(v)} in ambient {ambient}")
-    if not vs:
-        return zero_space(ambient)
-    return Subspace(ambient, _nonzero_rref_rows(vs))
+        if len(rows) == ambient:
+            continue
+        w = list(v)
+        for p, row in zip(pivots, rows):
+            c = w[p]
+            if c:
+                w = [x - c * y for x, y in zip(w, row)]
+        lead = next((j for j, c in enumerate(w) if c), None)
+        if lead is not None:
+            inv = ONE / w[lead]
+            rows.append([inv * x for x in w])
+            pivots.append(lead)
+            if len(rows) == ambient and not whole:
+                break
+    return Subspace(ambient, rref(tuple(map(tuple, rows))))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -280,16 +302,19 @@ def closure(start: Subspace, grow) -> Subspace:
 
     `grow(space)` yields vectors that must lie in the closure of `space`
     (for example the images of its basis under a family of linear maps).
-    The vectors not yet contained are added until a round adds none.
+    Each round spans the space together with what `grow` yields, until a
+    round adds nothing or the space is full; `grow` is never called on a
+    full space, and a round stops reading `grow` once the space fills.
     The result is canonical, so it does not depend on the order in which
     `grow` yields its vectors.
     """
     space = start
-    while True:
-        new = tuple(w for w in grow(space) if not space.contains(w))
-        if not new:
-            return space
-        space = span(space.basis + new, space.ambient)
+    while not space.is_full():
+        grown = span(chain(space.basis, grow(space)), space.ambient)
+        if grown.dim == space.dim:
+            break
+        space = grown
+    return space
 
 
 def derived_chain(start: Subspace, step) -> tuple[tuple[Subspace, ...], int, bool]:

@@ -24,7 +24,6 @@ from bolalg.core import BolAlgebra, ideal_closure, is_ideal, prod_span, quotient
 from bolalg.errors import BolError, StrategyDisagreement
 from bolalg.forms import BilinearForm, envelope_form, left_perp, trace_form
 from bolalg.linalg import (
-    Mat,
     Subspace,
     ZERO,
     basis_vec,
@@ -170,24 +169,6 @@ class SimplicityResult:
     note: str = ""
 
 
-def _operator_family(B: BolAlgebra) -> list[Mat]:
-    """Right multiplications and first-slot ternary operators.
-
-    A subspace is a def2-ideal exactly when it is invariant under all of
-    these, so the ideal search is a module-irreducibility search.
-    """
-    n = B.n
-    ops = []
-    for i in range(n):
-        right_mult = tuple(tuple(B.T[k][i][l] for k in range(n)) for l in range(n))
-        ops.append(right_mult)
-    for i in range(n):
-        for j in range(n):
-            t_op = tuple(tuple(B.R[k][i][j][l] for k in range(n)) for l in range(n))
-            ops.append(t_op)
-    return [op for op in ops if any(c != 0 for row in op for c in row)]
-
-
 def is_simple(B: BolAlgebra, n_random: int = 32, seed: int = DEFAULT_SEED) -> SimplicityResult:
     """Three-valued simplicity test.
 
@@ -206,7 +187,7 @@ def is_simple(B: BolAlgebra, n_random: int = 32, seed: int = DEFAULT_SEED) -> Si
         witness = ideal_closure(B, span([basis_vec(0, n)], n)) if n >= 2 else None
         return SimplicityResult("no", witness, seed, "abelian")
 
-    ops = _operator_family(B)
+    ops = list(B.ideal_operators)
     rng = random.Random(seed)
     combos = []
     for _ in range(n_random):

@@ -136,3 +136,84 @@ def reference_axioms(B: BolAlgebra) -> AxiomReport:
         witness, vec = found[0] if found else (None, None)
         checks.append(IdentityCheck(name, not found, witness, vec, len(found)))
     return AxiomReport(tuple(checks))
+
+
+def random_algebra(rng, n, t_dens, r_dens, density=1.0, idle_pairs=0.0):
+    """Random constants; R[i][j] is zero for a share `idle_pairs` of the pairs (i, j)."""
+
+    def coeff(dens):
+        if rng.random() >= density:
+            return 0
+        return F(rng.randint(-3, 3), rng.choice(dens))
+
+    r = range(n)
+    T = [[[coeff(t_dens) for _ in r] for _ in r] for _ in r]
+    R = [[[[coeff(r_dens) for _ in r] for _ in r] for _ in r] for _ in r]
+    for i in r:
+        for j in r:
+            if rng.random() < idle_pairs:
+                R[i][j] = [[0] * n for _ in r]
+    return BolAlgebra.from_tensors(n, T, R)
+
+
+def rational_basis(rng, n):
+    """A dense invertible rational matrix: upper triangular (nonzero diagonal) times unit lower."""
+    U = [[F(0)] * n for _ in range(n)]
+    L = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        U[i][i] = F(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, 5]))
+        for j in range(n):
+            if j > i:
+                U[i][j] = F(rng.randint(-2, 2), rng.choice([1, 3]))
+            elif j < i:
+                L[i][j] = F(rng.randint(-2, 2), rng.choice([1, 2]))
+    return [[sum(U[i][k] * L[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+# Dense references for the ideal layer: the products formed with
+# `B.binary`/`B.ternary` on basis vectors, row-reduced in one `rref`,
+# independently of the structure rows, the operator family and the
+# incremental `span`.
+
+
+def reference_span(vectors, n) -> Subspace:
+    rows = tuple(tuple(v) for v in vectors)
+    return Subspace(n, tuple(row for row in rref(rows) if any(c != 0 for c in row)))
+
+
+def reference_prod_span(B: BolAlgebra, U: Subspace, V: Subspace) -> Subspace:
+    return reference_span([B.binary(u, v) for u in U.basis for v in V.basis], B.n)
+
+
+def reference_tri_span(B: BolAlgebra, U: Subspace, V: Subspace, W: Subspace) -> Subspace:
+    return reference_span([B.ternary(u, v, w) for u in U.basis for v in V.basis for w in W.basis], B.n)
+
+
+def reference_is_ideal(B: BolAlgebra, V: Subspace, mode: str) -> bool:
+    full = full_space(B.n)
+    if mode == "def2":
+        return reference_prod_span(B, V, full) <= V and reference_tri_span(B, V, full, full) <= V
+    subsystem = reference_prod_span(B, V, V) <= V and reference_tri_span(B, V, V, V) <= V
+    rows = reference_prod_span(B, V, V).basis + reference_tri_span(B, V, V, full).basis
+    return subsystem and reference_span(rows, B.n) <= V
+
+
+def reference_ideal_closure(B: BolAlgebra, S: Subspace) -> Subspace:
+    """Fixed point of S -> S + S*B + (S,B,B)."""
+    full = full_space(B.n)
+    space = S
+    while True:
+        grown = reference_prod_span(B, space, full).basis + reference_tri_span(B, space, full, full).basis
+        new = tuple(w for w in grown if not space.contains(w))
+        if not new:
+            return space
+        space = reference_span(space.basis + new, B.n)
+
+
+def reference_operator_family(B: BolAlgebra) -> list:
+    """Right multiplications x -> x*e_i, then first-slot operators x -> (x, e_i, e_j), nonzero ones only."""
+    bas = B.basis()
+    maps = [lambda x, i=i: B.binary(x, bas[i]) for i in range(B.n)]
+    maps += [lambda x, i=i, j=j: B.ternary(x, bas[i], bas[j]) for i in range(B.n) for j in range(B.n)]
+    ops = [tuple(zip(*(f(e) for e in bas))) for f in maps]  # columns are the images of the basis
+    return [op for op in ops if any(c != 0 for row in op for c in row)]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from bolalg.core import (
     summand_embeddings,
     tri_span,
 )
-from bolalg.errors import NotAnIdeal, UnknownExample
+from bolalg.errors import DimensionMismatch, NotAnIdeal, UnknownExample
 from bolalg.linalg import basis_vec, full_space, span, vec, zero_space, zero_vec
 
 F = Fraction
@@ -252,3 +253,34 @@ def test_equal_algebras_share_hash_and_cache_entry():
     relabelled = BolAlgebra.from_tensors(A.n, A.T, A.R, [f"x{i}" for i in range(A.n)])
     assert relabelled != A
     assert check_axioms(relabelled) is not check_axioms(A)
+
+
+def _zero_tensors(n):
+    Z = BolAlgebra.zero(n)
+    T = [[list(row) for row in plane] for plane in Z.T]
+    R = [[[list(row) for row in plane] for plane in cube] for cube in Z.R]
+    return T, R
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda T, R: T.pop(), "T has length 1, expected 2"),  # a missing plane
+        (lambda T, R: T[1].pop(), "T[1] has length 1, expected 2"),  # a short plane
+        (lambda T, R: T[0][1].pop(), "T[0][1] has length 1, expected 2"),  # a short row
+        (lambda T, R: R[1][0][1].append(0), "R[1][0][1] has length 3, expected 2"),  # a ragged R
+        (lambda T, R: R[0].pop(), "R[0] has length 1, expected 2"),
+        (lambda T, R: R.append(R[0]), "R has length 3, expected 2"),
+    ],
+    ids=["missing-plane", "short-plane", "short-row", "ragged-R", "short-R-cube", "extra-R-cube"],
+)
+def test_from_tensors_rejects_mis_shaped_tensors(damage, message):
+    T, R = _zero_tensors(2)
+    damage(T, R)
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        BolAlgebra.from_tensors(2, T, R)
+
+
+def test_from_tensors_rejects_the_one_by_one_tensors_of_a_plane():
+    with pytest.raises(DimensionMismatch, match="T has length 1"):
+        BolAlgebra.from_tensors(2, [[[0, 0]]], [[[[0, 0]]]])

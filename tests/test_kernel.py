@@ -11,47 +11,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from support import mutate_binary, mutate_ternary, reference_axioms, transport
+from support import mutate_binary, mutate_ternary, random_algebra, rational_basis, reference_axioms, transport
 
 from bolalg.catalog import catalog, catalog_names
-from bolalg.core import BolAlgebra, check_axioms
+from bolalg.core import check_axioms
 from bolalg.envelope import PairEndo, PseudoDerivationReport, inner_pair, is_pseudo_derivation
 from bolalg.linalg import failures, mat_vec, vec_sub
 
 F = Fraction
 SMALL = [name for name in catalog_names() if catalog(name).n <= 4]
-
-
-def random_algebra(rng, n, t_dens, r_dens, density=1.0, idle_pairs=0.0):
-    """Random constants; R[i][j] is zero for a share `idle_pairs` of the pairs (i, j)."""
-
-    def coeff(dens):
-        if rng.random() >= density:
-            return 0
-        return F(rng.randint(-3, 3), rng.choice(dens))
-
-    r = range(n)
-    T = [[[coeff(t_dens) for _ in r] for _ in r] for _ in r]
-    R = [[[[coeff(r_dens) for _ in r] for _ in r] for _ in r] for _ in r]
-    for i in r:
-        for j in r:
-            if rng.random() < idle_pairs:
-                R[i][j] = [[0] * n for _ in r]
-    return BolAlgebra.from_tensors(n, T, R)
-
-
-def rational_basis(rng, n):
-    """A dense invertible rational matrix: upper triangular (nonzero diagonal) times unit lower."""
-    U = [[F(0)] * n for _ in range(n)]
-    L = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        U[i][i] = F(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, 5]))
-        for j in range(n):
-            if j > i:
-                U[i][j] = F(rng.randint(-2, 2), rng.choice([1, 3]))
-            elif j < i:
-                L[i][j] = F(rng.randint(-2, 2), rng.choice([1, 2]))
-    return [[sum(U[i][k] * L[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
 def assert_kernel_matches(B):
@@ -149,3 +117,37 @@ def test_pseudo_derivation_sweep_matches_reference(name):
         Q = PairEndo(tuple(map(tuple, pi)), tuple(comp))
         assert is_pseudo_derivation(B, Q) == reference_pseudo_derivation(B, Q)
 
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pseudo_derivation_sweep_with_rational_pairs_and_denominators(n, seed):
+    # d > 1 for the algebra and non-integer entries in the pair: every
+    # scale factor e*d, e, d and d^2 of the integer sums is exercised.
+    rng = random.Random(5000 * n + seed)
+    B = random_algebra(rng, n, (1, 2, 3), (1, 5, 4), density=0.7, idle_pairs=0.2)
+    assert B.integer_rows[0] > 1
+    pairs = [inner_pair(B, B.basis_vec(rng.randrange(n)), B.basis_vec(rng.randrange(n))), PairEndo.zero(n)]
+    for _ in range(3):
+        pi = tuple(tuple(F(rng.randint(-4, 4), rng.choice((1, 3, 7))) for _ in range(n)) for _ in range(n))
+        comp = tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 9))) for _ in range(n))
+        pairs += [PairEndo(pi, comp), PairEndo(pi, (F(0),) * n), PairEndo(PairEndo.zero(n).pi, comp)]
+    for P in pairs:
+        assert is_pseudo_derivation(B, P) == reference_pseudo_derivation(B, P)
+
+
+@pytest.mark.parametrize("name", ["sl2bol", "heis3bol", "mixed"])
+def test_inner_pairs_are_pseudo_derivations_with_denominators(name):
+    # A Bol algebra with d > 1: its inner pairs pass, and a pair bumped by
+    # a non-integer entry fails with the reference's witness and defect.
+    rng = random.Random(f"{name}-denominators")
+    B = catalog(name)
+    B = transport(B, rational_basis(rng, B.n))
+    assert B.integer_rows[0] > 1
+    n = B.n
+    for i in range(n):
+        for j in range(n):
+            P = inner_pair(B, B.basis_vec(i), B.basis_vec(j))
+            assert is_pseudo_derivation(B, P).ok
+            bumped = PairEndo(P.pi, tuple(c + F(1, 7) * (k == i) for k, c in enumerate(P.comp)))
+            assert is_pseudo_derivation(B, bumped) == reference_pseudo_derivation(B, bumped)

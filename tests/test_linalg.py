@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bolalg.catalog import catalog
 from bolalg.core import prod_span, tri_span
@@ -19,6 +22,7 @@ from bolalg.linalg import (
     kernel_of,
     mat,
     mat_vec,
+    rank,
     rational_roots,
     rref,
     span,
@@ -225,3 +229,89 @@ def test_failures_is_lazy():
     assert seen == []
     assert next(sweep) == ((2,), vec([1]))
     assert seen == [0, 1, 2]
+
+
+def _random_vectors(rng, count, n):
+    return [tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_span_is_independent_of_input_order(seed):
+    rng = random.Random(seed)
+    vs = _random_vectors(rng, 3, 5)
+    vs += [tuple(a - 2 * b for a, b in zip(vs[0], vs[1])), vec([0] * 5)]  # dependent and zero rows
+    want = span(vs, 5)
+    assert want.dim == 3
+    for _ in range(6):
+        rng.shuffle(vs)
+        assert span(vs, 5) == want
+        assert span(tuple(vs), 5) == want
+        assert span(iter(vs), 5) == want
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+def test_span_checks_every_length_of_a_list_or_tuple(container):
+    vs = container([vec([1, 0]), vec([0, 1]), vec([1, 2, 3])])  # the bad vector comes after a full basis
+    with pytest.raises(DimensionMismatch):
+        span(vs, 2)
+
+
+def test_span_stops_reading_an_iterator_once_full():
+    read = []
+
+    def vectors():
+        for v in (vec([1, 1, 0]), vec([2, 2, 0]), vec([0, 1, 0]), vec([0, 0, 3]), vec([1, 2, 3, 4])):
+            read.append(v)
+            yield v
+
+    assert span(vectors(), 3) == full_space(3)
+    assert len(read) == 4
+
+
+def test_closure_never_grows_a_full_space():
+    seen = []
+
+    def grow(space):
+        assert not space.is_full()
+        seen.append(space.dim)
+        return (mat_vec(shift, v) for v in space.basis)
+
+    shift = mat([[1 if r == c + 1 else 0 for c in range(4)] for r in range(4)])  # e_i -> e_{i+1}, e_3 -> 0
+    assert closure(span([basis_vec(0, 4)], 4), grow) == full_space(4)
+    assert seen == [1, 2, 3]
+    assert closure(full_space(3), grow) == full_space(3)
+    assert seen == [1, 2, 3]
+
+
+def _to_sympy(rows, ncols):
+    return sympy.Matrix(len(rows), ncols, [sympy.Rational(c.numerator, c.denominator) for row in rows for c in row])
+
+
+def _from_sympy(v):
+    return tuple(F(int(x.p), int(x.q)) for x in v)
+
+
+rational = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def rational_matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    nrows = draw(st.integers(1, 5))
+    # Sparse entries make rank-deficient matrices common.
+    entry = st.one_of(st.just(F(0)), rational)
+    return tuple(tuple(draw(entry) for _ in range(ncols)) for _ in range(nrows)), ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_span_rank_and_kernel_agree_with_sympy(case):
+    m, ncols = case
+    M = _to_sympy(m, ncols)
+    reduced, pivots = M.rref()
+    want_rows = tuple(_from_sympy(reduced.row(i)) for i in range(len(pivots)))
+    assert span(m, ncols).basis == want_rows
+    assert rank(m) == M.rank() == len(pivots)
+    null = [_from_sympy(v) for v in M.nullspace()]
+    assert kernel(m) == span(null, ncols)
+    assert kernel(m).dim == ncols - len(pivots)
