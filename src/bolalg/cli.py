@@ -23,7 +23,6 @@ from bolalg.forms import compare_trace_vs_envelope, envelope_form, invariance_ch
 from bolalg.linalg import basis_vec, full_space, rank, span
 from bolalg.radical import DEFAULT_SEED, radical
 from bolalg.series import bol_derived_series, lts_derived_series
-from bolalg.lie import lie_is_solvable
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -207,7 +206,7 @@ def cmd_envelope(args) -> int:
         "h_dim": len(E.h_basis),
         "total_dim": E.total_dim,
         "verified": {"jacobi": True, "projection": True, "recovery": True},
-        "lie_solvable": lie_is_solvable(E.lie),
+        "lie_solvable": rep.lie_solvable,
         "structure": {
             "lie_solvable": rep.lie_solvable,
             "beta_orthogonal_to_triple_span": rep.beta_orthogonal_to_triple_span,

@@ -11,6 +11,7 @@ flagged uncertified instead of failing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from bolalg.core import BolAlgebra, center, ideal_closure, is_ideal, prod_span, restrict, tri_span
 from bolalg.errors import FatalInconsistency, PreconditionViolation
@@ -86,9 +87,17 @@ def decompose_semisimple(
     Preconditions: b symmetric, nondegenerate, invariant (in the given
     variant), and no nonzero ideal whose self-products vanish; probes
     for the latter raise PreconditionViolation when they find one.
+    b defaults to `envelope_form(B)`.
+
+    The decomposition runs once per (algebra, form, variant, seed):
+    equal algebras share one result, and omitting b shares the entry
+    of passing `envelope_form(B)`.  An exception is not cached.
     """
-    if b is None:
-        b = envelope_form(B)
+    return _decompose_semisimple(B, envelope_form(B) if b is None else b, variant, seed)
+
+
+@lru_cache(maxsize=None)
+def _decompose_semisimple(B: BolAlgebra, b: BilinearForm, variant: str, seed: int | None) -> Decomposition:
     if not b.symmetric:
         raise PreconditionViolation("decomposition form must be symmetric")
     if not is_nondegenerate(b):

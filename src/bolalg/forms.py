@@ -91,15 +91,23 @@ def invariance_check(B: BolAlgebra, b: BilinearForm, variant: str = "skew") -> I
     """
     if variant not in ("skew", "paper"):
         raise ValueError(f"unknown invariance variant {variant!r}")
+    if b.n != B.n:
+        raise DimensionMismatch("vector length does not match the form")
     r = range(B.n)
-    bas = B.basis()
-    sign = Fraction(1) if variant == "paper" else Fraction(-1)
+    sign = 1 if variant == "paper" else -1
+    # b(v, e_l) for every l, and b(e_k, v) for every k, once per structure
+    # row v; the form need not be symmetric, so both tables are kept.
+    gram, gram_t = b.gram, transpose(b.gram)
+    T_left = [[mat_vec(gram_t, v) for v in plane] for plane in B.T]
+    T_right = [[mat_vec(gram, v) for v in plane] for plane in B.T]
+    R_left = [[[mat_vec(gram_t, v) for v in plane] for plane in cube] for cube in B.R]
+    R_right = [[[mat_vec(gram, v) for v in plane] for plane in cube] for cube in B.R]
 
-    def binary_defect(i, j, k):
-        return (b.value(B.T[i][j], bas[k]) - b.value(bas[i], B.T[j][k]),)
+    def binary_defect(i, j, k):  # b(e_i*e_j, e_k) - b(e_i, e_j*e_k)
+        return (T_left[i][j][k] - T_right[j][k][i],)
 
-    def ternary_defect(i, j, k, l):
-        return (b.value(B.R[i][j][k], bas[l]) - sign * b.value(bas[k], B.R[i][j][l]),)
+    def ternary_defect(i, j, k, l):  # b((e_i,e_j,e_k), e_l) - sign * b(e_k, (e_i,e_j,e_l))
+        return (R_left[i][j][k][l] - sign * R_right[i][j][l][k],)
 
     b_wit = next((t for t, _ in failures(product(r, repeat=3), binary_defect)), None)
     t_wit = next((t for t, _ in failures(product(r, repeat=4), ternary_defect)), None)

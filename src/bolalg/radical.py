@@ -19,13 +19,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from math import lcm
 
-from bolalg.core import BolAlgebra, ideal_closure, is_ideal, prod_span, quotient, require_verified, tri_span
+from bolalg.core import (
+    BolAlgebra,
+    ideal_closure,
+    is_ideal,
+    nonzero_row,
+    prod_span,
+    quotient,
+    require_verified,
+    scaled_rows,
+    tri_span,
+    unscaled,
+)
 from bolalg.errors import BolError, StrategyDisagreement
 from bolalg.forms import BilinearForm, envelope_form, left_perp, trace_form
 from bolalg.linalg import (
     Subspace,
-    ZERO,
     basis_vec,
     charpoly,
     closure,
@@ -179,7 +191,38 @@ def is_simple(B: BolAlgebra, n_random: int = 32, seed: int = DEFAULT_SEED) -> Si
     through the dual-kernel criterion with one-dimensional kernels,
     which is sound; otherwise the result is "no" with a witness or
     "undecided".
+
+    The search runs once per (algebra, n_random, seed): equal algebras
+    share one result, however the arguments are passed.
     """
+    return _is_simple(B, n_random, seed)
+
+
+def _random_combinations(ops: list, n: int, n_random: int, seed: int) -> list:
+    """The nonzero ones of `n_random` seeded combinations sum(c_k * ops[k]), c_k drawn from -3..3.
+
+    Summed in integers: every operator is scaled by d, the lcm of all
+    their denominators, and cut to its nonzero (flat index, int) entries.
+    """
+    d = lcm(*(c.denominator for op in ops for row in op for c in row))
+    flat = scaled_rows([nonzero_row([c for row in op for c in row]) for op in ops], d)
+    rng = random.Random(seed)
+    combos = []
+    for _ in range(n_random):
+        coeffs = [rng.randint(-3, 3) for _ in ops]
+        acc = [0] * (n * n)
+        for c, op in zip(coeffs, flat):
+            if c == 0:
+                continue
+            for idx, v in op:
+                acc[idx] += c * v
+        if any(acc):
+            combos.append(tuple(unscaled(acc[a * n : (a + 1) * n], d) for a in range(n)))
+    return combos
+
+
+@lru_cache(maxsize=None)
+def _is_simple(B: BolAlgebra, n_random: int, seed: int) -> SimplicityResult:
     n = B.n
     if n == 0:
         return SimplicityResult("no", None, seed, "zero algebra")
@@ -188,20 +231,7 @@ def is_simple(B: BolAlgebra, n_random: int = 32, seed: int = DEFAULT_SEED) -> Si
         return SimplicityResult("no", witness, seed, "abelian")
 
     ops = list(B.ideal_operators)
-    rng = random.Random(seed)
-    combos = []
-    for _ in range(n_random):
-        coeffs = [rng.randint(-3, 3) for _ in ops]
-        m = [[ZERO] * n for _ in range(n)]
-        for c, op in zip(coeffs, ops):
-            if c == 0:
-                continue
-            for a in range(n):
-                for b in range(n):
-                    if op[a][b] != 0:
-                        m[a][b] += c * op[a][b]
-        combos.append(tuple(tuple(row) for row in m))
-    candidates = ops + [m for m in combos if any(c != 0 for row in m for c in row)]
+    candidates = ops + _random_combinations(ops, n, n_random, seed)
 
     for i in range(n):
         cl = ideal_closure(B, span([basis_vec(i, n)], n))

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from bolalg.core import AxiomReport, BolAlgebra, IdentityCheck, center, ideal_closure, is_ideal
+from bolalg.forms import InvarianceReport
 from bolalg.linalg import (
     ONE,
     Subspace,
@@ -217,3 +220,72 @@ def reference_operator_family(B: BolAlgebra) -> list:
     maps += [lambda x, i=i, j=j: B.ternary(x, bas[i], bas[j]) for i in range(B.n) for j in range(B.n)]
     ops = [tuple(zip(*(f(e) for e in bas))) for f in maps]  # columns are the images of the basis
     return [op for op in ops if any(c != 0 for row in op for c in row)]
+
+
+def unimodular_basis(rng, n):
+    """A dense element of GL_n(Z): unit lower times unit upper triangular, entries in {-1, 0, 1}.
+
+    Its inverse is integral, so the transported tensors stay integral.
+    """
+    L = [[int(i == j) if j >= i else rng.randint(-1, 1) for j in range(n)] for i in range(n)]
+    U = [[int(i == j) if j <= i else rng.randint(-1, 1) for j in range(n)] for i in range(n)]
+    return [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+# References for the simplicity and invariance layers, in Fractions entry
+# by entry, as `is_simple` and `invariance_check` computed them before
+# they summed in integers and read precomputed form tables.
+
+
+def reference_random_combinations(ops, n, n_random, seed) -> list:
+    """The nonzero ones of `n_random` seeded combinations of ops, coefficients drawn from -3..3."""
+    rng = random.Random(seed)
+    combos = []
+    for _ in range(n_random):
+        coeffs = [rng.randint(-3, 3) for _ in ops]
+        m = [[ZERO] * n for _ in range(n)]
+        for c, op in zip(coeffs, ops):
+            if c == 0:
+                continue
+            for a in range(n):
+                for b in range(n):
+                    if op[a][b] != 0:
+                        m[a][b] += c * op[a][b]
+        combos.append(tuple(tuple(row) for row in m))
+    return [m for m in combos if any(c != 0 for row in m for c in row)]
+
+
+def reference_invariance_check(B: BolAlgebra, b, variant: str = "skew") -> InvarianceReport:
+    """b(x*y, z) = b(x, y*z) and b((x,y,z), t) = +-b(z, (x,y,t)), one `b.value` per term and tuple."""
+    if variant not in ("skew", "paper"):
+        raise ValueError(f"unknown invariance variant {variant!r}")
+    r = range(B.n)
+    bas = B.basis()
+    sign = F(1) if variant == "paper" else F(-1)
+
+    def binary_defect(i, j, k):
+        return (b.value(B.T[i][j], bas[k]) - b.value(bas[i], B.T[j][k]),)
+
+    def ternary_defect(i, j, k, l):
+        return (b.value(B.R[i][j][k], bas[l]) - sign * b.value(bas[k], B.R[i][j][l]),)
+
+    b_wit = next((t for t, _ in failures(product(r, repeat=3), binary_defect)), None)
+    t_wit = next((t for t, _ in failures(product(r, repeat=4), ternary_defect)), None)
+    return InvarianceReport(variant, b_wit is None, t_wit is None, b_wit, t_wit)
+
+
+def spy_on_cache(monkeypatch, module, name: str) -> list:
+    """Swap the `lru_cache` function `module.name` for a fresh cached spy on the same function.
+
+    Returns the list of argument tuples the spy computed, in order; cache
+    hits do not appear in it.
+    """
+    computed = []
+    search = getattr(module, name).__wrapped__
+
+    def spy(*args):
+        computed.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(module, name, lru_cache(maxsize=None)(spy))
+    return computed

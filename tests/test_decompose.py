@@ -1,11 +1,21 @@
+import dataclasses
+import importlib
+import random
+from functools import reduce
+
 import pytest
+from support import spy_on_cache, transport, unimodular_basis
 
 from bolalg.catalog import catalog, catalog_names
-from bolalg.core import direct_sum, prod_span, tri_span
+from bolalg.core import BolAlgebra, direct_sum, prod_span, tri_span
 from bolalg.decompose import decompose_semisimple, find_proper_ideal, structure_report, verify_reassembly
 from bolalg.errors import PreconditionViolation
 from bolalg.forms import BilinearForm, envelope_form
 from bolalg.linalg import full_space, intersect
+from bolalg.radical import is_simple
+
+RADICAL = importlib.import_module("bolalg.radical")
+DECOMPOSE = importlib.import_module("bolalg.decompose")
 
 
 def test_find_proper_ideal_simple_algebra():
@@ -95,3 +105,189 @@ def test_structure_report_solvable_entry():
     assert rep.lie_solvable and rep.beta_orthogonal_to_triple_span
     assert not rep.decomposition_ran
     assert not rep.triple_span_is_everything
+
+
+# Decompositions of direct sums under a dense integral change of basis,
+# recorded before the searches were cached: (component dimensions,
+# embeddings in the coordinates of the input, certified, notes).
+DECOMPOSITIONS = {
+    "sl2bol+so3bol": (
+        (3, 3),
+        [
+            [
+                ["1", "0", "0", "1/2", "2", "-3/2"],
+                ["0", "1", "0", "0", "2", "-1"],
+                ["0", "0", "1", "0", "1", "0"],
+            ],
+            [
+                ["1", "0", "0", "1", "0", "0"],
+                ["0", "1", "0", "0", "-1", "1"],
+                ["0", "0", "1", "0", "0", "1"],
+            ],
+        ],
+        True,
+        (),
+    ),
+    "lts_sl2+lts_sl2": (
+        (3, 3),
+        [
+            [
+                ["1", "0", "0", "0", "1/5", "1/5"],
+                ["0", "1", "0", "0", "4/5", "-1/5"],
+                ["0", "0", "1", "0", "2/5", "2/5"],
+            ],
+            [
+                ["1", "0", "1", "0", "0", "1"],
+                ["0", "1", "1", "1", "0", "1"],
+                ["0", "0", "0", "0", "1", "-1"],
+            ],
+        ],
+        True,
+        (),
+    ),
+    "sl2bol+so3bol+lts_sl2": (
+        (3, 3, 3),
+        [
+            [
+                ["1", "0", "0", "1/4", "1/4", "1/2", "-1/4", "-1/2", "1/2"],
+                ["0", "1", "0", "1/8", "1/8", "3/4", "-5/8", "-1/4", "3/4"],
+                ["0", "0", "1", "-1/2", "1/2", "0", "1/2", "0", "0"],
+            ],
+            [
+                ["1", "0", "0", "5/4", "1/8", "1/4", "1/2", "3/8", "-7/8"],
+                ["0", "1", "0", "1/2", "-1/4", "1/2", "0", "1/4", "-1/4"],
+                ["0", "0", "1", "1", "1", "0", "1", "1", "-1"],
+            ],
+            [
+                ["1", "0", "0", "46/107", "-10/107", "15/107", "-7/107", "-47/107", "-18/107"],
+                ["0", "1", "0", "24/107", "-43/214", "59/107", "-105/214", "-63/214", "51/214"],
+                ["0", "0", "1", "-35/107", "85/214", "-37/107", "113/214", "25/214", "-61/214"],
+            ],
+        ],
+        True,
+        (),
+    ),
+}
+
+# Every field of `structure_report` on the same inputs.
+STRUCTURE = {
+    "sl2bol+so3bol": dict(
+        beta_nondegenerate=True,
+        beta_orthogonal_to_triple_span=False,
+        component_count=2,
+        component_dims=(3, 3),
+        component_envelope_dims=(6, 6),
+        decomposition_certified=True,
+        decomposition_ran=True,
+        envelope_dim=12,
+        item1_biconditional=True,
+        item2_biconditional=True,
+        lie_semisimple=True,
+        lie_solvable=False,
+        note="",
+        triple_span_is_everything=True,
+    ),
+    "lts_sl2+lts_sl2": dict(
+        beta_nondegenerate=True,
+        beta_orthogonal_to_triple_span=False,
+        component_count=2,
+        component_dims=(3, 3),
+        component_envelope_dims=(6, 6),
+        decomposition_certified=True,
+        decomposition_ran=True,
+        envelope_dim=12,
+        item1_biconditional=True,
+        item2_biconditional=True,
+        lie_semisimple=True,
+        lie_solvable=False,
+        note="",
+        triple_span_is_everything=True,
+    ),
+    "sl2bol+so3bol+lts_sl2": dict(
+        beta_nondegenerate=True,
+        beta_orthogonal_to_triple_span=False,
+        component_count=3,
+        component_dims=(3, 3, 3),
+        component_envelope_dims=(6, 6, 6),
+        decomposition_certified=True,
+        decomposition_ran=True,
+        envelope_dim=18,
+        item1_biconditional=True,
+        item2_biconditional=True,
+        lie_semisimple=True,
+        lie_solvable=False,
+        note="",
+        triple_span_is_everything=True,
+    ),
+}
+
+
+def decomposition_input(key):
+    B = reduce(direct_sum, [catalog(p) for p in key.split("+")])
+    return transport(B, unimodular_basis(random.Random(f"{key}-decompose"), B.n))
+
+
+@pytest.mark.parametrize("key", DECOMPOSITIONS)
+def test_dense_decomposition_results_are_unchanged(key):
+    B = decomposition_input(key)
+    dec = decompose_semisimple(B)
+    embeddings = [[[str(c) for c in row] for row in e.basis] for e in dec.embeddings]
+    assert (tuple(c.n for c in dec.components), embeddings, dec.certified, dec.notes) == DECOMPOSITIONS[key]
+    assert dataclasses.asdict(structure_report(B)) == STRUCTURE[key]
+
+
+def rebuilt(B):
+    return BolAlgebra.from_tensors(B.n, B.T, B.R, B.labels)
+
+
+def test_equal_algebras_share_one_decomposition():
+    B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
+    assert decompose_semisimple(rebuilt(B)) is decompose_semisimple(B)
+
+
+def test_default_form_shares_the_envelope_form_entry():
+    B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
+    dec = decompose_semisimple(B)
+    assert decompose_semisimple(B, envelope_form(B), "skew", None) is dec
+    assert decompose_semisimple(B, b=None, variant="skew", seed=None) is dec
+    assert decompose_semisimple(B, envelope_form(rebuilt(B))) is dec
+
+
+def test_other_arguments_get_their_own_decomposition(monkeypatch):
+    computed = spy_on_cache(monkeypatch, DECOMPOSE, "_decompose_semisimple")
+    B = catalog("so3bol")
+    beta = envelope_form(B)
+    doubled = BilinearForm(tuple(tuple(2 * c for c in row) for row in beta.gram), provenance="envelope")
+    decompose_semisimple(B)
+    decompose_semisimple(B, seed=7)
+    decompose_semisimple(B, doubled)
+    with pytest.raises(PreconditionViolation):
+        decompose_semisimple(B, variant="paper")
+    assert computed == [(B, beta, "skew", None), (B, beta, "skew", 7), (B, doubled, "skew", None), (B, beta, "paper", None)]
+
+
+def test_failed_decomposition_is_not_cached(monkeypatch):
+    computed = spy_on_cache(monkeypatch, DECOMPOSE, "_decompose_semisimple")
+    for _ in range(2):
+        with pytest.raises(PreconditionViolation):
+            decompose_semisimple(catalog("solv2"), BilinearForm.identity_gram(2))
+    assert len(computed) == 2
+
+
+def test_each_algebra_is_searched_once_per_session(monkeypatch):
+    # the spies start with empty caches, so earlier tests cannot hide a search
+    B = decomposition_input("sl2bol+so3bol")
+    searched = spy_on_cache(monkeypatch, RADICAL, "_is_simple")
+    decomposed = spy_on_cache(monkeypatch, DECOMPOSE, "_decompose_semisimple")
+    is_simple(B)
+    dec = decompose_semisimple(B)
+    structure_report(B)
+    assert [args[0] for args in searched] == [B, *dec.components]
+    assert len(set(dec.components)) == 2
+    assert decomposed == [(B, envelope_form(B), "skew", None)]
+
+
+def test_public_searches_are_not_cache_objects():
+    # a wrapper around a public name (tracing, counting) must see every call, cache hits included
+    for fn in (is_simple, decompose_semisimple):
+        assert not hasattr(fn, "cache_info")

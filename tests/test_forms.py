@@ -1,10 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
-from support import transport
+import pytest
+from support import rational_basis, reference_invariance_check, transport, unimodular_basis
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import prod_span
+from bolalg.errors import DimensionMismatch
 from bolalg.forms import (
     BilinearForm,
     center_orthogonality_check,
@@ -196,3 +199,70 @@ def test_prod_span_matches_report_field():
     B = catalog("sl2bol")
     rep = center_orthogonality_check(B, KILLING_SL2, "skew")
     assert rep.derived_binary == prod_span(B, full_space(3), full_space(3))
+
+
+def _random_form(rng, n, symmetric):
+    g = [[F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        g = [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return BilinearForm(mat(g))
+
+
+def _bumped(b, i, j, delta):
+    g = [list(row) for row in b.gram]
+    g[i][j] += delta
+    return BilinearForm(mat(g), provenance=b.provenance)
+
+
+def invariance_forms(B, rng):
+    """Invariant forms, the same bumped at one entry (not symmetric), and random forms."""
+    n = B.n
+    forms = [envelope_form(B), trace_form(B), BilinearForm.identity_gram(n)]
+    forms += [_random_form(rng, n, symmetric=s) for s in (False, True)]
+    forms += [_bumped(envelope_form(B), rng.randrange(n), rng.randrange(n), F(1, 2)) for _ in range(3)]
+    return forms
+
+
+def assert_invariance_matches(B, rng):
+    for b in invariance_forms(B, rng):
+        for variant in ("skew", "paper"):
+            assert invariance_check(B, b, variant) == reference_invariance_check(B, b, variant)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_invariance_check_matches_reference(name):
+    B = catalog(name)
+    assert_invariance_matches(B, random.Random(f"{name}-invariance"))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_invariance_check_matches_reference_under_basis_change(name):
+    rng = random.Random(f"{name}-invariance-basis")
+    B = catalog(name)
+    assert_invariance_matches(transport(B, unimodular_basis(rng, B.n)), rng)
+    # rational basis: the envelope is skipped, the trace form is cheap
+    Bq = transport(B, rational_basis(rng, B.n))
+    for b in (trace_form(Bq), _random_form(rng, B.n, symmetric=False), _bumped(trace_form(Bq), 0, B.n - 1, F(1))):
+        for variant in ("skew", "paper"):
+            assert invariance_check(Bq, b, variant) == reference_invariance_check(Bq, b, variant)
+
+
+def test_invariance_check_witnesses_past_the_first_tuple():
+    # lts_sl2 has zero binary product, so a bumped form passes the binary
+    # identity and fails the ternary one at a later tuple
+    B = catalog("lts_sl2")
+    rep = invariance_check(B, _bumped(envelope_form(B), 2, 2, F(1)), "skew")
+    assert rep.binary_ok and not rep.ternary_ok
+    assert rep.ternary_witness != (0, 0, 0, 0)
+    assert rep == reference_invariance_check(B, _bumped(envelope_form(B), 2, 2, F(1)), "skew")
+
+
+@pytest.mark.parametrize("size", [0, 2, 4])
+def test_invariance_check_rejects_wrong_size_form(size):
+    with pytest.raises(DimensionMismatch):
+        invariance_check(catalog("sl2bol"), BilinearForm.identity_gram(size))
+
+
+def test_invariance_check_rejects_unknown_variant():
+    with pytest.raises(ValueError):
+        invariance_check(catalog("sl2bol"), KILLING_SL2, "twisted")

@@ -315,3 +315,47 @@ def test_span_rank_and_kernel_agree_with_sympy(case):
     null = [_from_sympy(v) for v in M.nullspace()]
     assert kernel(m) == span(null, ncols)
     assert kernel(m).dim == ncols - len(pivots)
+
+
+@st.composite
+def square_rational_matrices(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(F(0)), rational)
+    return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+
+
+def _sympy_rational_roots(coeffs):
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], sympy.Symbol("x"), domain="QQ")
+    return tuple(sorted(F(int(r.p), int(r.q)) for r in poly.ground_roots()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_rational_matrices())
+def test_charpoly_and_its_rational_roots_agree_with_sympy(m):
+    want = _to_sympy(m, len(m)).charpoly().all_coeffs()
+    got = charpoly(m)
+    assert got == tuple(_from_sympy(want))
+    assert rational_roots(got) == _sympy_rational_roots(got)
+
+
+@st.composite
+def polynomials_with_rational_roots(draw):
+    """prod (q x - p) over drawn roots p/q, times a drawn rational polynomial; leading term first."""
+    roots = draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), max_size=4))
+    rest = draw(st.lists(rational, min_size=1, max_size=3).filter(lambda cs: cs[0] != 0))
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in rest], x, domain="QQ")
+    for r in roots:
+        poly *= sympy.Poly([r.denominator, -r.numerator], x, domain="QQ")
+    leading_zeros = draw(st.integers(0, 1))
+    return (F(0),) * leading_zeros + tuple(_from_sympy(poly.all_coeffs())), roots
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials_with_rational_roots())
+def test_rational_roots_agree_with_sympy(case):
+    coeffs, roots = case
+    got = rational_roots(coeffs)
+    assert got == _sympy_rational_roots(coeffs)
+    assert set(roots) <= set(got)
+    assert list(got) == sorted(set(got))

@@ -1,12 +1,21 @@
+import importlib
+import random
+from math import lcm
 from pathlib import Path
 
-from bolalg.catalog import catalog
-from bolalg.core import direct_sum, summand_embeddings
+import pytest
+from support import random_algebra, rational_basis, reference_random_combinations, spy_on_cache, transport
+
+from bolalg.catalog import catalog, catalog_names
+from bolalg.core import BolAlgebra, direct_sum, summand_embeddings
+from bolalg.decompose import find_proper_ideal
 from bolalg.fileio import parse_bol_document
 from bolalg.linalg import full_space, span, vec, zero_space
-from bolalg.radical import is_semisimple, is_simple, radical
+from bolalg.radical import DEFAULT_SEED, _random_combinations, is_semisimple, is_simple, radical
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# the package exports the function `radical` under the module's name
+RADICAL = importlib.import_module("bolalg.radical")
 
 
 def test_radical_abelian_is_everything():
@@ -147,3 +156,65 @@ def test_undecided_fixture_envelope_solvable_but_base_is_not():
     rep = solvability_transfer_check(B)
     assert not rep.bol_solvable and rep.lie_solvable
     assert rep.implication_holds
+
+
+def rebuilt(B):
+    return BolAlgebra.from_tensors(B.n, B.T, B.R, B.labels)
+
+
+def test_equal_algebras_share_one_simplicity_result():
+    for name in ("mixed", "sl2bol", "abelian2"):
+        B = catalog(name)
+        assert rebuilt(B) is not B
+        assert is_simple(rebuilt(B)) is is_simple(B), name
+
+
+def test_argument_forms_share_one_simplicity_search(monkeypatch):
+    computed = spy_on_cache(monkeypatch, RADICAL, "_is_simple")
+    B = catalog("so3bol")
+    first = is_simple(B)
+    assert is_simple(B, seed=DEFAULT_SEED) is first
+    assert is_simple(B, 32, DEFAULT_SEED) is first
+    assert is_simple(B, n_random=32, seed=DEFAULT_SEED) is first
+    assert find_proper_ideal(B)[1] is first
+    assert find_proper_ideal(B, DEFAULT_SEED)[1] is first
+    assert computed == [(B, 32, DEFAULT_SEED)]
+
+
+def test_other_arguments_get_their_own_simplicity_search(monkeypatch):
+    computed = spy_on_cache(monkeypatch, RADICAL, "_is_simple")
+    B = catalog("so3bol")
+    results = [is_simple(B), is_simple(B, seed=7), is_simple(B, n_random=8), is_simple(B, 8, 7), is_simple(catalog("sl2bol"))]
+    assert computed == [
+        (B, 32, DEFAULT_SEED),
+        (B, 32, 7),
+        (B, 8, DEFAULT_SEED),
+        (B, 8, 7),
+        (catalog("sl2bol"), 32, DEFAULT_SEED),
+    ]
+    assert [res.seed for res in results] == [DEFAULT_SEED, 7, DEFAULT_SEED, 7, DEFAULT_SEED]
+
+
+def assert_combinations_match(B, rng):
+    ops = list(B.ideal_operators)
+    for n_random in (0, 5, 32):
+        for seed in (DEFAULT_SEED, rng.randrange(10**6)):
+            got = _random_combinations(ops, B.n, n_random, seed)
+            assert got == reference_random_combinations(ops, B.n, n_random, seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integer_combinations_equal_fraction_sums(n, seed):
+    rng = random.Random(5000 * n + seed)
+    B = random_algebra(rng, n, (1, 2, 3), (1, 5, 4), density=0.6, idle_pairs=0.3)
+    assert lcm(*(c.denominator for op in B.ideal_operators for row in op for c in row)) > 1
+    assert_combinations_match(B, rng)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_integer_combinations_on_transported_catalog(name):
+    rng = random.Random(f"{name}-combinations")
+    B = catalog(name)
+    assert_combinations_match(B, rng)
+    assert_combinations_match(transport(B, rational_basis(rng, B.n)), rng)
