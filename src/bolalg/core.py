@@ -24,50 +24,32 @@ from bolalg.linalg import (
     Mat,
     Subspace,
     Vec,
-    ZERO,
     basis_vec,
+    block_sum,
     closure,
+    combine,
+    complement_constants,
     failures,
-    frac,
+    freeze3,
     full_space,
+    integral,
     kernel_of,
-    mat_vec,
+    multilinear,
+    nonzero_row,
+    scaled_rows,
+    sized,
     span,
     subspace_sum,
     transpose,
-    zero_vec,
+    unscaled,
 )
 
 Tensor3 = tuple[tuple[tuple[Fraction, ...], ...], ...]
 Tensor4 = tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]
-# A coefficient vector cut to its nonzero entries: ((index, coeff), ...).
-Row = tuple[tuple[int, Fraction], ...]
-
-
-def nonzero_row(v) -> Row:
-    return tuple((k, c) for k, c in enumerate(v) if c)
-
-
-def _sized(items, n: int, name: str) -> tuple:
-    items = tuple(items)
-    if len(items) != n:
-        raise DimensionMismatch(f"{name} has length {len(items)}, expected {n}")
-    return items
-
-
-def _freeze3(t, n: int, name: str = "T") -> Tensor3:
-    """t as an n x n x n tensor of Fractions; DimensionMismatch names the first mis-sized index."""
-    return tuple(
-        tuple(
-            tuple(frac(c) for c in _sized(row, n, f"{name}[{i}][{j}]"))
-            for j, row in enumerate(_sized(plane, n, f"{name}[{i}]"))
-        )
-        for i, plane in enumerate(_sized(t, n, name))
-    )
 
 
 def _freeze4(t, n: int) -> Tensor4:
-    return tuple(_freeze3(cube, n, f"R[{i}]") for i, cube in enumerate(_sized(t, n, "R")))
+    return tuple(freeze3(cube, n, f"R[{i}]") for i, cube in enumerate(sized(t, n, "R")))
 
 
 @dataclass(frozen=True)
@@ -90,7 +72,7 @@ class BolAlgebra:
         labels = tuple(labels)
         if len(labels) != n:
             raise DimensionMismatch(f"{len(labels)} labels for dimension {n}")
-        return BolAlgebra(n, labels, _freeze3(T, n), _freeze4(R, n))
+        return BolAlgebra(n, labels, freeze3(T, n, "T"), _freeze4(R, n))
 
     @staticmethod
     def zero(n: int, labels=None) -> BolAlgebra:
@@ -109,30 +91,20 @@ class BolAlgebra:
         return hash((self.n, self.T, self.R))
 
     @cached_property
-    def nonzero_rows(self) -> tuple[tuple[tuple[Row, ...], ...], tuple[tuple[tuple[Row, ...], ...], ...]]:
-        """(T, R) with every coefficient vector T[i][j], R[i][j][k] cut to its nonzero entries.
-
-        Built on first use and kept; the A1-A5 and pseudo-derivation
-        sweeps read the structure tensors only through these rows.
-        """
-        T = tuple(tuple(nonzero_row(v) for v in plane) for plane in self.T)
-        R = tuple(tuple(tuple(nonzero_row(v) for v in plane) for plane in cube) for cube in self.R)
-        return T, R
-
-    @cached_property
     def integer_rows(self) -> tuple[int, tuple, tuple]:
-        """(d, T, R): the nonzero rows with T scaled by d and R by d^2, all coefficients ints.
+        """(d, T, R): every T[i][j] and R[i][j][k] cut to its nonzero entries, T scaled by d and R by d^2, as ints.
 
-        d is the lcm of every denominator in T and R.  A term with a
-        factors of T and b of R is then d^(a+2b) times its rational value.
+        d is the lcm of every denominator in T and R, so a term with a
+        factors of T and b of R is d^(a+2b) times its rational value.
+        Built on first use and kept; every product and sweep reads the
+        structure tensors through these rows.
         """
-        T0, R0 = self.nonzero_rows
         d = lcm(
-            *(c.denominator for plane in T0 for row in plane for _, c in row),
-            *(c.denominator for cube in R0 for plane in cube for row in plane for _, c in row),
+            *(c.denominator for plane in self.T for v in plane for c in v),
+            *(c.denominator for cube in self.R for plane in cube for v in plane for c in v),
         )
-        T = tuple(scaled_rows(plane, d) for plane in T0)
-        R = tuple(tuple(scaled_rows(plane, d * d) for plane in cube) for cube in R0)
+        T = tuple(scaled_rows(map(nonzero_row, plane), d) for plane in self.T)
+        R = tuple(tuple(scaled_rows(map(nonzero_row, plane), d * d) for plane in cube) for cube in self.R)
         return d, T, R
 
     @cached_property
@@ -140,8 +112,9 @@ class BolAlgebra:
         """The nonzero matrices of x -> x*e_i (i = 0..n-1), then of x -> (x, e_i, e_j) (i, j row-major).
 
         A subspace is a def2-ideal exactly when it is invariant under all
-        of them, so ideal closures, the def2 test and the simplicity
-        search all read this one family.
+        of them.  The simplicity search reads these matrices; ideal
+        closures and the def2 test apply the same family, in the same
+        order, from the integer rows.
         """
         r = range(self.n)
         ops = [tuple(tuple(self.T[k][i][l] for k in r) for l in r) for i in r]
@@ -155,46 +128,16 @@ class BolAlgebra:
         return tuple(basis_vec(i, self.n) for i in range(self.n))
 
     def binary(self, x: Vec, y: Vec) -> Vec:
-        """Bilinear extension of the binary product."""
-        self._check_vec(x)
-        self._check_vec(y)
-        out = list(zero_vec(self.n))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                row = self.T[i][j]
-                for k in range(self.n):
-                    if row[k] != 0:
-                        out[k] += c * row[k]
-        return tuple(out)
+        """Bilinear extension of the binary product, summed from the integer rows."""
+        self._check_vec(x, y)
+        d, T, _ = self.integer_rows
+        return multilinear(T, (x, y), d, self.n)
 
     def ternary(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        """Trilinear extension of the ternary product (x, y, z) = D_{x,y}(z)."""
-        self._check_vec(x)
-        self._check_vec(y)
-        self._check_vec(z)
-        out = list(zero_vec(self.n))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                cij = xi * yj
-                plane = self.R[i][j]
-                for k, zk in enumerate(z):
-                    if zk == 0:
-                        continue
-                    c = cij * zk
-                    row = plane[k]
-                    for l in range(self.n):
-                        if row[l] != 0:
-                            out[l] += c * row[l]
-        return tuple(out)
+        """Trilinear extension of the ternary product (x, y, z) = D_{x,y}(z), summed from the integer rows."""
+        self._check_vec(x, y, z)
+        d, _, R = self.integer_rows
+        return multilinear(R, (x, y, z), d * d, self.n)
 
     def left_op(self, x: Vec, y: Vec) -> Mat:
         """Matrix of z -> (x, y, z) in the chosen basis."""
@@ -206,9 +149,10 @@ class BolAlgebra:
             c == 0 for cu in self.R for p in cu for r in p for c in r
         )
 
-    def _check_vec(self, v: Vec) -> None:
-        if len(v) != self.n:
-            raise DimensionMismatch(f"vector of length {len(v)} in algebra of dimension {self.n}")
+    def _check_vec(self, *vs: Vec) -> None:
+        for v in vs:
+            if len(v) != self.n:
+                raise DimensionMismatch(f"vector of length {len(v)} in algebra of dimension {self.n}")
 
 
 @dataclass(frozen=True)
@@ -277,11 +221,7 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
         return IdentityCheck(name, count == 0, witness, defect, count)
 
     def dense(*rows):
-        out = [0] * n
-        for row in rows:
-            for q, c in row:
-                out[q] += c
-        return out
+        return combine((1,) * len(rows), rows, n)
 
     a1 = first_failure(
         "A1",
@@ -354,16 +294,6 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
     return AxiomReport((a1, a2, a3, a4, a5))
 
 
-def scaled_rows(rows, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The rows with every coefficient multiplied by s, as ints; s must clear every denominator."""
-    return tuple(tuple((k, c.numerator * (s // c.denominator)) for k, c in row) for row in rows)
-
-
-def unscaled(v, s: int) -> Vec:
-    """The integer vector v divided by s, as Fractions."""
-    return tuple(Fraction(c, s) for c in v)
-
-
 def require_verified(B: BolAlgebra) -> None:
     report = check_axioms(B)
     if not report.ok:
@@ -372,49 +302,46 @@ def require_verified(B: BolAlgebra) -> None:
 
 
 def prod_span(B: BolAlgebra, U: Subspace, V: Subspace) -> Subspace:
-    """span{ u * v : u in U, v in V }."""
+    """span{ u * v : u in U, v in V }, each product summed in ints from the integer rows."""
     _check_ambient(B, U, V)
     n = B.n
-    T, _ = B.nonzero_rows
+    _, T, _ = B.integer_rows
     by_j = tuple(zip(*T))  # by_j[j][i] = T[i][j]
+    vs = _integral_basis(V)
 
     def products():
-        for u in U.basis:
-            left = [nonzero_row(_combine(u, col, n)) for col in by_j]  # u * e_j
-            for v in V.basis:
-                yield _combine(v, left, n)
+        for u in _integral_basis(U):
+            left = [nonzero_row(combine(u, col, n)) for col in by_j]  # u * e_j
+            for v in vs:
+                yield combine(v, left, n)
 
     return span(products(), n)
 
 
 def tri_span(B: BolAlgebra, U: Subspace, V: Subspace, W: Subspace) -> Subspace:
-    """span{ (u, v, w) : u in U, v in V, w in W }."""
+    """span{ (u, v, w) : u in U, v in V, w in W }, each product summed in ints from the integer rows."""
     _check_ambient(B, U, V, W)
     n = B.n
     r = range(n)
-    _, R = B.nonzero_rows
+    _, _, R = B.integer_rows
     by_jk = tuple(tuple(tuple(R[i][j][k] for i in r) for k in r) for j in r)
+    vs, ws = _integral_basis(V), _integral_basis(W)
 
     def products():
-        for u in U.basis:
+        for u in _integral_basis(U):
             # (u, e_j, e_k), stored by k then j
-            uj = [[nonzero_row(_combine(u, by_jk[j][k], n)) for j in r] for k in r]
-            for v in V.basis:
-                uv = [nonzero_row(_combine(v, col, n)) for col in uj]  # (u, v, e_k)
-                for w in W.basis:
-                    yield _combine(w, uv, n)
+            uj = [[nonzero_row(combine(u, by_jk[j][k], n)) for j in r] for k in r]
+            for v in vs:
+                uv = [nonzero_row(combine(v, col, n)) for col in uj]  # (u, v, e_k)
+                for w in ws:
+                    yield combine(w, uv, n)
 
     return span(products(), n)
 
 
-def _combine(x: Vec, rows, n: int) -> Vec:
-    """sum_k x[k] rows[k], each row given by its nonzero entries."""
-    out = [ZERO] * n
-    for xk, row in zip(x, rows):
-        if xk:
-            for q, c in row:
-                out[q] += xk * c
-    return tuple(out)
+def _integral_basis(S: Subspace) -> list[list[int]]:
+    """S's basis vectors, each scaled to ints; products of them are only spanned, so their scale is not kept."""
+    return [integral(v)[0] for v in S.basis]
 
 
 def is_subsystem(B: BolAlgebra, V: Subspace) -> bool:
@@ -447,8 +374,13 @@ def ideal_closure(B: BolAlgebra, S: Subspace) -> Subspace:
 
 
 def _images(B: BolAlgebra, V: Subspace):
-    """The images of V's basis vectors under `B.ideal_operators`, lazily."""
-    return (mat_vec(op, v) for v in V.basis for op in B.ideal_operators)
+    """The images of V's basis vectors under `B.ideal_operators`, summed in ints from the integer rows, lazily."""
+    n = B.n
+    r = range(n)
+    _, T, R = B.integer_rows
+    ops = [[T[k][i] for k in r] for i in r] + [[R[k][i][j] for k in r] for i in r for j in r]
+    ops = [op for op in ops if any(op)]
+    return (combine(v, op, n) for v in _integral_basis(V) for op in ops)
 
 
 def center(B: BolAlgebra) -> Subspace:
@@ -485,34 +417,11 @@ def quotient(B: BolAlgebra, I: Subspace, labels=None) -> BolAlgebra:
         if not bad <= I:
             raise IllDefinedQuotient(f"coset products of type {name} leave the ideal", witness=(name, bad))
 
-    pivots = [next(j for j, c in enumerate(row) if c != 0) for row in I.basis]
-    comp = [j for j in range(B.n) if j not in pivots]
-    m = len(comp)
-
-    def project(v: Vec) -> Vec:
-        reduced = I.reduce(v)
-        return tuple(reduced[j] for j in comp)
-
-    T = [[project(B.binary(basis_vec(comp[p], B.n), basis_vec(comp[q], B.n))) for q in range(m)] for p in range(m)]
-    R = [
-        [
-            [
-                project(
-                    B.ternary(
-                        basis_vec(comp[p], B.n),
-                        basis_vec(comp[q], B.n),
-                        basis_vec(comp[r], B.n),
-                    )
-                )
-                for r in range(m)
-            ]
-            for q in range(m)
-        ]
-        for p in range(m)
-    ]
+    comp, T = complement_constants(I, B.T, 3)
+    _, R = complement_constants(I, B.R, 4)
     if labels is None:
         labels = tuple(B.labels[j] for j in comp)
-    return BolAlgebra.from_tensors(m, T, R, labels)
+    return BolAlgebra.from_tensors(len(comp), T, R, labels)
 
 
 def restrict(B: BolAlgebra, I: Subspace, labels=None) -> BolAlgebra:
@@ -538,24 +447,9 @@ def restrict(B: BolAlgebra, I: Subspace, labels=None) -> BolAlgebra:
 
 def direct_sum(B1: BolAlgebra, B2: BolAlgebra) -> BolAlgebra:
     """Block-diagonal sum; cross products of the summands vanish."""
-    n = B1.n + B2.n
-    T = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    R = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(B1.n):
-        for j in range(B1.n):
-            for k in range(B1.n):
-                T[i][j][k] = B1.T[i][j][k]
-                for l in range(B1.n):
-                    R[i][j][k][l] = B1.R[i][j][k][l]
-    o = B1.n
-    for i in range(B2.n):
-        for j in range(B2.n):
-            for k in range(B2.n):
-                T[o + i][o + j][o + k] = B2.T[i][j][k]
-                for l in range(B2.n):
-                    R[o + i][o + j][o + k][o + l] = B2.R[i][j][k][l]
-    labels = _dedupe_labels(B1.labels, B2.labels)
-    return BolAlgebra.from_tensors(n, T, R, labels)
+    T = block_sum(B1.T, B2.T, B1.n, B2.n, 3)
+    R = block_sum(B1.R, B2.R, B1.n, B2.n, 4)
+    return BolAlgebra.from_tensors(B1.n + B2.n, T, R, _dedupe_labels(B1.labels, B2.labels))
 
 
 def summand_embeddings(B1: BolAlgebra, B2: BolAlgebra) -> tuple[Subspace, Subspace]:

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
 
-from bolalg.core import BolAlgebra, is_ideal, nonzero_row, require_verified, scaled_rows, unscaled
+from bolalg.core import BolAlgebra, is_ideal, require_verified
 from bolalg.errors import DimensionMismatch, FatalInconsistency, NotAnIdeal, PreconditionViolation
 from bolalg.lie import LieAlgebra, bracket_span, jacobi_check, lie_is_solvable
 from bolalg.linalg import (
@@ -43,17 +42,19 @@ from bolalg.linalg import (
     ZERO,
     basis_vec,
     closure,
+    combine,
     commutator,
     derived_chain,
     failures,
     full_space,
+    integral,
     is_zero_vec,
-    mat_sub,
     mat_vec,
+    nonzero_row,
     span,
     transpose,
+    unscaled,
     vec_add,
-    vec_scale,
     vec_sub,
     zero_mat,
     zero_vec,
@@ -111,9 +112,9 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
     if len(P.pi) != n or any(len(row) != n for row in P.pi) or len(P.comp) != n:
         raise DimensionMismatch(f"pair of size {len(P.pi)}/{len(P.comp)} in algebra of dimension {n}")
     d, T, R = B.integer_rows
-    e = lcm(*(c.denominator for row in P.pi for c in row), *(c.denominator for c in P.comp))
-    pb = scaled_rows((nonzero_row(col) for col in transpose(P.pi)), e * d)  # Pi e_i
-    (a,) = scaled_rows((nonzero_row(P.comp),), e)
+    (A, a), e = _integral_pair(P)
+    pb = [nonzero_row([d * row[i] for row in A]) for i in range(n)]  # Pi e_i
+    a = nonzero_row(a)
     r = range(n)
 
     def product_defect(i, j):
@@ -181,10 +182,34 @@ def pair_bracket(B: BolAlgebra, P: PairEndo, Q: PairEndo) -> PairEndo:
 
 
 def induced_bracket(B: BolAlgebra, P: PairEndo, Q: PairEndo) -> PairEndo:
-    """The bracket G induces on h: ([A,A'] - L(a,a'), A a' - A' a)."""
-    pi = mat_sub(commutator(P.pi, Q.pi), B.left_op(P.comp, Q.comp))
-    comp = vec_sub(mat_vec(P.pi, Q.comp), mat_vec(Q.pi, P.comp))
-    return PairEndo(pi, comp)
+    """The bracket G induces on h: ([A,A'] - L(a,a'), A a' - A' a).
+
+    Summed in ints: with e, e' the lcms of the pairs' denominators and R
+    scaled by d^2 (`B.integer_rows`), every term has weight e*e'*d^2 and
+    the pair is divided once; L(a,a') = sum_ij a_i a'_j L(e_i,e_j).
+    """
+    n = B.n
+    d, _, R = B.integer_rows
+    s = d * d
+    (A, a), e = _integral_pair(P)
+    (A2, a2), e2 = _integral_pair(Q)
+    cols = list(zip(zip(*A), zip(*A2)))
+    pi = [[s * sum(x * y - u * v for x, y, u, v in zip(A[l], c2, A2[l], c)) for c, c2 in cols] for l in range(n)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(a2):
+            if x and y:
+                for k, row in enumerate(R[i][j]):  # -(a, a', e_k)
+                    for l, v in row:
+                        pi[l][k] -= x * y * v
+    comp = [s * sum(x * y - u * v for x, y, u, v in zip(A[l], a2, A2[l], a)) for l in range(n)]
+    return PairEndo.unflatten(unscaled([c for row in pi for c in row] + comp, s * e * e2), n)
+
+
+def _integral_pair(P: PairEndo) -> tuple[tuple[list[list[int]], list[int]], int]:
+    """((A, a), e): the pair scaled by e, the lcm of its denominators, as int lists."""
+    n = len(P.comp)
+    w, e = integral(P.flatten())
+    return ([w[l * n : (l + 1) * n] for l in range(n)], w[n * n :]), e
 
 
 def h_closure(B: BolAlgebra) -> tuple[PairEndo, ...]:
@@ -202,7 +227,7 @@ def h_closure(B: BolAlgebra) -> tuple[PairEndo, ...]:
             for Q in members[i + 1 :]:
                 yield induced_bracket(B, P, Q).flatten()
 
-    space = closure(span([g.flatten() for g in gens if not g.is_zero()], n * n + n), brackets)
+    space = closure(span([g.flatten() for g in gens], n * n + n), brackets)
     basis = tuple(PairEndo.unflatten(v, n) for v in space.basis)
     for idx, P in enumerate(basis):
         rep = is_pseudo_derivation(B, P)
@@ -249,76 +274,74 @@ class EnvelopingLie:
 def envelope(B: BolAlgebra) -> EnvelopingLie:
     """Construct and verify the enveloping Lie algebra of a Bol algebra.
 
-    Raises FatalInconsistency if Jacobi, the projection identity or the
-    recovery identity fails; for axiom-verified input this does not
-    happen, and the check is itself part of the contract.
+    D(e_i, e_j) is read from R[i][j] and T[i][j], and D(e_i, a) is
+    sum_j a_j D(e_i, e_j).  Raises FatalInconsistency if a pair leaves h
+    or if Jacobi, the projection or the recovery identity fails; for
+    axiom-verified input this does not happen, and the check is itself
+    part of the contract.
     """
     require_verified(B)
     n = B.n
+    r = range(n)
     h = h_closure(B)
     N = len(h)
     m = n + N
-    dim_pairs = n * n + n
-    h_space = span([P.flatten() for P in h], dim_pairs)
+    h_space = span([P.flatten() for P in h], n * n + n)
 
     def h_coords(P: PairEndo) -> Vec:
-        if N == 0:
-            if P.is_zero():
-                return ()
-            raise FatalInconsistency("nonzero pair outside an empty h")
         c = h_space.coords(P.flatten())
         if c is None:
             raise FatalInconsistency("bracket left the pair closure")
         return c
 
-    inner = [[inner_pair(B, B.basis_vec(i), B.basis_vec(j)) for j in range(n)] for i in range(n)]
-    Dtau = tuple(tuple(h_coords(inner[i][j]) for j in range(n)) for i in range(n))
-
+    Dtau = tuple(tuple(h_coords(PairEndo(transpose(B.R[i][j]), B.T[i][j])) for j in r) for i in r)
+    # The rest is summed in ints: T scaled by d, the Dtau coordinates by f, each h_t by e.
+    d, T, _ = B.integer_rows
+    w, f = integral([c for row in Dtau for v in row for c in v])
+    D = [[nonzero_row(w[(i * n + j) * N : (i * n + j + 1) * N]) for j in r] for i in r]
     C = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
 
-    def put(i: int, j: int, b_part: Vec, h_part: Vec) -> None:
-        row = tuple(b_part) + tuple(h_part)
+    def put(i: int, j: int, row) -> None:
         C[i][j] = list(row)
         C[j][i] = [-c for c in row]
 
-    for i in range(n):
+    for i in r:
         for j in range(i + 1, n):
-            put(i, j, B.T[i][j], vec_scale(Fraction(-1), Dtau[i][j]))
-    for i in range(n):
-        ei = B.basis_vec(i)
-        for t, P in enumerate(h):
-            b_part = vec_sub(B.binary(ei, P.comp), mat_vec(P.pi, ei))
-            h_part = vec_scale(Fraction(-1), h_coords(inner_pair(B, ei, P.comp)))
-            put(i, n + t, b_part, h_part)
+            put(i, j, B.T[i][j] + tuple(-c for c in Dtau[i][j]))
+    K = []
+    for t, P in enumerate(h):
+        (A, a), e = _integral_pair(P)
+        b_parts = [[x - d * A[l][i] for l, x in enumerate(combine(a, T[i], n))] for i in r]  # e_i*a - A e_i
+        K.append(tuple(unscaled([-x for x in b], e * d) for b in b_parts))
+        for i in r:  # [e_i, (A, a)] = (e_i*a - A e_i) (+) -D(e_i, a)
+            put(i, n + t, unscaled(b_parts[i], e * d) + unscaled([-x for x in combine(a, D[i], N)], e * f))
     for s in range(N):
         for t in range(s + 1, N):
-            br = induced_bracket(B, h[s], h[t])
-            put(n + s, n + t, zero_vec(n), h_coords(br))
+            put(n + s, n + t, zero_vec(n) + h_coords(induced_bracket(B, h[s], h[t])))
 
     labels = B.labels + tuple(f"D{t}" for t in range(N))
     G = LieAlgebra.from_constants(m, C, labels)
+    _verify_envelope(B, G)
+    return EnvelopingLie(G, B, h, Dtau, tuple(K))
 
+
+def _verify_envelope(B: BolAlgebra, G: LieAlgebra) -> None:
+    """Jacobi on all basis triples of G, then projection and recovery on B's basis, read from G's rows."""
+    n = B.n
     jac = jacobi_check(G)
     if not jac.ok:
         raise FatalInconsistency(f"envelope fails Jacobi at basis triple {jac.witness}")
-    for i in range(n):
-        for j in range(n):
-            br = G.bracket(basis_vec(i, m), basis_vec(j, m))
-            if tuple(br[:n]) != B.T[i][j]:
-                raise FatalInconsistency(f"projection identity fails at ({i},{j})")
-    for i in range(n):
-        for j in range(n):
-            bij = G.bracket(basis_vec(i, m), basis_vec(j, m))
-            for k in range(n):
-                rec = G.bracket(basis_vec(k, m), bij)
-                if tuple(rec[:n]) != B.R[i][j][k] or not is_zero_vec(rec[n:]):
-                    raise FatalInconsistency(f"recovery identity fails at ({i},{j},{k})")
-
-    K = tuple(
-        tuple(vec_sub(mat_vec(P.pi, B.basis_vec(i)), B.binary(B.basis_vec(i), P.comp)) for i in range(n))
-        for P in h
-    )
-    return EnvelopingLie(G, B, h, Dtau, K)
+    for i, j in product(range(n), repeat=2):
+        if G.C[i][j][:n] != B.T[i][j]:
+            raise FatalInconsistency(f"projection identity fails at ({i},{j})")
+    d, C = G.integer_rows
+    for i, j, k in product(range(n), repeat=3):
+        rec = [0] * G.m  # [e_k, [e_i, e_j]] at weight d^2
+        for p, c in C[i][j]:
+            for q, v in C[k][p]:
+                rec[q] += c * v
+        if unscaled(rec[:n], d * d) != B.R[i][j][k] or any(rec[n:]):
+            raise FatalInconsistency(f"recovery identity fails at ({i},{j},{k})")
 
 
 @dataclass(frozen=True)

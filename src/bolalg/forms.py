@@ -25,7 +25,7 @@ from itertools import product
 
 from bolalg.core import BolAlgebra, center, prod_span, tri_span
 from bolalg.errors import DimensionMismatch
-from bolalg.linalg import Mat, Subspace, ZERO, failures, full_space, kernel_of, mat, mat_vec, rank, transpose
+from bolalg.linalg import Mat, Subspace, ZERO, failures, full_space, integral, kernel_of, mat_vec, rank, transpose
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,6 @@ class BilinearForm:
                 if yj != 0 and row[j] != 0:
                     acc += xi * row[j] * yj
         return acc
-
-    @staticmethod
-    def from_rows(rows, provenance: str = "user") -> BilinearForm:
-        return BilinearForm(mat(rows), provenance)
 
     @staticmethod
     def identity_gram(n: int, provenance: str = "user") -> BilinearForm:
@@ -96,12 +92,22 @@ def invariance_check(B: BolAlgebra, b: BilinearForm, variant: str = "skew") -> I
     r = range(B.n)
     sign = 1 if variant == "paper" else -1
     # b(v, e_l) for every l, and b(e_k, v) for every k, once per structure
-    # row v; the form need not be symmetric, so both tables are kept.
-    gram, gram_t = b.gram, transpose(b.gram)
-    T_left = [[mat_vec(gram_t, v) for v in plane] for plane in B.T]
-    T_right = [[mat_vec(gram, v) for v in plane] for plane in B.T]
-    R_left = [[[mat_vec(gram_t, v) for v in plane] for plane in cube] for cube in B.R]
-    R_right = [[[mat_vec(gram, v) for v in plane] for plane in cube] for cube in B.R]
+    # row v; the form need not be symmetric, so both tables are kept.  They
+    # are summed in ints: the Gram matrix scaled by the lcm of its
+    # denominators, T by d and R by d^2, so both sides of an identity
+    # carry the same weight and a defect is zero exactly when it is.
+    _, T, R = B.integer_rows
+    w, _ = integral([c for row in b.gram for c in row])
+    gram = [w[k * B.n : (k + 1) * B.n] for k in r]
+    gram_t = list(zip(*gram))
+
+    def through(M, v):  # M v for a row v given by its nonzero entries
+        return [sum(c * row[k] for k, c in v) for row in M]
+
+    T_left = [[through(gram_t, v) for v in plane] for plane in T]
+    T_right = [[through(gram, v) for v in plane] for plane in T]
+    R_left = [[[through(gram_t, v) for v in plane] for plane in cube] for cube in R]
+    R_right = [[[through(gram, v) for v in plane] for plane in cube] for cube in R]
 
     def binary_defect(i, j, k):  # b(e_i*e_j, e_k) - b(e_i, e_j*e_k)
         return (T_left[i][j][k] - T_right[j][k][i],)
@@ -164,11 +170,8 @@ def left_perp(b: BilinearForm, S: Subspace) -> Subspace:
 
 
 def right_perp(b: BilinearForm, S: Subspace) -> Subspace:
-    """{x : b(s, x) = 0 for all s in S}."""
-    if b.n != S.ambient:
-        raise DimensionMismatch("form and subspace ambient dimensions disagree")
-    gram_t = transpose(b.gram)
-    return kernel_of(tuple(mat_vec(gram_t, s) for s in S.basis), b.n)
+    """{x : b(s, x) = 0 for all s in S}: the left orthogonal under the transposed form."""
+    return left_perp(BilinearForm(transpose(b.gram), b.provenance), S)
 
 
 def is_nondegenerate(b: BilinearForm) -> bool:

@@ -9,24 +9,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 from bolalg.errors import DimensionMismatch, FatalInconsistency, NotAnIdeal
 from bolalg.linalg import (
     Mat,
     Subspace,
     Vec,
-    ZERO,
     basis_vec,
+    block_sum,
+    complement_constants,
     derived_chain,
     failures,
-    frac,
+    freeze3,
     full_space,
     kernel_of,
     mat_vec,
+    multilinear,
+    nonzero_row,
+    scaled_rows,
+    sized,
     span,
-    vec_add,
-    zero_vec,
+    unscaled,
 )
 
 Tensor3 = tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -44,29 +49,23 @@ class LieAlgebra:
     def from_constants(m: int, C, labels=None) -> LieAlgebra:
         if labels is None:
             labels = tuple(f"f{i}" for i in range(m))
-        frozen = tuple(tuple(tuple(frac(x) for x in row) for row in plane) for plane in C)
-        return LieAlgebra(m, tuple(labels), frozen)
+        return LieAlgebra(m, sized(labels, m, "labels"), freeze3(C, m, "C"))
+
+    @cached_property
+    def integer_rows(self) -> tuple[int, tuple]:
+        """(d, C): every C[i][j] cut to its nonzero entries and scaled by d, the lcm of all denominators, as ints.
+
+        A term with a factors of C is then d^a times its rational value.
+        """
+        d = lcm(*(c.denominator for plane in self.C for v in plane for c in v))
+        return d, tuple(scaled_rows(map(nonzero_row, plane), d) for plane in self.C)
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
+        """Bilinear extension of the bracket, summed from the integer rows."""
         if len(x) != self.m or len(y) != self.m:
             raise DimensionMismatch("vector length does not match the algebra dimension")
-        out = list(zero_vec(self.m))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                row = self.C[i][j]
-                for k in range(self.m):
-                    if row[k] != 0:
-                        out[k] += c * row[k]
-        return tuple(out)
-
-    def ad(self, x: Vec) -> Mat:
-        cols = [self.bracket(x, basis_vec(j, self.m)) for j in range(self.m)]
-        return tuple(tuple(cols[j][i] for j in range(self.m)) for i in range(self.m))
+        d, C = self.integer_rows
+        return multilinear(C, (x, y), d, self.m)
 
     def basis(self) -> tuple[Vec, ...]:
         return tuple(basis_vec(i, self.m) for i in range(self.m))
@@ -81,37 +80,41 @@ class JacobiReport:
 
 
 def jacobi_check(L: LieAlgebra) -> JacobiReport:
-    """Verify antisymmetry and the Jacobi identity on all basis triples."""
-    antisym = all(
-        L.C[i][j][k] == -L.C[j][i][k] for i in range(L.m) for j in range(i, L.m) for k in range(L.m)
-    )
-    bas = L.basis()
+    """Verify antisymmetry and the Jacobi identity on all basis triples.
+
+    The Jacobi defect sum_p C_ij^p C_pk + cyclic is summed in ints from
+    the integer rows, at weight d^2, and a reported defect is divided back.
+    """
+    d, C = L.integer_rows
+    r = range(L.m)
+    antisym = all(C[i][j] == tuple((k, -c) for k, c in C[j][i]) for i in r for j in range(i, L.m))
 
     def defect(i, j, k):
-        d = L.bracket(L.bracket(bas[i], bas[j]), bas[k])
-        d = vec_add(d, L.bracket(L.bracket(bas[j], bas[k]), bas[i]))
-        return vec_add(d, L.bracket(L.bracket(bas[k], bas[i]), bas[j]))
+        out = [0] * L.m
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):  # [[e_a, e_b], e_c]
+            for p, v in C[a][b]:
+                for q, w in C[p][c]:
+                    out[q] += v * w
+        return out
 
-    triples = ((i, j, k) for i in range(L.m) for j in range(i + 1, L.m) for k in range(j + 1, L.m))
+    triples = ((i, j, k) for i in r for j in range(i + 1, L.m) for k in range(j + 1, L.m))
     first = next(failures(triples, defect), None)
     if first is not None:
-        return JacobiReport(False, antisym, *first)
+        return JacobiReport(False, antisym, first[0], unscaled(first[1], d * d))
     return JacobiReport(antisym, antisym, None, None)
 
 
 @lru_cache(maxsize=None)
 def killing_gram(L: LieAlgebra) -> Mat:
-    ads = [L.ad(basis_vec(i, L.m)) for i in range(L.m)]
-    # tr(ad_i ad_j) without forming the product matrices
-    g = [[ZERO] * L.m for _ in range(L.m)]
-    for i in range(L.m):
+    """tr(ad e_i ad e_j) from the integer rows: ad e_i has entry C_ib^a at (a, b), summed at weight d^2."""
+    d, C = L.integer_rows
+    r = range(L.m)
+    ads = [{(a, b): v for b in r for a, v in C[i][b]} for i in r]
+    g = [[None] * L.m for _ in r]
+    for i in r:
         for j in range(i, L.m):
-            s = ZERO
-            for a in range(L.m):
-                for b in range(L.m):
-                    if ads[i][a][b] != 0 and ads[j][b][a] != 0:
-                        s += ads[i][a][b] * ads[j][b][a]
-            g[i][j] = g[j][i] = s
+            s = sum(v * ads[j].get((b, a), 0) for (a, b), v in ads[i].items())
+            g[i][j] = g[j][i] = Fraction(s, d * d)
     return tuple(tuple(row) for row in g)
 
 
@@ -123,7 +126,7 @@ def killing(L: LieAlgebra):
 
 
 def derived_subspace(L: LieAlgebra, S: Subspace) -> Subspace:
-    return span([L.bracket(u, v) for u in S.basis for v in S.basis], L.m)
+    return bracket_span(L, S, S)
 
 
 def bracket_span(L: LieAlgebra, U: Subspace, V: Subspace) -> Subspace:
@@ -181,31 +184,12 @@ def lie_quotient(L: LieAlgebra, I: Subspace, labels=None) -> LieAlgebra:
     """Quotient Lie algebra on the complement of an ideal."""
     if not lie_is_ideal(L, I):
         raise NotAnIdeal("quotient requires a Lie ideal")
-    pivots = [next(j for j, c in enumerate(row) if c != 0) for row in I.basis]
-    comp = [j for j in range(L.m) if j not in pivots]
-    k = len(comp)
-
-    def project(v: Vec) -> Vec:
-        reduced = I.reduce(v)
-        return tuple(reduced[j] for j in comp)
-
-    C = [[project(L.bracket(basis_vec(comp[p], L.m), basis_vec(comp[q], L.m))) for q in range(k)] for p in range(k)]
+    comp, C = complement_constants(I, L.C, 3)
     if labels is None:
         labels = tuple(L.labels[j] for j in comp)
-    return LieAlgebra.from_constants(k, C, labels)
+    return LieAlgebra.from_constants(len(comp), C, labels)
 
 
 def lie_direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
-    m = L1.m + L2.m
-    C = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-    for i in range(L1.m):
-        for j in range(L1.m):
-            for k in range(L1.m):
-                C[i][j][k] = L1.C[i][j][k]
-    o = L1.m
-    for i in range(L2.m):
-        for j in range(L2.m):
-            for k in range(L2.m):
-                C[o + i][o + j][o + k] = L2.C[i][j][k]
     labels = tuple(f"l.{x}" for x in L1.labels) + tuple(f"r.{x}" for x in L2.labels)
-    return LieAlgebra.from_constants(m, C, labels)
+    return LieAlgebra.from_constants(L1.m + L2.m, block_sum(L1.C, L2.C, L1.m, L2.m, 3), labels)

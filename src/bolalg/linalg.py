@@ -10,13 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
+from math import gcd, lcm
 
 from bolalg.errors import DimensionMismatch
 
-Scalar = Fraction
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
+# A coefficient vector cut to its nonzero entries: ((index, coeff), ...).
+Row = tuple[tuple[int, Fraction], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -27,6 +30,68 @@ def frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact computations")
     return Fraction(x)
+
+
+def sized(items, n: int, name: str) -> tuple:
+    items = tuple(items)
+    if len(items) != n:
+        raise DimensionMismatch(f"{name} has length {len(items)}, expected {n}")
+    return items
+
+
+def freeze3(t, n: int, name: str):
+    """t as an n x n x n tensor of Fractions; DimensionMismatch names the first mis-sized index."""
+    return tuple(
+        tuple(
+            tuple(frac(c) for c in sized(row, n, f"{name}[{i}][{j}]"))
+            for j, row in enumerate(sized(plane, n, f"{name}[{i}]"))
+        )
+        for i, plane in enumerate(sized(t, n, name))
+    )
+
+
+def nonzero_row(v) -> Row:
+    return tuple((k, c) for k, c in enumerate(v) if c)
+
+
+def scaled_rows(rows, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows with every coefficient multiplied by s, as ints; s must clear every denominator."""
+    return tuple(tuple((k, c.numerator * (s // c.denominator)) for k, c in row) for row in rows)
+
+
+def unscaled(v, s: int) -> Vec:
+    """The integer vector v divided by s, as Fractions."""
+    return tuple(Fraction(c, s) for c in v)
+
+
+def integral(v) -> tuple[list[int], int]:
+    """(w, e): e the lcm of the denominators of v and w = e*v, as ints."""
+    e = lcm(*(c.denominator for c in v))
+    return [c.numerator * (e // c.denominator) for c in v], e
+
+
+def combine(x, rows, n: int) -> list:
+    """sum_k x[k] rows[k] as a list, each row given by its nonzero entries."""
+    out = [0] * n
+    for xk, row in zip(x, rows):
+        if xk:
+            for q, c in row:
+                out[q] += xk * c
+    return out
+
+
+def multilinear(table, vectors, scale: int, n: int) -> Vec:
+    """sum over i, j, ... of x_i y_j ... table[i][j]..., with `table` one level per vector deep.
+
+    Its integer rows are `scale` times the rational ones; the vectors are
+    scaled to ints too, so the sum is formed in ints and divided once.
+    """
+    terms = [(table, 1)]
+    for v in vectors:
+        w, e = integral(v)
+        scale *= e
+        terms = [(node[i], c * x) for node, c in terms for i, x in enumerate(w) if x]
+    return unscaled(combine([c for _, c in terms], [row for row, _ in terms], n), scale)
 
 
 def vec(coords) -> Vec:
@@ -110,10 +175,6 @@ def trace(m: Mat) -> Fraction:
     return sum((m[i][i] for i in range(len(m))), ZERO)
 
 
-def is_zero_mat(m: Mat) -> bool:
-    return all(c == 0 for row in m for c in row)
-
-
 def rref(m: Mat) -> Mat:
     """Reduced row-echelon form; preserves the row space."""
     rows = [list(r) for r in m]
@@ -137,12 +198,8 @@ def rref(m: Mat) -> Mat:
     return tuple(tuple(row) for row in rows)
 
 
-def _nonzero_rref_rows(m: Mat) -> Mat:
-    return tuple(row for row in rref(m) if any(c != 0 for c in row))
-
-
 def rank(m: Mat) -> int:
-    return len(_nonzero_rref_rows(m))
+    return span(m, len(m[0]) if m else 0).dim
 
 
 @dataclass(frozen=True)
@@ -166,42 +223,49 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(next(j for j, c in enumerate(row) if c) for row in self.basis)
+
+    @cached_property
+    def integer_basis(self) -> tuple[int, tuple[Row, ...]]:
+        """(L, rows): L the lcm of the basis denominators, rows the nonzero entries of L times each basis row, as ints."""
+        L = lcm(*(c.denominator for row in self.basis for c in row))
+        return L, scaled_rows(map(nonzero_row, self.basis), L)
+
     def contains(self, v: Vec) -> bool:
-        if len(v) != self.ambient:
-            raise DimensionMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
-        return is_zero_vec(self.reduce(v))
+        return self.coords(v) is not None
 
     def reduce(self, v: Vec) -> Vec:
         """Residue of v after elimination against the canonical basis."""
-        w = list(v)
-        for row in self.basis:
-            lead = next(j for j, c in enumerate(row) if c != 0)
-            if w[lead] != 0:
-                f = w[lead]
-                w = [x - f * y for x, y in zip(w, row)]
-        return tuple(w)
+        self._check(v)
+        return vec_sub(v, self.element([v[p] for p in self.pivots]))
 
     def coords(self, v: Vec) -> Vec | None:
-        """Coordinates of v in the canonical basis, or None if v is outside."""
-        w = list(v)
-        cs = []
-        for row in self.basis:
-            lead = next(j for j, c in enumerate(row) if c != 0)
-            c = w[lead]
-            cs.append(c)
-            if c != 0:
-                w = [x - c * y for x, y in zip(w, row)]
-        if any(x != 0 for x in w):
+        """Coordinates of v in the canonical basis, or None if v is outside.
+
+        They are the entries of v at the pivots; v is then checked to be
+        their combination, in ints: L*e*v == sum_k (e*v)[p_k] * L*row_k.
+        """
+        self._check(v)
+        w, e = integral(v)
+        L, rows = self.integer_basis
+        c = [w[p] for p in self.pivots]
+        if any(L * x != y for x, y in zip(w, combine(c, rows, self.ambient))):
             return None
-        return tuple(cs)
+        return unscaled(c, e)
 
     def element(self, coords) -> Vec:
         """The vector with the given coordinates in the canonical basis; inverse of `coords`."""
-        w = zero_vec(self.ambient)
-        for c, row in zip(coords, self.basis):
-            if c != 0:
-                w = vec_add(w, vec_scale(c, row))
-        return w
+        if len(coords) != self.dim:
+            raise DimensionMismatch(f"{len(coords)} coordinates in a subspace of dimension {self.dim}")
+        w, e = integral(coords)
+        L, rows = self.integer_basis
+        return unscaled(combine(w, rows, self.ambient), e * L)
+
+    def _check(self, v: Vec) -> None:
+        if len(v) != self.ambient:
+            raise DimensionMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
 
     def is_subspace_of(self, other: Subspace) -> bool:
         if self.ambient != other.ambient:
@@ -221,35 +285,48 @@ def full_space(ambient: int) -> Subspace:
 
 
 def span(vectors, ambient: int) -> Subspace:
-    """Canonical subspace spanned by the given vectors.
+    """Canonical subspace spanned by the given vectors (of Fractions or ints).
 
-    Each vector is reduced into a growing echelon basis as it is read,
-    and one `rref` of at most `ambient` rows makes the result canonical.
-    Once the basis is full, the rest of a list or tuple is only checked
-    for length, while any other iterable is not read further: product
-    generators stop there without forming their remaining vectors.
+    Fraction-free: each vector is scaled to a primitive integer row and
+    reduced into a growing echelon basis by cross-multiplication as it is
+    read; the rows are then cleared above their pivots the same way, and
+    one `rref` divides each by its pivot.  Once the basis is full, the
+    rest of a list or tuple is only checked for length, and any other
+    iterable (a product generator) is not read further.
     """
     whole = isinstance(vectors, (list, tuple))
-    rows: list[list[Fraction]] = []  # each is 1 at its pivot and 0 at the pivots of the rows before it
+    rows: list[list[int]] = []  # each is 0 at the pivots of the rows before it
     pivots: list[int] = []
     for v in vectors:
         if len(v) != ambient:
             raise DimensionMismatch(f"vector of length {len(v)} in ambient {ambient}")
         if len(rows) == ambient:
             continue
-        w = list(v)
+        w, _ = integral(v)
         for p, row in zip(pivots, rows):
             c = w[p]
             if c:
-                w = [x - c * y for x, y in zip(w, row)]
+                a = row[p]
+                w = [a * x - c * y for x, y in zip(w, row)]
         lead = next((j for j, c in enumerate(w) if c), None)
         if lead is not None:
-            inv = ONE / w[lead]
-            rows.append([inv * x for x in w])
+            rows.append(_primitive(w))
             pivots.append(lead)
             if len(rows) == ambient and not whole:
                 break
+    for k in range(len(rows) - 1, 0, -1):  # row k is 0 at every other pivot once the rows after it are done
+        p, row = pivots[k], rows[k]
+        a = row[p]
+        for i in range(k):
+            c = rows[i][p]
+            if c:
+                rows[i] = _primitive([a * x - c * y for x, y in zip(rows[i], row)])
     return Subspace(ambient, rref(tuple(map(tuple, rows))))
+
+
+def _primitive(w: list[int]) -> list[int]:
+    g = gcd(*w)
+    return w if g == 1 else [x // g for x in w]
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -265,9 +342,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.is_zero() or b.is_zero():
         return zero_space(a.ambient)
     # Solve sum_i x_i a_i - sum_j y_j b_j = 0; columns are the basis vectors.
-    cols = a.basis + tuple(vec_scale(-ONE, row) for row in b.basis)
-    system = transpose(cols)
-    sols = kernel(system)
+    sols = kernel(transpose(a.basis + tuple(vec_scale(-ONE, row) for row in b.basis)))
     return span([a.element(s[: a.dim]) for s in sols.basis], a.ambient)
 
 
@@ -276,17 +351,46 @@ def kernel(m: Mat) -> Subspace:
     if not m:
         raise DimensionMismatch("kernel of a matrix with no columns is ambiguous; pass a 0 x n matrix")
     ncols = len(m[0])
-    r = _nonzero_rref_rows(m)
-    pivots = [next(j for j, c in enumerate(row) if c != 0) for row in r]
-    free = [j for j in range(ncols) if j not in pivots]
+    r = span(m, ncols)
     vectors = []
+    free = [j for j in range(ncols) if j not in r.pivots]
     for j in free:
         v = [ZERO] * ncols
         v[j] = ONE
-        for row, p in zip(r, pivots):
+        for row, p in zip(r.basis, r.pivots):
             v[p] = -row[j]
         vectors.append(tuple(v))
     return span(vectors, ncols)
+
+
+def complement_constants(I: Subspace, t, order: int):
+    """(comp, t'): the standard basis vectors at I's non-pivot columns, and the constants of the quotient by I on them.
+
+    t has `order` indices, the last one over coordinates; t' keeps the
+    complement indices and reduces each coefficient vector by I.
+    """
+    comp = [j for j in range(I.ambient) if j not in I.pivots]
+
+    def part(x, level: int):
+        if level == 1:
+            reduced = I.reduce(x)
+            return tuple(reduced[j] for j in comp)
+        return tuple(part(x[i], level - 1) for i in comp)
+
+    return comp, part(t, order)
+
+
+def block_sum(a, b, n1: int, n2: int, order: int):
+    """The tensor of `order` indices on Q^(n1+n2) that is a on the first n1 coordinates, b on the last n2, zero elsewhere."""
+
+    def part(x, y, level: int):
+        if level == 1:
+            return (x if x is not None else (ZERO,) * n1) + (y if y is not None else (ZERO,) * n2)
+        return tuple(part(None if x is None else x[i], None, level - 1) for i in range(n1)) + tuple(
+            part(None, None if y is None else y[i], level - 1) for i in range(n2)
+        )
+
+    return part(a, b, order)
 
 
 def kernel_of(m: Mat, ncols: int) -> Subspace:
@@ -385,30 +489,20 @@ def rational_roots(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
             roots.append(ZERO)
         if not cs:
             return tuple(roots)
-    denom_lcm = 1
-    for c in cs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in cs]
-    lead, const = abs(ints[0]), abs(ints[-1])
+    ints, _ = integral(cs)
 
-    def value(x: Fraction) -> Fraction:
-        acc = ZERO
+    def value(p: int, q: int) -> int:  # q^deg * f(p/q), by Horner in ints
+        acc, qk = 0, 1
         for c in ints:
-            acc = acc * x + c
+            acc, qk = acc * p + c * qk, qk * q
         return acc
 
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and value(cand) == 0:
-                    roots.append(cand)
+    qs = _divisors(ints[0])
+    for p in _divisors(ints[-1]):
+        for q in qs:
+            if gcd(p, q) == 1:
+                roots.extend(Fraction(x, q) for x in (p, -p) if value(x, q) == 0)
     return tuple(sorted(roots))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int) -> list[int]:

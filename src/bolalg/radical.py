@@ -26,13 +26,10 @@ from bolalg.core import (
     BolAlgebra,
     ideal_closure,
     is_ideal,
-    nonzero_row,
     prod_span,
     quotient,
     require_verified,
-    scaled_rows,
     tri_span,
-    unscaled,
 )
 from bolalg.errors import BolError, StrategyDisagreement
 from bolalg.forms import BilinearForm, envelope_form, left_perp, trace_form
@@ -48,10 +45,13 @@ from bolalg.linalg import (
     mat_sub,
     mat_scale,
     mat_vec,
+    nonzero_row,
     rational_roots,
+    scaled_rows,
     span,
     subspace_sum,
     transpose,
+    unscaled,
 )
 from bolalg.series import is_solvable
 

@@ -9,22 +9,178 @@ from itertools import product
 
 from bolalg.core import AxiomReport, BolAlgebra, IdentityCheck, center, ideal_closure, is_ideal
 from bolalg.forms import InvarianceReport
+from bolalg.envelope import PairEndo
+from bolalg.lie import JacobiReport, LieAlgebra
 from bolalg.linalg import (
     ONE,
     Subspace,
     ZERO,
     basis_vec,
+    commutator,
     failures,
     full_space,
+    mat_sub,
+    mat_vec,
     rref,
     span,
+    transpose,
     vec_add,
     vec_scale,
+    vec_sub,
     zero_space,
 )
 from bolalg.radical import radical
 
 F = Fraction
+
+
+# Dense references: the products, the Lie layer, the pair algebra and the
+# linear algebra as they were computed entry by entry in Fractions, straight
+# from the dense tensors, before they read integer rows.
+
+
+def _dense_product(table, vectors, n):
+    """sum over i, j, ... of x_i y_j ... table[i][j]..., skipping zero coefficients."""
+    terms = [(table, ONE)]
+    for v in vectors:
+        terms = [(node[i], c * x) for node, c in terms for i, x in enumerate(v) if x != 0]
+    out = [ZERO] * n
+    for row, c in terms:
+        for k, t in enumerate(row):
+            if t != 0:
+                out[k] += c * t
+    return tuple(out)
+
+
+def dense_binary(B: BolAlgebra, x, y):
+    return _dense_product(B.T, (x, y), B.n)
+
+
+def dense_ternary(B: BolAlgebra, x, y, z):
+    return _dense_product(B.R, (x, y, z), B.n)
+
+
+def reference_left_op(B: BolAlgebra, x, y):
+    """Matrix of z -> (x, y, z): its column k is (x, y, e_k)."""
+    return transpose([dense_ternary(B, x, y, basis_vec(k, B.n)) for k in range(B.n)])
+
+
+def reference_bracket(L: LieAlgebra, x, y):
+    return _dense_product(L.C, (x, y), L.m)
+
+
+def reference_jacobi_check(L: LieAlgebra) -> JacobiReport:
+    r = range(L.m)
+    antisym = all(L.C[i][j][k] == -L.C[j][i][k] for i in r for j in range(i, L.m) for k in r)
+    bas = L.basis()
+
+    def defect(i, j, k):
+        d = reference_bracket(L, reference_bracket(L, bas[i], bas[j]), bas[k])
+        d = vec_add(d, reference_bracket(L, reference_bracket(L, bas[j], bas[k]), bas[i]))
+        return vec_add(d, reference_bracket(L, reference_bracket(L, bas[k], bas[i]), bas[j]))
+
+    triples = ((i, j, k) for i in r for j in range(i + 1, L.m) for k in range(j + 1, L.m))
+    first = next(failures(triples, defect), None)
+    if first is not None:
+        return JacobiReport(False, antisym, *first)
+    return JacobiReport(antisym, antisym, None, None)
+
+
+def reference_killing_gram(L: LieAlgebra):
+    """tr(ad e_i ad e_j) with the ad matrices formed column by column from brackets."""
+    r = range(L.m)
+    ads = [transpose([reference_bracket(L, basis_vec(i, L.m), basis_vec(j, L.m)) for j in r]) for i in r]
+    return tuple(tuple(sum((ads[i][a][b] * ads[j][b][a] for a in r for b in r), ZERO) for j in r) for i in r)
+
+
+def reference_induced_bracket(B: BolAlgebra, P, Q):
+    pi = mat_sub(commutator(P.pi, Q.pi), reference_left_op(B, P.comp, Q.comp))
+    return PairEndo(pi, vec_sub(mat_vec(P.pi, Q.comp), mat_vec(Q.pi, P.comp)))
+
+
+def reference_fraction_span(vectors, n) -> Subspace:
+    """The incremental Fraction span: each vector is reduced against rows normalized to 1 at their pivots."""
+    rows, pivots = [], []
+    for v in vectors:
+        w = list(v)
+        for p, row in zip(pivots, rows):
+            w = [x - w[p] * y for x, y in zip(w, row)]
+        lead = next((j for j, c in enumerate(w) if c), None)
+        if lead is not None:
+            rows.append([x / w[lead] for x in w])
+            pivots.append(lead)
+    return Subspace(n, rref(tuple(map(tuple, rows))))
+
+
+def reference_coords(S: Subspace, v):
+    """Coordinates by elimination against the canonical basis, or None if v is outside."""
+    w, cs = list(v), []
+    for row in S.basis:
+        c = w[next(j for j, x in enumerate(row) if x != 0)]
+        cs.append(c)
+        w = [x - c * y for x, y in zip(w, row)]
+    return None if any(x != 0 for x in w) else tuple(cs)
+
+
+def reference_envelope(B: BolAlgebra):
+    """(h_basis, Dtau, K, C) built with the dense references above and checked by nothing."""
+    n = B.n
+    bas = B.basis()
+    inner = [[PairEndo(reference_left_op(B, x, y), dense_binary(B, x, y)) for y in bas] for x in bas]
+    space = reference_fraction_span([P.flatten() for row in inner for P in row], n * n + n)
+    while True:
+        members = [PairEndo.unflatten(v, n) for v in space.basis]
+        brackets = [reference_induced_bracket(B, P, Q).flatten() for P in members for Q in members]
+        grown = reference_fraction_span(list(space.basis) + brackets, n * n + n)
+        if grown == space:
+            break
+        space = grown
+    h = tuple(PairEndo.unflatten(v, n) for v in space.basis)
+    N, m = len(h), n + len(h)
+
+    def coords(P):
+        return reference_coords(space, P.flatten())
+
+    Dtau = tuple(tuple(coords(P) for P in row) for row in inner)
+    C = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+
+    def put(i, j, row):
+        C[i][j] = list(row)
+        C[j][i] = [-c for c in row]
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            put(i, j, B.T[i][j] + vec_scale(-ONE, Dtau[i][j]))
+    K = tuple(tuple(vec_sub(mat_vec(P.pi, x), dense_binary(B, x, P.comp)) for x in bas) for P in h)
+    for t, P in enumerate(h):
+        for i, x in enumerate(bas):
+            D = coords(PairEndo(reference_left_op(B, x, P.comp), dense_binary(B, x, P.comp)))
+            put(i, n + t, vec_scale(-ONE, K[t][i]) + vec_scale(-ONE, D))
+    for s in range(N):
+        for t in range(s + 1, N):
+            put(n + s, n + t, (ZERO,) * n + coords(reference_induced_bracket(B, h[s], h[t])))
+    return h, Dtau, K, tuple(tuple(tuple(row) for row in plane) for plane in C)
+
+
+def symmetric_lts(m: int) -> BolAlgebra:
+    """The symmetric m x m matrices as a Lie triple system: (x, y, z) = [[x, y], z], zero binary product.
+
+    The basis is E_ii (i < m), then E_ij + E_ji (i < j); a symmetric matrix
+    has coordinate S[i][j] on the basis element at (i, j).
+    """
+    cells = [(i, i) for i in range(m)] + [(i, j) for i in range(m) for j in range(i + 1, m)]
+    r = range(m)
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in r) for j in r] for i in r]
+
+    def bracket(a, b):
+        return [[x - y for x, y in zip(p, q)] for p, q in zip(mul(a, b), mul(b, a))]
+
+    mats = [[[int((i, j) in (cell, cell[::-1])) for j in r] for i in r] for cell in cells]
+    n = len(cells)
+    R = [[[[M[i][j] for i, j in cells] for M in (bracket(bracket(x, y), z) for z in mats)] for y in mats] for x in mats]
+    return BolAlgebra.from_tensors(n, [[[0] * n] * n] * n, R)
 
 
 def invert(m):
@@ -102,18 +258,18 @@ def axiom_oracle(B: BolAlgebra) -> dict:
     Tv, Rv = B.T, B.R
 
     def a4_defect(i, j, k, l):
-        d = B.binary(Rv[i][j][k], bas[l])
-        d = vec_add(d, vec_scale(-ONE, B.binary(Rv[i][j][l], bas[k])))
-        d = vec_add(d, B.ternary(bas[k], bas[l], Tv[i][j]))
-        d = vec_add(d, vec_scale(-ONE, B.ternary(bas[i], bas[j], Tv[k][l])))
-        d = vec_add(d, vec_scale(-ONE, B.binary(Tv[i][j], Tv[k][l])))
+        d = dense_binary(B, Rv[i][j][k], bas[l])
+        d = vec_add(d, vec_scale(-ONE, dense_binary(B, Rv[i][j][l], bas[k])))
+        d = vec_add(d, dense_ternary(B, bas[k], bas[l], Tv[i][j]))
+        d = vec_add(d, vec_scale(-ONE, dense_ternary(B, bas[i], bas[j], Tv[k][l])))
+        d = vec_add(d, vec_scale(-ONE, dense_binary(B, Tv[i][j], Tv[k][l])))
         return d
 
     def a5_defect(i, j, k, l, m):
-        lhs = B.ternary(bas[i], bas[j], Rv[k][l][m])
-        rhs = B.ternary(Rv[i][j][k], bas[l], bas[m])
-        rhs = vec_add(rhs, B.ternary(bas[k], Rv[i][j][l], bas[m]))
-        rhs = vec_add(rhs, B.ternary(bas[k], bas[l], Rv[i][j][m]))
+        lhs = dense_ternary(B, bas[i], bas[j], Rv[k][l][m])
+        rhs = dense_ternary(B, Rv[i][j][k], bas[l], bas[m])
+        rhs = vec_add(rhs, dense_ternary(B, bas[k], Rv[i][j][l], bas[m]))
+        rhs = vec_add(rhs, dense_ternary(B, bas[k], bas[l], Rv[i][j][m]))
         return vec_add(lhs, vec_scale(-ONE, rhs))
 
     return {
@@ -185,11 +341,11 @@ def reference_span(vectors, n) -> Subspace:
 
 
 def reference_prod_span(B: BolAlgebra, U: Subspace, V: Subspace) -> Subspace:
-    return reference_span([B.binary(u, v) for u in U.basis for v in V.basis], B.n)
+    return reference_span([dense_binary(B, u, v) for u in U.basis for v in V.basis], B.n)
 
 
 def reference_tri_span(B: BolAlgebra, U: Subspace, V: Subspace, W: Subspace) -> Subspace:
-    return reference_span([B.ternary(u, v, w) for u in U.basis for v in V.basis for w in W.basis], B.n)
+    return reference_span([dense_ternary(B, u, v, w) for u in U.basis for v in V.basis for w in W.basis], B.n)
 
 
 def reference_is_ideal(B: BolAlgebra, V: Subspace, mode: str) -> bool:
@@ -216,8 +372,8 @@ def reference_ideal_closure(B: BolAlgebra, S: Subspace) -> Subspace:
 def reference_operator_family(B: BolAlgebra) -> list:
     """Right multiplications x -> x*e_i, then first-slot operators x -> (x, e_i, e_j), nonzero ones only."""
     bas = B.basis()
-    maps = [lambda x, i=i: B.binary(x, bas[i]) for i in range(B.n)]
-    maps += [lambda x, i=i, j=j: B.ternary(x, bas[i], bas[j]) for i in range(B.n) for j in range(B.n)]
+    maps = [lambda x, i=i: dense_binary(B, x, bas[i]) for i in range(B.n)]
+    maps += [lambda x, i=i, j=j: dense_ternary(B, x, bas[i], bas[j]) for i in range(B.n) for j in range(B.n)]
     ops = [tuple(zip(*(f(e) for e in bas))) for f in maps]  # columns are the images of the basis
     return [op for op in ops if any(c != 0 for row in op for c in row)]
 

@@ -1,8 +1,10 @@
+import importlib
+import re
 from fractions import Fraction
 
 import pytest
 
-from support import collect_ideals
+from support import collect_ideals, mutate_ternary
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import summand_embeddings
@@ -17,8 +19,8 @@ from bolalg.envelope import (
     solvability_transfer_check,
     standard_embedding_check,
 )
-from bolalg.errors import DimensionMismatch, PreconditionViolation
-from bolalg.lie import lie_is_solvable
+from bolalg.errors import DimensionMismatch, FatalInconsistency, PreconditionViolation
+from bolalg.lie import LieAlgebra, jacobi_check, lie_is_solvable
 from bolalg.linalg import (
     basis_vec,
     full_space,
@@ -33,6 +35,7 @@ from bolalg.linalg import (
 from bolalg.series import is_solvable
 
 F = Fraction
+ENVELOPE = importlib.import_module("bolalg.envelope")
 
 EXPECTED_ENVELOPE_DIM = {
     "abelian1": 1,
@@ -291,3 +294,60 @@ def test_solvability_transfer_table():
 def test_envelope_solvable_values():
     assert lie_is_solvable(envelope(catalog("solv2")).lie)
     assert not lie_is_solvable(envelope(catalog("sl2bol")).lie)
+
+
+# The envelope contract: each check fires on its own on a deliberately
+# inconsistent input, so none of them can be dropped unnoticed.
+
+
+def test_verify_envelope_rejects_a_broken_jacobi_identity():
+    G = envelope(catalog("sl2bol")).lie
+    C = [[list(row) for row in plane] for plane in G.C]
+    C[0][1][0] += F(1, 3)
+    C[1][0][0] -= F(1, 3)
+    with pytest.raises(FatalInconsistency, match="fails Jacobi at basis triple"):
+        ENVELOPE._verify_envelope(catalog("sl2bol"), LieAlgebra.from_constants(G.m, C))
+
+
+def test_verify_envelope_rejects_a_wrong_projection():
+    # a Lie algebra whose base brackets are those of sl2, over lts_sl2 whose binary product is zero
+    with pytest.raises(FatalInconsistency, match=re.escape("projection identity fails at (0,1)")):
+        ENVELOPE._verify_envelope(catalog("lts_sl2"), envelope(catalog("sl2bol")).lie)
+
+
+def test_verify_envelope_rejects_a_wrong_recovery_in_the_base():
+    with pytest.raises(FatalInconsistency, match=re.escape("recovery identity fails at (0,1,0)")):
+        ENVELOPE._verify_envelope(catalog("lts_sl2"), LieAlgebra.from_constants(6, [[[0] * 6] * 6] * 6))
+
+
+def test_verify_envelope_rejects_a_recovery_with_an_h_part():
+    # [e0, e1] = f and [e0, f] = f is a Lie algebra over abelian2, but [e0, [e0, e1]] = f is not in B
+    C = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    C[0][1], C[1][0] = [0, 0, 1], [0, 0, -1]
+    C[0][2], C[2][0] = [0, 0, 1], [0, 0, -1]
+    G = LieAlgebra.from_constants(3, C)
+    assert jacobi_check(G).ok
+    with pytest.raises(FatalInconsistency, match=re.escape("recovery identity fails at (0,1,0)")):
+        ENVELOPE._verify_envelope(catalog("abelian2"), G)
+
+
+def test_h_closure_rejects_a_pair_that_is_not_a_pseudo_derivation():
+    B = mutate_ternary(catalog("sl2bol"), 0, 1, 0, 1, F(1, 2))
+    with pytest.raises(FatalInconsistency, match="is not a pseudo-derivation"):
+        h_closure(B)
+
+
+def test_envelope_rejects_a_bracket_outside_h(monkeypatch):
+    B = catalog("sl2bol")
+    h = h_closure(B)
+    monkeypatch.setattr(ENVELOPE, "h_closure", lambda _: h)
+    monkeypatch.setattr(ENVELOPE, "induced_bracket", lambda B, P, Q: PairEndo(identity(B.n), zero_vec(B.n)))
+    with pytest.raises(FatalInconsistency, match="bracket left the pair closure"):
+        envelope.__wrapped__(B)
+
+
+def test_envelope_rejects_an_inner_pair_outside_h(monkeypatch):
+    B = catalog("sl2bol")
+    monkeypatch.setattr(ENVELOPE, "h_closure", lambda B: h_closure(B)[1:])
+    with pytest.raises(FatalInconsistency, match="bracket left the pair closure"):
+        envelope.__wrapped__(B)

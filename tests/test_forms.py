@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from support import rational_basis, reference_invariance_check, transport, unimodular_basis
+from support import rational_basis, reference_invariance_check, symmetric_lts, transport, unimodular_basis
 
 from bolalg.catalog import catalog, catalog_names
-from bolalg.core import prod_span
+from bolalg.core import direct_sum, prod_span
+from bolalg.envelope import envelope
 from bolalg.errors import DimensionMismatch
 from bolalg.forms import (
     BilinearForm,
@@ -19,7 +21,8 @@ from bolalg.forms import (
     right_perp,
     trace_form,
 )
-from bolalg.linalg import full_space, mat, span, vec, zero_space
+from bolalg.lie import killing_gram
+from bolalg.linalg import full_space, mat, rank, span, vec, zero_space
 
 F = Fraction
 
@@ -266,3 +269,31 @@ def test_invariance_check_rejects_wrong_size_form(size):
 def test_invariance_check_rejects_unknown_variant():
     with pytest.raises(ValueError):
         invariance_check(catalog("sl2bol"), KILLING_SL2, "twisted")
+
+
+ZERO_BINARY = {
+    "lts_sl2": lambda: catalog("lts_sl2"),
+    "lts_sl2+lts_sl2": lambda: direct_sum(catalog("lts_sl2"), catalog("lts_sl2")),
+    "sym3": lambda: symmetric_lts(3),
+}
+
+
+@pytest.mark.parametrize("key", ZERO_BINARY)
+@pytest.mark.parametrize("seed", range(2))
+def test_trace_form_is_the_envelope_form_on_zero_binary_algebras(key, seed):
+    # Independent oracle: the trace form is a contraction of R alone, the
+    # envelope form the Killing form of the whole enveloping Lie algebra.
+    B = ZERO_BINARY[key]()
+    moved = transport(B, unimodular_basis(random.Random(f"{key}-{seed}"), B.n))
+    for A in (B, moved):
+        assert trace_form(A).gram == envelope_form(A).gram
+
+
+@pytest.mark.parametrize("key", ["sl2bol+so3bol", "sl2bol+solv2", "heis3bol+solv2", "lts_sl2+lts_sl2", "sym3"])
+def test_envelope_dimension_and_killing_rank_do_not_depend_on_the_basis(key):
+    B = symmetric_lts(3) if key == "sym3" else reduce(direct_sum, [catalog(p) for p in key.split("+")])
+    moved = transport(B, unimodular_basis(random.Random(key), B.n))
+    E, M = envelope(B), envelope(moved)
+    assert E.total_dim == M.total_dim
+    assert rank(killing_gram(E.lie)) == rank(killing_gram(M.lie))
+    assert rank(envelope_form(B).gram) == rank(envelope_form(moved).gram)

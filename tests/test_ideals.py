@@ -24,7 +24,7 @@ from support import (
 )
 
 from bolalg.catalog import catalog, catalog_names
-from bolalg.core import direct_sum, ideal_closure, is_ideal, prod_span, tri_span
+from bolalg.core import BolAlgebra, direct_sum, ideal_closure, is_ideal, prod_span, tri_span
 from bolalg.linalg import basis_vec, full_space, span, zero_space
 from bolalg.radical import is_simple
 
@@ -71,6 +71,24 @@ def test_random_tensors_with_distinct_denominators(n, seed):
     B = random_algebra(rng, n, (1, 2, 3), (1, 5, 4), density=0.6, idle_pairs=0.3)
     assert B.integer_rows[0] > 1
     assert_ideal_layer_matches(B, rng)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("part", ["binary", "ternary"])
+def test_closures_on_sparse_tensors_that_are_not_antisymmetric(part, seed):
+    # One product only, sparse and not alternating, so closures stay proper
+    # and an operator read with its slots swapped (e_i*x for x*e_i) spins
+    # to another space.
+    rng = random.Random(f"{part}-{seed}")
+    n = rng.randint(3, 5)
+    A = random_algebra(rng, n, (1, 2), (1, 3), density=0.08 if part == "binary" else 0.03)
+    zero = BolAlgebra.zero(n)
+    B = BolAlgebra.from_tensors(n, A.T, zero.R) if part == "binary" else BolAlgebra.from_tensors(n, zero.T, A.R)
+    closures = [ideal_closure(B, span([basis_vec(i, n)], n)) for i in range(n)]
+    assert closures == [reference_ideal_closure(B, span([basis_vec(i, n)], n)) for i in range(n)]
+    assert any(0 < S.dim < n for S in closures)
+    for S in closures + [span([basis_vec(i, n)], n) for i in range(n)]:
+        assert is_ideal(B, S) == reference_is_ideal(B, S, "def2")
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.envelope import envelope
-from bolalg.errors import NotAnIdeal
+from bolalg.errors import DimensionMismatch, NotAnIdeal
 from bolalg.lie import (
     LieAlgebra,
     bracket_span,
@@ -145,3 +146,31 @@ def test_bracket_span_and_derived():
     L = make_lie(3, SL2)
     assert derived_subspace(L, full_space(3)) == full_space(3)
     assert bracket_span(L, span([vec([1, 0, 0])], 3), full_space(3)).dim == 2
+
+
+@pytest.mark.parametrize(
+    ("m", "C", "where"),
+    [
+        (2, [[[0, 0]]], "C has length 1, expected 2"),
+        (2, [[[0, 0], [0, 0]], [[0, 0]]], "C[1] has length 1, expected 2"),
+        (2, [[[0, 0], [0, 0]], [[0, 0], [0]]], "C[1][1] has length 1, expected 2"),
+        (1, [[[0, 0]]], "C[0][0] has length 2, expected 1"),
+    ],
+)
+def test_from_constants_rejects_a_tensor_that_is_not_m_cubed(m, C, where):
+    with pytest.raises(DimensionMismatch, match=re.escape(where)):
+        LieAlgebra.from_constants(m, C)
+
+
+@pytest.mark.parametrize("labels", [("a",), ("a", "b", "c")])
+def test_from_constants_rejects_the_wrong_number_of_labels(labels):
+    with pytest.raises(DimensionMismatch, match="labels has length"):
+        LieAlgebra.from_constants(2, [[[0, 0]] * 2] * 2, labels)
+
+
+def test_direct_sum_and_quotient_invert_each_other():
+    L = lie_direct_sum(make_lie(3, SL2, ("e", "f", "h")), make_lie(3, HEIS, ("x", "y", "z")))
+    assert L.labels == ("l.e", "l.f", "l.h", "r.x", "r.y", "r.z")
+    assert all(L.C[i][j][k] == 0 for i in range(6) for j in range(6) for k in range(6) if (i < 3) != (j < 3) or (i < 3) != (k < 3))
+    Q = lie_quotient(L, span([basis_vec(i, 6) for i in range(3, 6)], 6))
+    assert Q.labels == ("l.e", "l.f", "l.h") and Q.C == make_lie(3, SL2).C

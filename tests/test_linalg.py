@@ -146,6 +146,20 @@ def test_element_inverts_coords():
     assert zero_space(2).element(()) == vec([0, 0])
 
 
+@pytest.mark.parametrize("v", [(1, 2, 0, 5), (1, 2), ()])
+def test_coords_reduce_and_contains_reject_a_vector_of_the_wrong_length(v):
+    s = span([vec([1, 0, 0]), vec([0, 1, 0])], 3)
+    for method in (s.coords, s.reduce, s.contains):
+        with pytest.raises(DimensionMismatch):
+            method(vec(v))
+
+
+@pytest.mark.parametrize("coords", [(1, 2, 3), (1,), ()])
+def test_element_rejects_the_wrong_number_of_coordinates(coords):
+    with pytest.raises(DimensionMismatch):
+        span([vec([1, 0, 0]), vec([0, 1, 0])], 3).element(vec(coords))
+
+
 def test_kernel_of_drops_zero_rows():
     assert kernel_of(mat([[0, 0, 0], [1, 0, -1], [0, 0, 0]]), 3) == kernel(mat([[1, 0, -1]]))
     assert kernel_of(mat([[0, 0], [0, 0]]), 2) == full_space(2)
@@ -315,6 +329,36 @@ def test_span_rank_and_kernel_agree_with_sympy(case):
     null = [_from_sympy(v) for v in M.nullspace()]
     assert kernel(m) == span(null, ncols)
     assert kernel(m).dim == ncols - len(pivots)
+
+
+# Denominators that share some prime factors and not others, numerators up to 10^12.
+mixed_denominators = st.builds(
+    F, st.integers(-(10**12), 10**12), st.sampled_from([1, 2, 3, 7, 12, 49, 97, 1024, 3**9, 10**6 + 3, 2**31 - 1])
+)
+
+
+@st.composite
+def large_rational_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(F(0)), mixed_denominators)
+    m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1:  # a combination of two rows with large coefficients, so the rank drops
+        a, b = draw(mixed_denominators), draw(mixed_denominators)
+        m.append([a * x + b * y for x, y in zip(m[0], m[1])])
+    return tuple(map(tuple, m)), ncols
+
+
+@settings(max_examples=120, deadline=None)
+@given(large_rational_matrices())
+def test_fraction_free_span_agrees_with_sympy_on_large_mixed_denominators(case):
+    m, ncols = case
+    reduced, pivots = _to_sympy(m, ncols).rref()
+    S = span(m, ncols)
+    assert S.basis == tuple(_from_sympy(reduced.row(i)) for i in range(len(pivots)))
+    assert S.pivots == tuple(pivots)
+    for row in m:
+        assert S.element(S.coords(row)) == row
 
 
 @st.composite
