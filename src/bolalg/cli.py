@@ -2,8 +2,9 @@
 
 Commands: check, info, radical, envelope, decompose, examples.
 Exit codes: 0 success/decided, 1 not a Bol algebra or verification
-failure, 2 undecided/uncertified result, 3 input error.  All numbers in
-any output are exact fraction strings; there are no floats.
+failure, 2 undecided/uncertified result, 3 input error (a malformed
+document or command line).  All numbers in any output are exact
+fraction strings; there are no floats.
 """
 
 from __future__ import annotations
@@ -284,8 +285,16 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT: argparse's own code 2 would read as "undecided"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bol",
         description="Exact computer algebra for finite-dimensional Bol algebras.",
     )

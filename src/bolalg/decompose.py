@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from bolalg.core import BolAlgebra, center, ideal_closure, is_ideal, prod_span, restrict, tri_span
-from bolalg.errors import FatalInconsistency, PreconditionViolation
+from bolalg.core import BolAlgebra, center, derived_space, ideal_closure, is_ideal, prod_span, restrict, tri_span
+from bolalg.errors import FatalInconsistency, NotASubsystem, PreconditionViolation
 from bolalg.forms import BilinearForm, envelope_form, invariance_check, is_nondegenerate, right_perp
 from bolalg.linalg import (
     Subspace,
@@ -52,8 +52,7 @@ class Decomposition:
 
 def _trivial_derived_ideal_probe(B: BolAlgebra, seed: int | None) -> Subspace | None:
     """Look for a nonzero ideal I with I*I + (I,I,B) = 0."""
-    full = full_space(B.n)
-    probes = [full]
+    probes = [full_space(B.n)]
     c = center(B)
     if not c.is_zero():
         probes.append(ideal_closure(B, c))
@@ -65,8 +64,7 @@ def _trivial_derived_ideal_probe(B: BolAlgebra, seed: int | None) -> Subspace | 
     for I in probes:
         if I.is_zero() or not is_ideal(B, I, "def2"):
             continue
-        derived = subspace_sum(prod_span(B, I, I), tri_span(B, I, I, full))
-        if derived.is_zero():
+        if derived_space(B, I).is_zero():
             return I
     return None
 
@@ -159,30 +157,21 @@ def _decompose_semisimple(B: BolAlgebra, b: BilinearForm, variant: str, seed: in
 def verify_reassembly(B: BolAlgebra, dec: Decomposition) -> bool:
     """Check that the components reassemble to B under the recorded embeddings.
 
-    Products of embedded component vectors must agree with the original
-    tensors, and cross products between different components must vanish.
+    Each component must be B restricted to its embedding, tensor for
+    tensor, and products between different components must vanish.
     """
     frames = dec.embeddings
     if sum(f.dim for f in frames) != B.n:
         return False
-    for a, fa in enumerate(frames):
-        comp = dec.components[a]
-        for p, u in enumerate(fa.basis):
-            for q, v in enumerate(fa.basis):
-                want = fa.element(comp.T[p][q])
-                if B.binary(u, v) != want:
-                    return False
-                for r, w in enumerate(fa.basis):
-                    want3 = fa.element(comp.R[p][q][r])
-                    if B.ternary(u, v, w) != want3:
-                        return False
-        for bidx, fb in enumerate(frames):
-            if bidx == a:
-                continue
-            for u in fa.basis:
-                for v in fb.basis:
-                    if not all(c == 0 for c in B.binary(u, v)):
-                        return False
+    for a, (comp, fa) in enumerate(zip(dec.components, frames)):
+        try:
+            part = restrict(B, fa)
+        except NotASubsystem:
+            return False
+        if (part.T, part.R) != (comp.T, comp.R):
+            return False
+        if any(not prod_span(B, fa, fb).is_zero() for b, fb in enumerate(frames) if b != a):
+            return False
     return True
 
 

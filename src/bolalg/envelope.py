@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from bolalg.core import BolAlgebra, is_ideal, require_verified
+from bolalg.core import BolAlgebra, is_ideal, require_verified, ternary_rule_defect
 from bolalg.errors import DimensionMismatch, FatalInconsistency, NotAnIdeal, PreconditionViolation
 from bolalg.lie import LieAlgebra, bracket_span, jacobi_check, lie_is_solvable
 from bolalg.linalg import (
@@ -106,7 +106,8 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
     R by d^2): with e the lcm of the pair's denominators, Pi is scaled
     by e*d and a by e, so every product-rule term has weight e*d^2 and
     every ternary-rule term e*d^3, and a reported defect is the integer
-    one divided by its weight.
+    one divided by its weight.  The ternary rule is A5's, through
+    `core.ternary_rule_defect`.
     """
     n = B.n
     if len(P.pi) != n or any(len(row) != n for row in P.pi) or len(P.comp) != n:
@@ -138,26 +139,10 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
                     out[q] -= c * f * v
         return out
 
-    def ternary_defect(i, j, k):
-        out = [0] * n
-        for p, c in R[i][j][k]:  # Pi(x,y,z)
-            for q, v in pb[p]:
-                out[q] += c * v
-        for p, c in pb[i]:  # -(Pi x, y, z)
-            for q, v in R[p][j][k]:
-                out[q] -= c * v
-        for p, c in pb[j]:  # -(x, Pi y, z)
-            for q, v in R[i][p][k]:
-                out[q] -= c * v
-        for p, c in pb[k]:  # -(x, y, Pi z)
-            for q, v in R[i][j][p]:
-                out[q] -= c * v
-        return out
-
     first = next(failures(product(r, repeat=2), product_defect), None)
     if first is not None:
         return PseudoDerivationReport(False, False, True, first[0], unscaled(first[1], e * d * d))
-    first = next(failures(product(r, repeat=3), ternary_defect), None)
+    first = next(failures(product(r, repeat=3), lambda i, j, k: ternary_rule_defect(R, pb, i, j, k, n)), None)
     if first is not None:
         return PseudoDerivationReport(False, True, False, first[0], unscaled(first[1], e * d**3))
     return PseudoDerivationReport(True, True, True)
@@ -326,14 +311,26 @@ def envelope(B: BolAlgebra) -> EnvelopingLie:
 
 
 def _verify_envelope(B: BolAlgebra, G: LieAlgebra) -> None:
-    """Jacobi on all basis triples of G, then projection and recovery on B's basis, read from G's rows."""
-    n = B.n
+    """Jacobi on all basis triples of G, then projection and recovery on B's basis."""
     jac = jacobi_check(G)
     if not jac.ok:
         raise FatalInconsistency(f"envelope fails Jacobi at basis triple {jac.witness}")
+    bad = _contract_failure(B, G)
+    if bad is not None:
+        name = "projection" if len(bad) == 2 else "recovery"
+        raise FatalInconsistency(f"{name} identity fails at ({','.join(map(str, bad))})")
+
+
+def _contract_failure(B: BolAlgebra, G: LieAlgebra) -> tuple[int, ...] | None:
+    """The first failure of projection or recovery on B's basis, read from G's rows.
+
+    That is the first (i, j) with proj_B [e_i, e_j] != e_i*e_j, else the
+    first (i, j, k) with [e_k, [e_i, e_j]] != (e_i, e_j, e_k), else None.
+    """
+    n = B.n
     for i, j in product(range(n), repeat=2):
         if G.C[i][j][:n] != B.T[i][j]:
-            raise FatalInconsistency(f"projection identity fails at ({i},{j})")
+            return i, j
     d, C = G.integer_rows
     for i, j, k in product(range(n), repeat=3):
         rec = [0] * G.m  # [e_k, [e_i, e_j]] at weight d^2
@@ -341,7 +338,8 @@ def _verify_envelope(B: BolAlgebra, G: LieAlgebra) -> None:
             for q, v in C[k][p]:
                 rec[q] += c * v
         if unscaled(rec[:n], d * d) != B.R[i][j][k] or any(rec[n:]):
-            raise FatalInconsistency(f"recovery identity fails at ({i},{j},{k})")
+            return i, j, k
+    return None
 
 
 @dataclass(frozen=True)
@@ -396,36 +394,28 @@ def standard_embedding_check(E: EnvelopingLie) -> EmbeddingReport:
         [x, D(y, z)]       = (y, z, x)
         [D(x,y), D(u,v)]   = D((u,v,x), y) + D(x, (u,v,y))
 
+    With x*y = 0 the first two are the projection and recovery
+    identities of the envelope contract, swept by the same code.
     Rejects algebras with a nonzero binary product.
     """
     B = E.base
     if any(c != 0 for p in B.T for r in p for c in r):
         raise PreconditionViolation("standard-embedding relations require a zero binary product")
+    witness = _contract_failure(B, E.lie)
+    if witness is not None:  # a pair breaks the closure relation, a triple the action relation
+        return EmbeddingReport(False, len(witness) == 3, len(witness) == 2, True, witness)
     G = E.lie
     m = G.m
-    n = E.b_dim
-    r = range(n)
+    r = range(B.n)
     bas = [basis_vec(i, m) for i in r]
     d = [[G.bracket(bas[i], bas[j]) for j in r] for i in r]
 
-    def action_defect(i, j, k):
-        return vec_sub(G.bracket(bas[k], d[i][j]), E.lift(B.R[i][j][k]))
-
-    def derivation_defect(i, j, u, v):
+    def relation_defect(i, j, u, v):
         lhs = G.bracket(d[i][j], d[u][v])
         lhs = vec_sub(lhs, G.bracket(E.lift(B.R[u][v][i]), bas[j]))
         return vec_sub(lhs, G.bracket(bas[i], E.lift(B.R[u][v][j])))
 
-    def first_witness(tuples, defect):
-        return next((t for t, _ in failures(tuples, defect)), None)
-
-    witness = first_witness(product(r, repeat=2), lambda i, j: d[i][j][:n])
-    if witness is not None:
-        return EmbeddingReport(False, False, True, True, witness)
-    witness = first_witness(product(r, repeat=3), action_defect)
-    if witness is not None:
-        return EmbeddingReport(False, True, False, True, witness)
-    witness = first_witness(product(r, repeat=4), derivation_defect)
+    witness = next((t for t, _ in failures(product(r, repeat=4), relation_defect)), None)
     if witness is not None:
         return EmbeddingReport(False, True, True, False, witness)
     return EmbeddingReport(True, True, True, True)

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from bolalg.core import BolAlgebra
 from bolalg.envelope import EnvelopingLie, PairEndo
-from bolalg.errors import DocumentError
+from bolalg.errors import DocumentError, PreconditionViolation
 from bolalg.lie import LieAlgebra
 from bolalg.linalg import ZERO
 
@@ -155,8 +155,20 @@ def parse_bol_document(text: str) -> tuple[BolAlgebra, str]:
     return BolAlgebra.from_tensors(dim, T, R, basis), name
 
 
+def _require_antisymmetric(t, name: str) -> None:
+    """Raise unless t[j][i] = -t[i][j] for all i <= j: a document holds only i < j and implies the rest."""
+    for i in range(len(t)):
+        for j in range(i, len(t)):
+            if t[j][i] != tuple(-c for c in t[i][j]):
+                raise PreconditionViolation(
+                    f"{name}[{i}][{j}] is not -{name}[{j}][{i}]; a document holds only i < j and implies the rest"
+                )
+
+
 def emit_bol_document(B: BolAlgebra, name: str) -> str:
-    """Canonical serialization of a Bol algebra."""
+    """Canonical serialization of a Bol algebra; T and R must be antisymmetric in their first two slots."""
+    _require_antisymmetric(B.T, "T")
+    _require_antisymmetric([[sum(plane, ()) for plane in cube] for cube in B.R], "R")
     binary = []
     for i in range(B.n):
         for j in range(i + 1, B.n):
@@ -182,7 +194,8 @@ def emit_bol_document(B: BolAlgebra, name: str) -> str:
 
 
 def emit_lie_document(L: LieAlgebra, name: str, env: EnvelopingLie | None = None) -> str:
-    """Canonical serialization of a Lie algebra, optionally with envelope data."""
+    """Canonical serialization of a Lie algebra, optionally with envelope data; C must be antisymmetric."""
+    _require_antisymmetric(L.C, "C")
     brackets = []
     for i in range(L.m):
         for j in range(i + 1, L.m):

@@ -120,7 +120,6 @@ def invariance_check(B: BolAlgebra, b: BilinearForm, variant: str = "skew") -> I
     return InvarianceReport(variant, b_wit is None, t_wit is None, b_wit, t_wit)
 
 
-@lru_cache(maxsize=None)
 def trace_form(B: BolAlgebra) -> BilinearForm:
     """Ricci-style trace form of the ternary tensor (see module docstring)."""
     n = B.n

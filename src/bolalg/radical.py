@@ -22,15 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from bolalg.core import (
-    BolAlgebra,
-    ideal_closure,
-    is_ideal,
-    prod_span,
-    quotient,
-    require_verified,
-    tri_span,
-)
+from bolalg.core import BolAlgebra, derived_space, ideal_closure, is_ideal, quotient, require_verified
 from bolalg.errors import BolError, StrategyDisagreement
 from bolalg.forms import BilinearForm, envelope_form, left_perp, trace_form
 from bolalg.linalg import (
@@ -49,18 +41,12 @@ from bolalg.linalg import (
     rational_roots,
     scaled_rows,
     span,
-    subspace_sum,
     transpose,
     unscaled,
 )
 from bolalg.series import is_solvable
 
 DEFAULT_SEED = 20240801
-
-
-def _derived_space(B: BolAlgebra) -> Subspace:
-    full = full_space(B.n)
-    return subspace_sum(prod_span(B, full, full), tri_span(B, full, full, full))
 
 
 def _form_for(B: BolAlgebra, kind: str) -> BilinearForm:
@@ -73,7 +59,7 @@ def _form_for(B: BolAlgebra, kind: str) -> BilinearForm:
 
 def _candidate_form_orthogonal(B: BolAlgebra, kind: str, override: BilinearForm | None = None) -> Subspace:
     form = override if override is not None else _form_for(B, kind)
-    return left_perp(form, _derived_space(B))
+    return left_perp(form, derived_space(B, full_space(B.n)))
 
 
 def _candidate_envelope_intersection(B: BolAlgebra) -> Subspace:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from bolalg.core import BolAlgebra, is_ideal, prod_span, tri_span
+from bolalg.core import BolAlgebra, derived_space, is_ideal, tri_span
 from bolalg.errors import NotAnIdeal
-from bolalg.linalg import Subspace, derived_chain, full_space, subspace_sum
+from bolalg.linalg import Subspace, derived_chain, full_space
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,7 @@ def lts_derived_series(B: BolAlgebra, V: Subspace) -> SeriesResult:
 def bol_derived_series(B: BolAlgebra, W: Subspace) -> SeriesResult:
     """W^(k+1) = W^(k)*W^(k) + (W^(k), W^(k), B), run until stabilization."""
     _require_ideal(B, W)
-    full = full_space(B.n)
-
-    def step(s: Subspace) -> Subspace:
-        return subspace_sum(prod_span(B, s, s), tri_span(B, s, s, full))
-
-    chain, k, solvable = derived_chain(W, step)
+    chain, k, solvable = derived_chain(W, lambda s: derived_space(B, s))
     return SeriesResult("bol", chain, k, solvable)
 
 

@@ -194,3 +194,17 @@ def test_seed_flag_accepted(tmp_path):
     run_bol("examples", "sl2bol", "--emit", str(f))
     r = run_bol("decompose", str(f), "--seed", "99", "--json")
     assert r.returncode == 0
+
+
+def test_usage_errors_exit_3_with_usage_on_stderr():
+    # exit 2 means "undecided", so a mistyped command line must not produce it
+    for args in (("check",), ("check", "--bogus", "x.json"), ("frobnicate",)):
+        r = run_bol(*args)
+        assert r.returncode == 3, args
+        assert r.stdout == "" and r.stderr.startswith("usage: bol"), args
+
+
+def test_help_exits_0():
+    for args in (("--help",), ("check", "--help")):
+        r = run_bol(*args)
+        assert r.returncode == 0 and r.stdout.startswith("usage: bol"), args

@@ -8,10 +8,10 @@ from support import spy_on_cache, transport, unimodular_basis
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra, direct_sum, prod_span, tri_span
-from bolalg.decompose import decompose_semisimple, find_proper_ideal, structure_report, verify_reassembly
+from bolalg.decompose import Decomposition, decompose_semisimple, find_proper_ideal, structure_report, verify_reassembly
 from bolalg.errors import PreconditionViolation
 from bolalg.forms import BilinearForm, envelope_form
-from bolalg.linalg import full_space, intersect
+from bolalg.linalg import basis_vec, full_space, intersect, span
 from bolalg.radical import is_simple
 
 RADICAL = importlib.import_module("bolalg.radical")
@@ -291,3 +291,35 @@ def test_public_searches_are_not_cache_objects():
     # a wrapper around a public name (tracing, counting) must see every call, cache hits included
     for fn in (is_simple, decompose_semisimple):
         assert not hasattr(fn, "cache_info")
+
+
+def _sl2_so3_decomposition():
+    B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
+    return B, decompose_semisimple(B)
+
+
+@pytest.mark.parametrize("keep_binary", [False, True])
+def test_verify_reassembly_rejects_a_wrong_component_tensor(keep_binary):
+    B, dec = _sl2_so3_decomposition()
+    first = dec.components[0]
+    wrong = BolAlgebra.from_tensors(3, first.T, BolAlgebra.zero(3).R) if keep_binary else BolAlgebra.zero(3)
+    assert not verify_reassembly(B, dataclasses.replace(dec, components=(wrong, dec.components[1])))
+
+
+def test_verify_reassembly_rejects_a_nonzero_cross_product():
+    # span{e0} and span{e1} of solv2 are each a one-dimensional zero algebra, but e0*e1 = e0
+    B = catalog("solv2")
+    frames = tuple(span([basis_vec(i, 2)], 2) for i in range(2))
+    line = catalog("abelian1")
+    dec = Decomposition((line, line), frames, BilinearForm.identity_gram(2), ((True, True), (True, True)), True)
+    assert not verify_reassembly(B, dec)
+
+
+def test_verify_reassembly_rejects_dimensions_that_do_not_sum_to_n():
+    B, dec = _sl2_so3_decomposition()
+    assert not verify_reassembly(B, dataclasses.replace(dec, components=dec.components[:1], embeddings=dec.embeddings[:1]))
+
+
+def test_verify_reassembly_rejects_a_component_of_the_wrong_dimension():
+    B, dec = _sl2_so3_decomposition()
+    assert not verify_reassembly(B, dataclasses.replace(dec, components=(dec.components[0], catalog("solv2"))))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import re
 from fractions import Fraction
@@ -9,6 +10,7 @@ from support import collect_ideals, mutate_ternary
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import summand_embeddings
 from bolalg.envelope import (
+    EmbeddingReport,
     PairEndo,
     envelope,
     h_closure,
@@ -351,3 +353,31 @@ def test_envelope_rejects_an_inner_pair_outside_h(monkeypatch):
     monkeypatch.setattr(ENVELOPE, "h_closure", lambda B: h_closure(B)[1:])
     with pytest.raises(FatalInconsistency, match="bracket left the pair closure"):
         envelope.__wrapped__(B)
+
+
+def _bumped_envelope(name, i, j, k, by=F(1)):
+    """The envelope of a catalog entry with C[i][j][k] raised by `by` (and C[j][i][k] lowered)."""
+    E = envelope(catalog(name))
+    C = [[list(v) for v in plane] for plane in E.lie.C]
+    C[i][j][k] += by
+    C[j][i][k] -= by
+    return dataclasses.replace(E, lie=LieAlgebra.from_constants(E.lie.m, C, E.lie.labels))
+
+
+@pytest.mark.parametrize(
+    "bump, report",
+    [
+        # a B-part in [e_i, e_j]: the closure relation fails first
+        ((0, 1, 0), EmbeddingReport(False, False, True, True, (0, 1))),
+        ((1, 2, 2), EmbeddingReport(False, False, True, True, (1, 2))),
+        # a wrong B-part, then a stray h-part, of [e_k, h]: the action relation
+        ((0, 3, 0), EmbeddingReport(False, True, False, True, (0, 1, 0))),
+        ((2, 4, 1), EmbeddingReport(False, True, False, True, (0, 2, 2))),
+        ((0, 3, 4), EmbeddingReport(False, True, False, True, (0, 1, 0))),
+        # a wrong h-h bracket: only the derivation relation sees it
+        ((3, 4, 3), EmbeddingReport(False, True, True, False, (0, 1, 0, 2))),
+        ((4, 5, 0), EmbeddingReport(False, True, True, False, (0, 2, 1, 2))),
+    ],
+)
+def test_standard_embedding_check_reports_the_first_failing_relation(bump, report):
+    assert standard_embedding_check(_bumped_envelope("lts_sl2", *bump)) == report

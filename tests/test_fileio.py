@@ -1,11 +1,14 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from bolalg.catalog import catalog, catalog_names
+from bolalg.core import BolAlgebra
 from bolalg.envelope import envelope
-from bolalg.errors import DocumentError
+from bolalg.errors import DocumentError, PreconditionViolation
 from bolalg.fileio import emit_bol_document, emit_lie_document, parse_bol_document, parse_lie_document
+from bolalg.lie import LieAlgebra
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -147,3 +150,17 @@ def test_emitted_entries_are_sorted():
         keys = [tuple(e[:-1]) for e in doc[section]]
         assert keys == sorted(keys)
     assert list(doc) == ["name", "dim", "basis", "binary", "ternary"]
+
+
+def test_emit_refuses_tensors_the_format_cannot_hold():
+    # a document stores i < j only, so T[0][0] and T[1][0] would be read back as 0 and -e0
+    Z = [[[[0, 0]] * 2] * 2] * 2
+    B = BolAlgebra.from_tensors(2, [[[1, 0], [1, 0]], [[0, 0], [0, 0]]], Z)
+    with pytest.raises(PreconditionViolation, match=re.escape("T[0][0]")):
+        emit_bol_document(B, "bad")
+    R = [[[[0, 0], [0, 0]], [[0, 0], [0, 1]]], [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]]
+    with pytest.raises(PreconditionViolation, match=re.escape("R[0][1]")):
+        emit_bol_document(BolAlgebra.from_tensors(2, [[[0, 0]] * 2] * 2, R), "bad")
+    C = [[[0, 0], [0, 1]], [[0, 0], [0, 0]]]
+    with pytest.raises(PreconditionViolation, match=re.escape("C[0][1]")):
+        emit_lie_document(LieAlgebra.from_constants(2, C), "bad")
