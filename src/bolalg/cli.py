@@ -1,9 +1,18 @@
 """Command-line interface.
 
-Commands: check, info, radical, envelope, decompose, examples.
-Exit codes: 0 success/decided, 1 not a Bol algebra or verification
-failure, 2 undecided/uncertified result, 3 input error (a malformed
-document or command line).  All numbers in any output are exact
+Each subcommand takes the flags its handler reads, and no other:
+
+    bol check FILE      [--json]
+    bol info FILE       [--json] [--form] [--invariance] [--ideal-mode]
+    bol radical FILE    [--json] [--form]
+    bol envelope FILE   [--json] [--emit PATH] [--seed N]
+    bol decompose FILE  [--json] [--form] [--invariance] [--seed N]
+    bol examples NAME   [--emit PATH]
+
+`COMMANDS` holds this table and also dispatches; any other flag is a
+usage error.  Exit codes: 0 success/decided, 1 not a Bol algebra or
+verification failure, 2 undecided/uncertified result, 3 input error (a
+malformed document or command line).  All numbers in any output are exact
 fraction strings; there are no floats.
 """
 
@@ -293,46 +302,49 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+# The flags a subcommand can take, with their argparse settings.
+FLAGS = {
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+    "--emit": {"metavar": "PATH", "default": None, "help": "write an output document here"},
+    "--seed": {"type": int, "default": DEFAULT_SEED, "help": "seed for randomized searches"},
+    "--form": {"choices": ("env", "prop1"), "default": "env", "help": "which Killing-Ricci construction to use"},
+    "--invariance": {"choices": ("skew", "paper"), "default": "skew", "help": "ternary invariance variant"},
+    "--ideal-mode": {"choices": ("def2", "def3"), "default": "def2", "help": "ideal test used in reports"},
+}
+
+_FILE = ("file", "Bol algebra JSON file")
+
+# Each subcommand: its handler, its help, its positional argument and
+# the flags the handler reads.  The parser offers exactly these.
+COMMANDS = {
+    "check": (cmd_check, "verify the defining identities", _FILE, ("--json",)),
+    "info": (cmd_info, "center, derived series, forms", _FILE, ("--json", "--form", "--invariance", "--ideal-mode")),
+    "radical": (cmd_radical, "radical with certificates", _FILE, ("--json", "--form")),
+    "envelope": (cmd_envelope, "construct and verify the enveloping Lie algebra", _FILE, ("--json", "--emit", "--seed")),
+    "decompose": (cmd_decompose, "split into orthogonal simple ideals", _FILE, ("--json", "--form", "--invariance", "--seed")),
+    "examples": (cmd_examples, "emit a catalog algebra", ("name", f"one of: {', '.join(catalog_names())}"), ("--emit",)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bol",
         description="Exact computer algebra for finite-dimensional Bol algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, file_arg=True):
-        if file_arg:
-            p.add_argument("file", help="Bol algebra JSON file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--emit", metavar="PATH", default=None, help="write an output document here")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized searches")
-        p.add_argument("--form", choices=("env", "prop1"), default="env", help="which Killing-Ricci construction to use")
-        p.add_argument("--invariance", choices=("skew", "paper"), default="skew", help="ternary invariance variant")
-        p.add_argument("--ideal-mode", choices=("def2", "def3"), default="def2", help="ideal test used in reports")
-
-    common(sub.add_parser("check", help="verify the defining identities"))
-    common(sub.add_parser("info", help="center, derived series, forms"))
-    common(sub.add_parser("radical", help="radical with certificates"))
-    common(sub.add_parser("envelope", help="construct and verify the enveloping Lie algebra"))
-    common(sub.add_parser("decompose", help="split into orthogonal simple ideals"))
-    ex = sub.add_parser("examples", help="emit a catalog algebra")
-    ex.add_argument("name", help=f"one of: {', '.join(catalog_names())}")
-    common(ex, file_arg=False)
+    for command, (handler, help_text, (arg, arg_help), flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument(arg, help=arg_help)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "check": cmd_check,
-        "info": cmd_info,
-        "radical": cmd_radical,
-        "envelope": cmd_envelope,
-        "decompose": cmd_decompose,
-        "examples": cmd_examples,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except DocumentError as exc:
         field = f" (at {exc.field})" if exc.field else ""
         print(f"input error{field}: {exc}", file=sys.stderr)

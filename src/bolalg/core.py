@@ -75,10 +75,10 @@ class BolAlgebra:
         return BolAlgebra(n, labels, freeze3(T, n, "T"), _freeze4(R, n))
 
     @staticmethod
-    def zero(n: int, labels=None) -> BolAlgebra:
+    def zero(n: int) -> BolAlgebra:
         T = [[[0] * n for _ in range(n)] for _ in range(n)]
         R = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        return BolAlgebra.from_tensors(n, T, R, labels)
+        return BolAlgebra.from_tensors(n, T, R)
 
     def __hash__(self) -> int:
         return self._hash
@@ -408,7 +408,7 @@ def center(B: BolAlgebra) -> Subspace:
     return kernel_of(tuple(constraints), B.n)
 
 
-def quotient(B: BolAlgebra, I: Subspace, labels=None) -> BolAlgebra:
+def quotient(B: BolAlgebra, I: Subspace) -> BolAlgebra:
     """Quotient algebra on the complement of a proper def2-ideal.
 
     The complement basis is the set of standard basis vectors at the
@@ -433,30 +433,28 @@ def quotient(B: BolAlgebra, I: Subspace, labels=None) -> BolAlgebra:
 
     comp, T = complement_constants(I, B.T, 3)
     _, R = complement_constants(I, B.R, 4)
-    if labels is None:
-        labels = tuple(B.labels[j] for j in comp)
-    return BolAlgebra.from_tensors(len(comp), T, R, labels)
+    return BolAlgebra.from_tensors(len(comp), T, R, tuple(B.labels[j] for j in comp))
 
 
-def restrict(B: BolAlgebra, I: Subspace, labels=None) -> BolAlgebra:
-    """Re-express the products on a basis of a subsystem I."""
+def restrict(B: BolAlgebra, I: Subspace) -> BolAlgebra:
+    """Re-express the products on a basis of a subsystem I.
+
+    Raises NotASubsystem at the first product of basis vectors of I
+    that leaves I.
+    """
     _check_ambient(B, I)
-    if not is_subsystem(B, I):
-        raise NotASubsystem("restriction requires a subsystem")
     m = I.dim
     rows = I.basis
 
     def coords(v: Vec) -> Vec:
         c = I.coords(v)
         if c is None:
-            raise NotASubsystem("product left the subsystem")
+            raise NotASubsystem("restriction requires a subsystem")
         return c
 
     T = [[coords(B.binary(rows[p], rows[q])) for q in range(m)] for p in range(m)]
     R = [[[coords(B.ternary(rows[p], rows[q], rows[r])) for r in range(m)] for q in range(m)] for p in range(m)]
-    if labels is None:
-        labels = tuple(f"v{i}" for i in range(m))
-    return BolAlgebra.from_tensors(m, T, R, labels)
+    return BolAlgebra.from_tensors(m, T, R, tuple(f"v{i}" for i in range(m)))
 
 
 def direct_sum(B1: BolAlgebra, B2: BolAlgebra) -> BolAlgebra:

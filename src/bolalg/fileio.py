@@ -48,10 +48,6 @@ def _parse_scalar(x, field: str) -> Fraction:
     raise DocumentError(f"{field}: scalars must be integers or fraction strings, got {type(x).__name__}", field)
 
 
-def _render_scalar(f: Fraction) -> str:
-    return str(f)
-
-
 def _render_document(pairs) -> str:
     """Canonical layout: one key per line, sparse entries one per line."""
     lines = ["{"]
@@ -59,17 +55,14 @@ def _render_document(pairs) -> str:
         comma = "," if idx < len(pairs) - 1 else ""
         if kind == "plain":
             lines.append(f'  "{key}": {json.dumps(value)}{comma}')
-        elif kind == "entries":
-            if not value:
-                lines.append(f'  "{key}": []{comma}')
-            else:
-                lines.append(f'  "{key}": [')
-                for epos, entry in enumerate(value):
-                    ecomma = "," if epos < len(value) - 1 else ""
-                    lines.append(f"    {json.dumps(entry)}{ecomma}")
-                lines.append(f"  ]{comma}")
-        else:  # pragma: no cover - internal misuse
-            raise ValueError(kind)
+        elif not value:
+            lines.append(f'  "{key}": []{comma}')
+        else:
+            lines.append(f'  "{key}": [')
+            for epos, entry in enumerate(value):
+                ecomma = "," if epos < len(value) - 1 else ""
+                lines.append(f"    {json.dumps(entry)}{ecomma}")
+            lines.append(f"  ]{comma}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -155,58 +148,52 @@ def parse_bol_document(text: str) -> tuple[BolAlgebra, str]:
     return BolAlgebra.from_tensors(dim, T, R, basis), name
 
 
-def _require_antisymmetric(t, name: str) -> None:
-    """Raise unless t[j][i] = -t[i][j] for all i <= j: a document holds only i < j and implies the rest."""
+def _upper_entries(t, name: str) -> list:
+    """The entries [i, j, ..., coeff] of t's nonzero coefficients with i < j, in index order.
+
+    A document holds only i < j and implies the rest, so this raises at
+    the first i <= j where t[j][i] is not -t[i][j]; past that check a
+    diagonal t[i][i] is zero and yields no entry.
+    """
+    entries = []
     for i in range(len(t)):
         for j in range(i, len(t)):
-            if t[j][i] != tuple(-c for c in t[i][j]):
+            cells = _cells(t[i][j])
+            if _cells(t[j][i]) != [(idx, -c) for idx, c in cells]:
                 raise PreconditionViolation(
                     f"{name}[{i}][{j}] is not -{name}[{j}][{i}]; a document holds only i < j and implies the rest"
                 )
+            entries += [[i, j, *idx, str(c)] for idx, c in cells if c != 0]
+    return entries
+
+
+def _cells(x, idx: tuple = ()) -> list:
+    """(index tuple, scalar) for every scalar of a nested tuple, in index order."""
+    if not isinstance(x, tuple):
+        return [(idx, x)]
+    return [cell for k, y in enumerate(x) for cell in _cells(y, (*idx, k))]
 
 
 def emit_bol_document(B: BolAlgebra, name: str) -> str:
     """Canonical serialization of a Bol algebra; T and R must be antisymmetric in their first two slots."""
-    _require_antisymmetric(B.T, "T")
-    _require_antisymmetric([[sum(plane, ()) for plane in cube] for cube in B.R], "R")
-    binary = []
-    for i in range(B.n):
-        for j in range(i + 1, B.n):
-            for k in range(B.n):
-                if B.T[i][j][k] != 0:
-                    binary.append([i, j, k, _render_scalar(B.T[i][j][k])])
-    ternary = []
-    for i in range(B.n):
-        for j in range(i + 1, B.n):
-            for k in range(B.n):
-                for l in range(B.n):
-                    if B.R[i][j][k][l] != 0:
-                        ternary.append([i, j, k, l, _render_scalar(B.R[i][j][k][l])])
     return _render_document(
         [
             ("name", "plain", name),
             ("dim", "plain", B.n),
             ("basis", "plain", list(B.labels)),
-            ("binary", "entries", binary),
-            ("ternary", "entries", ternary),
+            ("binary", "entries", _upper_entries(B.T, "T")),
+            ("ternary", "entries", _upper_entries(B.R, "R")),
         ]
     )
 
 
 def emit_lie_document(L: LieAlgebra, name: str, env: EnvelopingLie | None = None) -> str:
     """Canonical serialization of a Lie algebra, optionally with envelope data; C must be antisymmetric."""
-    _require_antisymmetric(L.C, "C")
-    brackets = []
-    for i in range(L.m):
-        for j in range(i + 1, L.m):
-            for k in range(L.m):
-                if L.C[i][j][k] != 0:
-                    brackets.append([i, j, k, _render_scalar(L.C[i][j][k])])
     pairs = [
         ("name", "plain", name),
         ("dim", "plain", L.m),
         ("basis", "plain", list(L.labels)),
-        ("brackets", "entries", brackets),
+        ("brackets", "entries", _upper_entries(L.C, "C")),
     ]
     if env is not None:
         pairs.append(("b_dim", "plain", env.b_dim))
@@ -216,8 +203,8 @@ def emit_lie_document(L: LieAlgebra, name: str, env: EnvelopingLie | None = None
                 "entries",
                 [
                     {
-                        "pi": [[_render_scalar(c) for c in row] for row in P.pi],
-                        "comp": [_render_scalar(c) for c in P.comp],
+                        "pi": [[str(c) for c in row] for row in P.pi],
+                        "comp": [str(c) for c in P.comp],
                     }
                     for P in env.h_basis
                 ],

@@ -57,10 +57,10 @@ class BilinearForm:
         return acc
 
     @staticmethod
-    def identity_gram(n: int, provenance: str = "user") -> BilinearForm:
+    def identity_gram(n: int) -> BilinearForm:
         from bolalg.linalg import identity
 
-        return BilinearForm(identity(n), provenance)
+        return BilinearForm(identity(n))
 
 
 @dataclass(frozen=True)

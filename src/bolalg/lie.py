@@ -180,14 +180,12 @@ def lie_is_semisimple(L: LieAlgebra) -> bool:
     return rank(killing_gram(L)) == L.m
 
 
-def lie_quotient(L: LieAlgebra, I: Subspace, labels=None) -> LieAlgebra:
+def lie_quotient(L: LieAlgebra, I: Subspace) -> LieAlgebra:
     """Quotient Lie algebra on the complement of an ideal."""
     if not lie_is_ideal(L, I):
         raise NotAnIdeal("quotient requires a Lie ideal")
     comp, C = complement_constants(I, L.C, 3)
-    if labels is None:
-        labels = tuple(L.labels[j] for j in comp)
-    return LieAlgebra.from_constants(len(comp), C, labels)
+    return LieAlgebra.from_constants(len(comp), C, tuple(L.labels[j] for j in comp))
 
 
 def lie_direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:

@@ -155,24 +155,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(sum((x * y for x, y in zip(row, col) if x != 0), ZERO) for col in bt) for row in a)
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(r, s, strict=True)) for r, s in zip(a, b, strict=True))
-
-
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x - y for x, y in zip(r, s, strict=True)) for r, s in zip(a, b, strict=True))
 
 
-def mat_scale(c: Fraction, m: Mat) -> Mat:
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
 def commutator(a: Mat, b: Mat) -> Mat:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def trace(m: Mat) -> Fraction:
-    return sum((m[i][i] for i in range(len(m))), ZERO)
 
 
 def rref(m: Mat) -> Mat:
@@ -457,15 +445,21 @@ def charpoly(m: Mat) -> tuple[Fraction, ...]:
     """Characteristic polynomial det(xI - m) via Faddeev-LeVerrier.
 
     Returns monic coefficients (c_0, ..., c_n) for c_0 x^n + ... + c_n with c_0 = 1.
+    Summed in ints: with d the lcm of m's denominators, A = d*m is integral,
+    so are its A_k and c_k (the division by k is exact), and c_k(m) = c_k(A)/d^k.
     """
     n = len(m)
+    flat, d = integral([c for row in m for c in row])
+    a = [flat[i * n : (i + 1) * n] for i in range(n)]
     coeffs = [ONE]
-    mk = m
+    ak = a
     for k in range(1, n + 1):
-        ck = -trace(mk) / k
-        coeffs.append(ck)
+        ck = -sum(ak[i][i] for i in range(n)) // k
+        coeffs.append(Fraction(ck, d**k))
         if k < n:
-            mk = mat_mul(m, mat_add(mk, mat_scale(ck, identity(n))))
+            # A_{k+1} = A (A_k + c_k I)
+            rows = [nonzero_row(r) for r in ak]
+            ak = [[x + ck * y for x, y in zip(combine(row, rows, n), row)] for row in a]
     return tuple(coeffs)
 
 

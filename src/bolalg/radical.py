@@ -31,11 +31,8 @@ from bolalg.linalg import (
     charpoly,
     closure,
     full_space,
-    identity,
     intersect,
     kernel,
-    mat_sub,
-    mat_scale,
     mat_vec,
     nonzero_row,
     rational_roots,
@@ -57,9 +54,8 @@ def _form_for(B: BolAlgebra, kind: str) -> BilinearForm:
     raise ValueError(f"unknown form kind {kind!r}")
 
 
-def _candidate_form_orthogonal(B: BolAlgebra, kind: str, override: BilinearForm | None = None) -> Subspace:
-    form = override if override is not None else _form_for(B, kind)
-    return left_perp(form, derived_space(B, full_space(B.n)))
+def _candidate_form_orthogonal(B: BolAlgebra, kind: str) -> Subspace:
+    return left_perp(_form_for(B, kind), derived_space(B, full_space(B.n)))
 
 
 def _candidate_envelope_intersection(B: BolAlgebra) -> Subspace:
@@ -122,13 +118,12 @@ def _certify(B: BolAlgebra, name: str, cand: Subspace, recheck) -> StrategyCerti
     return StrategyCertificate(name, cand, ideal_ok, solv_ok, quot_ok)
 
 
-def radical(B: BolAlgebra, form: BilinearForm | None = None, form_kind: str = "env") -> RadicalCertificate:
+def radical(B: BolAlgebra, form_kind: str = "env") -> RadicalCertificate:
     """Radical of B with a full certificate.
 
     `form_kind` selects which Killing-Ricci construction backs the
     form-orthogonal strategy ("env" is normative; "prop1" is the trace
-    form).  An explicit `form` overrides it at the top level only;
-    quotient re-checks always recompute the selected constructor.
+    form); quotient re-checks recompute it on the quotient.
     """
     require_verified(B)
 
@@ -139,7 +134,7 @@ def radical(B: BolAlgebra, form: BilinearForm | None = None, form_kind: str = "e
             return StrategyCertificate(name, None, error=f"{type(exc).__name__}: {exc}")
         return _certify(B, name, cand, cand_fn)
 
-    s1 = run("form-orthogonal", lambda A: _candidate_form_orthogonal(A, form_kind, override=form if A is B else None))
+    s1 = run("form-orthogonal", lambda A: _candidate_form_orthogonal(A, form_kind))
     s2 = run("envelope-intersection", _candidate_envelope_intersection)
 
     if s1.certified and s2.certified:
@@ -227,7 +222,7 @@ def _is_simple(B: BolAlgebra, n_random: int, seed: int) -> SimplicityResult:
     certified = False
     for m in candidates:
         for lam in rational_roots(charpoly(m)):
-            shifted = mat_sub(m, mat_scale(lam, identity(n)))
+            shifted = tuple(tuple(x - lam if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m))
             ker = kernel(shifted)
             if ker.is_zero():
                 continue

@@ -1,7 +1,10 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -208,3 +211,48 @@ def test_help_exits_0():
     for args in (("--help",), ("check", "--help")):
         r = run_bol(*args)
         assert r.returncode == 0 and r.stdout.startswith("usage: bol"), args
+
+
+# The flags each subcommand's handler reads; the CLI offers these and no other.
+ROWS = {
+    "check": ("--json",),
+    "info": ("--json", "--form", "--invariance", "--ideal-mode"),
+    "radical": ("--json", "--form"),
+    "envelope": ("--json", "--emit", "--seed"),
+    "decompose": ("--json", "--form", "--invariance", "--seed"),
+    "examples": ("--emit",),
+}
+FLAG_VALUES = {
+    "--json": (),
+    "--emit": ("out.json",),
+    "--seed": ("5",),
+    "--form": ("prop1",),
+    "--invariance": ("paper",),
+    "--ideal-mode": ("def3",),
+}
+UNREAD = [(cmd, flag) for cmd, row in ROWS.items() for flag in FLAG_VALUES if flag not in row]
+
+
+@pytest.mark.parametrize("cmd,flag", UNREAD, ids=[f"{c}{f}" for c, f in UNREAD])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(cmd, flag, tmp_path, capsys):
+    from bolalg.cli import main
+
+    target = "abelian2" if cmd == "examples" else str(FIXTURES / "undecided_radical.json")
+    values = [str(tmp_path / v) if flag == "--emit" else v for v in FLAG_VALUES[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, target, flag, *values])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3
+    assert out == "" and err.startswith("usage: bol") and f"unrecognized arguments: {flag}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", ROWS)
+def test_help_lists_exactly_the_flags_the_subcommand_reads(cmd, capsys):
+    from bolalg.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert re.findall(r"^  (?:-h, )?(--[a-z-]+)", out, re.M) == ["--help", *ROWS[cmd]]

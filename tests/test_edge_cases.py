@@ -80,3 +80,9 @@ def test_dimension_one_abelian():
     assert cert.decided and cert.radical == full_space(1)
     res = is_simple(B)
     assert res.status == "no" and res.witness is None
+
+
+def test_restrict_names_the_missing_subsystem():
+    B = catalog("sl2bol")
+    with pytest.raises(NotASubsystem, match="^restriction requires a subsystem$"):
+        restrict(B, span([vec([1, 0, 0]), vec([0, 1, 0])], 3))

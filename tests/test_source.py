@@ -1,5 +1,6 @@
 """Source hygiene of the package: every top-level import of a module is used in it."""
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -32,3 +33,33 @@ def test_top_level_imports_are_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used_names(tree)
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+def _args_read(functions: dict, name: str) -> set[str]:
+    """The `args.<attr>` names read by module function `name` and by the module functions it hands `args` to."""
+    read = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in functions
+            and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)
+        ):
+            read |= _args_read(functions, node.func.id)
+    return read
+
+
+def test_each_subcommand_declares_exactly_the_arguments_its_handler_reads():
+    # a flag that no handler reads would be accepted and silently change nothing
+    from bolalg.cli import _build_parser
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == {"check", "info", "radical", "envelope", "decompose", "examples"}
+    for name, parser in commands.choices.items():
+        declared = {a.dest for a in parser._actions if a.dest != "help"}
+        handler = parser.get_default("handler")
+        assert declared == _args_read(functions, handler.__name__), name
