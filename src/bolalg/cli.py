@@ -10,7 +10,7 @@ Each subcommand takes the flags its handler reads, and no other:
     bol examples NAME   [--emit PATH]
 
 `COMMANDS` holds this table and also dispatches; any other flag is a
-usage error.  Exit codes: 0 success/decided, 1 not a Bol algebra or
+usage error, shown with the subcommand's usage.  Exit codes: 0 success/decided, 1 not a Bol algebra or
 verification failure, 2 undecided/uncertified result, 3 input error (a
 malformed document or command line).  All numbers in any output are exact
 fraction strings; there are no floats.
@@ -337,12 +337,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(arg, help=arg_help)
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # argparse hands a subcommand's unknown flags to the top parser; that subcommand reports them
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.handler(args)
     except DocumentError as exc:

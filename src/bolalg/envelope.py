@@ -43,18 +43,15 @@ from bolalg.linalg import (
     basis_vec,
     closure,
     combine,
-    commutator,
     derived_chain,
     failures,
     full_space,
     integral,
     is_zero_vec,
-    mat_vec,
     nonzero_row,
     span,
     transpose,
     unscaled,
-    vec_add,
     vec_sub,
     zero_mat,
     zero_vec,
@@ -110,8 +107,7 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
     `core.ternary_rule_defect`.
     """
     n = B.n
-    if len(P.pi) != n or any(len(row) != n for row in P.pi) or len(P.comp) != n:
-        raise DimensionMismatch(f"pair of size {len(P.pi)}/{len(P.comp)} in algebra of dimension {n}")
+    _check_pair(B, P)
     d, T, R = B.integer_rows
     (A, a), e = _integral_pair(P)
     pb = [nonzero_row([d * row[i] for row in A]) for i in range(n)]  # Pi e_i
@@ -148,22 +144,27 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
     return PseudoDerivationReport(True, True, True)
 
 
+def _check_pair(B: BolAlgebra, P: PairEndo) -> None:
+    n = B.n
+    if len(P.pi) != n or any(len(row) != n for row in P.pi) or len(P.comp) != n:
+        raise DimensionMismatch(f"pair of size {len(P.pi)}/{len(P.comp)} in algebra of dimension {n}")
+
+
 def inner_pair(B: BolAlgebra, x: Vec, y: Vec) -> PairEndo:
     """The pair (L(x,y), x*y) attached to two algebra elements."""
     return PairEndo(B.left_op(x, y), B.binary(x, y))
 
 
 def pair_bracket(B: BolAlgebra, P: PairEndo, Q: PairEndo) -> PairEndo:
-    """Commutator of pairs with the component rule of the pair algebra.
+    """Commutator of pairs with the component rule of the pair algebra, ([A,A'], a*a' + Aa' - A'a).
 
-    pi   = P.pi Q.pi - Q.pi P.pi
-    comp = P.comp * Q.comp + P.pi(Q.comp) - Q.pi(P.comp)
+    It is the induced bracket plus the inner pair of the components:
+    ([A,A'] - L(a,a'), Aa' - A'a) + (L(a,a'), a*a').
     """
-    pi = commutator(P.pi, Q.pi)
-    comp = B.binary(P.comp, Q.comp)
-    comp = vec_add(comp, mat_vec(P.pi, Q.comp))
-    comp = vec_sub(comp, mat_vec(Q.pi, P.comp))
-    return PairEndo(pi, comp)
+    _check_pair(B, P)
+    _check_pair(B, Q)
+    S, L = induced_bracket(B, P, Q), inner_pair(B, P.comp, Q.comp)
+    return PairEndo.unflatten(tuple(x + y for x, y in zip(S.flatten(), L.flatten())), B.n)
 
 
 def induced_bracket(B: BolAlgebra, P: PairEndo, Q: PairEndo) -> PairEndo:

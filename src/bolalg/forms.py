@@ -24,8 +24,10 @@ from functools import lru_cache
 from itertools import product
 
 from bolalg.core import BolAlgebra, center, prod_span, tri_span
+from bolalg.envelope import envelope
 from bolalg.errors import DimensionMismatch
-from bolalg.linalg import Mat, Subspace, ZERO, failures, full_space, integral, kernel_of, mat_vec, rank, transpose
+from bolalg.lie import killing_gram
+from bolalg.linalg import Mat, Subspace, ZERO, failures, full_space, identity, integral, kernel_of, mat_vec, rank, transpose
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,6 @@ class BilinearForm:
 
     @staticmethod
     def identity_gram(n: int) -> BilinearForm:
-        from bolalg.linalg import identity
-
         return BilinearForm(identity(n))
 
 
@@ -136,9 +136,6 @@ def trace_form(B: BolAlgebra) -> BilinearForm:
 @lru_cache(maxsize=None)
 def envelope_form(B: BolAlgebra) -> BilinearForm:
     """Killing form of the enveloping Lie algebra restricted to B."""
-    from bolalg.envelope import envelope
-    from bolalg.lie import killing_gram
-
     E = envelope(B)
     g = killing_gram(E.lie)
     n = B.n

@@ -28,6 +28,7 @@ from bolalg.linalg import (
     mat_vec,
     multilinear,
     nonzero_row,
+    rank,
     scaled_rows,
     sized,
     span,
@@ -134,7 +135,8 @@ def bracket_span(L: LieAlgebra, U: Subspace, V: Subspace) -> Subspace:
 
 
 def lie_is_ideal(L: LieAlgebra, S: Subspace) -> bool:
-    return bracket_span(L, S, full_space(L.m)) <= S
+    """[S, L] <= S; the full space needs no check."""
+    return S.is_full() or bracket_span(L, S, full_space(L.m)) <= S
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,6 @@ def lie_radical(L: LieAlgebra) -> Subspace:
 
 def lie_is_semisimple(L: LieAlgebra) -> bool:
     """Cartan: semisimple iff the Killing form is nondegenerate."""
-    from bolalg.linalg import rank
-
     if L.m == 0:
         return True
     return rank(killing_gram(L)) == L.m

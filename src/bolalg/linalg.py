@@ -110,10 +110,6 @@ def is_zero_vec(v: Vec) -> bool:
     return all(c == 0 for c in v)
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
@@ -146,21 +142,6 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     if m and len(m[0]) != len(v):
         raise DimensionMismatch(f"matrix has {len(m[0])} columns, vector has {len(v)}")
     return tuple(sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), ZERO) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if a and b and len(a[0]) != len(b):
-        raise DimensionMismatch("inner dimensions disagree")
-    bt = transpose(b)
-    return tuple(tuple(sum((x * y for x, y in zip(row, col) if x != 0), ZERO) for col in bt) for row in a)
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(r, s, strict=True)) for r, s in zip(a, b, strict=True))
-
-
-def commutator(a: Mat, b: Mat) -> Mat:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def rref(m: Mat) -> Mat:

@@ -10,9 +10,14 @@ is believed:
   enveloping algebra.
 
 A candidate R is certified when (i) it is a def2-ideal, (ii) it is
-solvable, and (iii) the same candidate construction on B/R is zero.
+solvable, and (iii) the same candidate construction on B/R is zero;
+a zero or full R passes (iii) at once, as B/0 is B and B/B is zero.
 If both candidates certify they must agree; if neither does, the result
 is honestly `decided=False` with both partial certificates attached.
+
+The simplicity search stops at its first sound certificate, a
+dual-kernel one (Norton's irreducibility test): no later candidate can
+then find a proper ideal.
 """
 
 from __future__ import annotations
@@ -23,8 +28,10 @@ from functools import lru_cache
 from math import lcm
 
 from bolalg.core import BolAlgebra, derived_space, ideal_closure, is_ideal, quotient, require_verified
+from bolalg.envelope import envelope
 from bolalg.errors import BolError, StrategyDisagreement
 from bolalg.forms import BilinearForm, envelope_form, left_perp, trace_form
+from bolalg.lie import lie_radical
 from bolalg.linalg import (
     Subspace,
     basis_vec,
@@ -59,9 +66,6 @@ def _candidate_form_orthogonal(B: BolAlgebra, kind: str) -> Subspace:
 
 
 def _candidate_envelope_intersection(B: BolAlgebra) -> Subspace:
-    from bolalg.envelope import envelope
-    from bolalg.lie import lie_radical
-
     E = envelope(B)
     rad = lie_radical(E.lie)
     b_coords = E.b_subspace()
@@ -105,12 +109,8 @@ def _certify(B: BolAlgebra, name: str, cand: Subspace, recheck) -> StrategyCerti
     quot_ok = False
     if ideal_ok and solv_ok:
         try:
-            if cand.dim == B.n:
-                quot_ok = True  # quotient is the zero algebra
-            elif cand.is_zero():
-                quot_ok = recheck(B).is_zero()
-            else:
-                quot_ok = recheck(quotient(B, cand)).is_zero()
+            # B/B is the zero algebra and B/0 is B, whose candidate is cand itself
+            quot_ok = cand.is_zero() or cand.is_full() or recheck(quotient(B, cand)).is_zero()
         except BolError as exc:
             return StrategyCertificate(
                 name, cand, ideal_ok, solv_ok, False, error=f"quotient re-check: {type(exc).__name__}: {exc}"
@@ -169,9 +169,10 @@ def is_simple(B: BolAlgebra, n_random: int = 32, seed: int = DEFAULT_SEED) -> Si
     basis vectors and of rational eigenvectors of the natural operator
     family (right multiplications and first-slot ternary operators,
     plus seeded random combinations).  A positive answer is only issued
-    through the dual-kernel criterion with one-dimensional kernels,
-    which is sound; otherwise the result is "no" with a witness or
-    "undecided".
+    through the dual-kernel criterion with one-dimensional kernels
+    (Norton's irreducibility test), which is sound, so the search
+    returns "yes" at its first certificate; otherwise the result is
+    "no" with a witness or "undecided".
 
     The search runs once per (algebra, n_random, seed): equal algebras
     share one result, however the arguments are passed.
@@ -219,34 +220,23 @@ def _is_simple(B: BolAlgebra, n_random: int, seed: int) -> SimplicityResult:
         if 0 < cl.dim < n:
             return SimplicityResult("no", cl, seed, f"closure of basis vector {i}")
 
-    certified = False
+    ops_t = [transpose(op) for op in ops]
     for m in candidates:
         for lam in rational_roots(charpoly(m)):
             shifted = tuple(tuple(x - lam if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m))
             ker = kernel(shifted)
-            if ker.is_zero():
-                continue
-            full_primal = True
             for v in ker.basis:
                 cl = ideal_closure(B, span([v], n))
                 if 0 < cl.dim < n:
                     return SimplicityResult("no", cl, seed, f"eigenvector closure at eigenvalue {lam}")
-                full_primal = full_primal and cl.dim == n
-            if ker.dim == 1 and full_primal:
-                ops_t = [transpose(op) for op in ops]
-                ker_t = kernel(transpose(shifted))
-                dual_full = True
-                for w in ker_t.basis:
-                    dual = closure(span([w], n), lambda s: (mat_vec(op, v) for v in s.basis for op in ops_t))
-                    if dual.dim < n:
-                        # annihilator of a proper dual-invariant subspace is a proper ideal
-                        rows = tuple(dual.basis)
-                        ann = kernel(rows)
-                        if 0 < ann.dim < n and is_ideal(B, ann, "def2"):
-                            return SimplicityResult("no", ann, seed, "annihilator of dual-invariant subspace")
-                        dual_full = False
-                if dual_full:
-                    certified = True
-    if certified:
-        return SimplicityResult("yes", None, seed, "dual-kernel criterion")
+            if ker.dim == 1:
+                # the transposed kernel has the same dimension: one vector w
+                (w,) = kernel(transpose(shifted)).basis
+                dual = closure(span([w], n), lambda s: (mat_vec(op, v) for v in s.basis for op in ops_t))
+                if dual.is_full():
+                    return SimplicityResult("yes", None, seed, "dual-kernel criterion")
+                # annihilator of a proper dual-invariant subspace is a proper ideal
+                ann = kernel(tuple(dual.basis))
+                if 0 < ann.dim < n and is_ideal(B, ann, "def2"):
+                    return SimplicityResult("no", ann, seed, "annihilator of dual-invariant subspace")
     return SimplicityResult("undecided", None, seed, "no witness found and no sound certificate available")

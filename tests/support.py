@@ -16,15 +16,12 @@ from bolalg.linalg import (
     Subspace,
     ZERO,
     basis_vec,
-    commutator,
     failures,
     full_space,
-    mat_sub,
     mat_vec,
     rref,
     span,
     transpose,
-    vec_add,
     vec_scale,
     vec_sub,
     zero_space,
@@ -37,6 +34,23 @@ F = Fraction
 # Dense references: the products, the Lie layer, the pair algebra and the
 # linear algebra as they were computed entry by entry in Fractions, straight
 # from the dense tensors, before they read integer rows.
+
+
+def vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(r, s, strict=True)) for r, s in zip(a, b, strict=True))
+
+
+def commutator(a, b):
+    """ab - ba, each product entry summed over the inner index."""
+
+    def mul(x, y):
+        return tuple(tuple(sum((u * v for u, v in zip(row, col)), ZERO) for col in zip(*y)) for row in x)
+
+    return mat_sub(mul(a, b), mul(b, a))
 
 
 def _dense_product(table, vectors, n):
@@ -96,6 +110,12 @@ def reference_killing_gram(L: LieAlgebra):
 def reference_induced_bracket(B: BolAlgebra, P, Q):
     pi = mat_sub(commutator(P.pi, Q.pi), reference_left_op(B, P.comp, Q.comp))
     return PairEndo(pi, vec_sub(mat_vec(P.pi, Q.comp), mat_vec(Q.pi, P.comp)))
+
+
+def reference_pair_bracket(B: BolAlgebra, P, Q):
+    """([A,A'], a*a' + Aa' - A'a) for P = (A, a) and Q = (A', a')."""
+    comp = vec_add(dense_binary(B, P.comp, Q.comp), vec_sub(mat_vec(P.pi, Q.comp), mat_vec(Q.pi, P.comp)))
+    return PairEndo(commutator(P.pi, Q.pi), comp)
 
 
 def reference_fraction_span(vectors, n) -> Subspace:

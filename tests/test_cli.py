@@ -247,6 +247,20 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(cmd, flag, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("cmd,flag", UNREAD, ids=[f"{c}{f}" for c, f in UNREAD])
+def test_an_unread_flag_shows_the_usage_of_its_subcommand(cmd, flag, tmp_path, capsys):
+    from bolalg.cli import main
+
+    target = "abelian2" if cmd == "examples" else str(FIXTURES / "undecided_radical.json")
+    values = [str(tmp_path / v) if flag == "--emit" else v for v in FLAG_VALUES[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, target, flag, *values])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 3
+    assert err.startswith(f"usage: bol {cmd} ")
+    assert f"bol {cmd}: error: unrecognized arguments: {' '.join([flag, *values])}" in err
+
+
 @pytest.mark.parametrize("cmd", ROWS)
 def test_help_lists_exactly_the_flags_the_subcommand_reads(cmd, capsys):
     from bolalg.cli import main

@@ -83,6 +83,18 @@ def test_pseudo_derivation_rejects_a_pair_of_the_wrong_size(pair):
         is_pseudo_derivation(catalog("sl2bol"), pair)
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [PairEndo.zero(2), PairEndo(zero_mat(3, 2), zero_vec(3)), PairEndo(zero_mat(3, 3), zero_vec(2))],
+)
+def test_pair_bracket_rejects_a_pair_of_the_wrong_size(pair):
+    B = catalog("sl2bol")
+    good = inner_pair(B, B.basis_vec(0), B.basis_vec(1))
+    for P, Q in ((pair, good), (good, pair)):
+        with pytest.raises(DimensionMismatch):
+            pair_bracket(B, P, Q)
+
+
 def test_pair_bracket_self_is_zero():
     B = catalog("sl2bol")
     P = inner_pair(B, B.basis_vec(0), B.basis_vec(1))

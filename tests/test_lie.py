@@ -1,3 +1,4 @@
+import importlib
 import re
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from bolalg.lie import (
     killing_gram,
     lie_derived_series,
     lie_direct_sum,
+    lie_is_ideal,
     lie_is_semisimple,
     lie_is_solvable,
     lie_quotient,
@@ -23,6 +25,8 @@ from bolalg.lie import (
 from bolalg.linalg import basis_vec, full_space, rank, span, vec, zero_space
 
 F = Fraction
+
+LIE = importlib.import_module("bolalg.lie")
 
 SL2 = {(0, 1): (0, 0, 1), (2, 0): (2, 0, 0), (2, 1): (0, -2, 0)}
 HEIS = {(0, 1): (0, 0, 1)}
@@ -174,3 +178,13 @@ def test_direct_sum_and_quotient_invert_each_other():
     assert all(L.C[i][j][k] == 0 for i in range(6) for j in range(6) for k in range(6) if (i < 3) != (j < 3) or (i < 3) != (k < 3))
     Q = lie_quotient(L, span([basis_vec(i, 6) for i in range(3, 6)], 6))
     assert Q.labels == ("l.e", "l.f", "l.h") and Q.C == make_lie(3, SL2).C
+
+
+def test_solvability_brackets_the_full_space_once(monkeypatch):
+    # L is an ideal of itself without a bracket; the derived series forms [L, L] once
+    L = envelope(catalog("sl2bol")).lie
+    calls = []
+    monkeypatch.setattr(LIE, "bracket_span", lambda *args: calls.append(args) or bracket_span(*args))
+    assert lie_is_ideal(L, full_space(L.m)) and calls == []
+    assert not lie_is_solvable(L)
+    assert len(calls) == 1

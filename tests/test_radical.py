@@ -4,14 +4,14 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from support import random_algebra, rational_basis, reference_random_combinations, spy_on_cache, transport
+from support import random_algebra, rational_basis, reference_random_combinations, spy_on_cache, transport, unimodular_basis
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra, direct_sum, summand_embeddings
 from bolalg.decompose import find_proper_ideal
 from bolalg.fileio import parse_bol_document
 from bolalg.linalg import full_space, span, vec, zero_space
-from bolalg.radical import DEFAULT_SEED, _random_combinations, is_semisimple, is_simple, radical
+from bolalg.radical import DEFAULT_SEED, _is_simple, _random_combinations, is_semisimple, is_simple, radical
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # the package exports the function `radical` under the module's name
@@ -218,3 +218,32 @@ def test_integer_combinations_on_transported_catalog(name):
     B = catalog(name)
     assert_combinations_match(B, rng)
     assert_combinations_match(transport(B, rational_basis(rng, B.n)), rng)
+
+
+@pytest.mark.parametrize("basis", ["natural", "unimodular"])
+def test_radical_builds_each_strategy_candidate_once(basis, monkeypatch):
+    # the candidate is zero, and B/0 = B: its quotient check is immediate
+    B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
+    if basis == "unimodular":
+        B = transport(B, unimodular_basis(random.Random("sl2bol+so3bol-radical"), B.n))
+    built = []
+    for name in ("_candidate_form_orthogonal", "_candidate_envelope_intersection"):
+        fn = getattr(RADICAL, name)
+        monkeypatch.setattr(RADICAL, name, lambda *args, fn=fn, name=name: built.append(name) or fn(*args))
+    cert = radical(B)
+    assert cert.decided and cert.strategy == "agreement" and cert.radical == zero_space(6)
+    assert sorted(built) == ["_candidate_envelope_intersection", "_candidate_form_orthogonal"]
+
+
+@pytest.mark.parametrize("name", ["sl2bol", "so3bol", "lts_sl2"])
+def test_simplicity_search_stops_at_its_first_certificate(name, monkeypatch):
+    # by Norton's test a certificate rules out every proper ideal, so no later candidate is tried
+    B = catalog(name)
+    ops = list(B.ideal_operators)
+    candidates = len(ops) + len(_random_combinations(ops, B.n, 32, DEFAULT_SEED))
+    tried = []
+    roots = RADICAL.rational_roots
+    monkeypatch.setattr(RADICAL, "rational_roots", lambda p: tried.append(p) or roots(p))
+    res = _is_simple.__wrapped__(B, 32, DEFAULT_SEED)
+    assert (res.status, res.witness, res.note) == ("yes", None, "dual-kernel criterion")
+    assert 0 < len(tried) < candidates

@@ -26,12 +26,13 @@ from support import (
     reference_jacobi_check,
     reference_killing_gram,
     reference_left_op,
+    reference_pair_bracket,
     transport,
     unimodular_basis,
 )
 
 from bolalg.catalog import catalog, catalog_names
-from bolalg.envelope import PairEndo, envelope, induced_bracket
+from bolalg.envelope import PairEndo, envelope, induced_bracket, pair_bracket
 from bolalg.lie import LieAlgebra, jacobi_check, killing_gram
 from bolalg.linalg import span
 
@@ -118,6 +119,18 @@ def test_bol_products_and_induced_bracket_match_reference(seed, dens):
         P = PairEndo.unflatten(rand_vec(rng, n * n + n), n)
         Q = PairEndo.unflatten(rand_vec(rng, n * n + n, (1, 4, 9)), n)
         assert induced_bracket(B, P, Q) == reference_induced_bracket(B, P, Q)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_pair_bracket_matches_the_dense_formula(name):
+    # pair_bracket is induced_bracket plus the inner pair of the components
+    B = basis_change(name, "rational")
+    rng = random.Random(f"{name}-pair-bracket")
+    n = B.n
+    for _ in range(4):
+        P = PairEndo.unflatten(rand_vec(rng, n * n + n), n)
+        Q = PairEndo.unflatten(rand_vec(rng, n * n + n, (1, 4, 9)), n)
+        assert pair_bracket(B, P, Q) == reference_pair_bracket(B, P, Q)
 
 
 @pytest.mark.parametrize("name", catalog_names())

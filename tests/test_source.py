@@ -1,4 +1,4 @@
-"""Source hygiene of the package: every top-level import of a module is used in it."""
+"""Source hygiene of the package: every top-level import of a module is used in it, and the modules import each other at the top."""
 
 import argparse
 import ast
@@ -33,6 +33,36 @@ def test_top_level_imports_are_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used_names(tree)
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+def _package_imports_in_functions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(function, module) for each `bolalg` import made inside a function or method."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if function is not None:
+                if isinstance(child, ast.ImportFrom) and (child.level or child.module.split(".")[0] == "bolalg"):
+                    found.append((function, "." * child.level + (child.module or "")))
+                elif isinstance(child, ast.Import):
+                    found.extend((function, a.name) for a in child.names if a.name.split(".")[0] == "bolalg")
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_modules_import_each_other_only_at_the_top():
+    # forms -> envelope -> lie, so lie.killing imports BilinearForm when called
+    found = [
+        (path.stem, function, module)
+        for path in MODULES
+        for function, module in _package_imports_in_functions(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("lie", "killing", "bolalg.forms")]
 
 
 def _args_read(functions: dict, name: str) -> set[str]:
