@@ -168,7 +168,7 @@ def lie_radical(L: LieAlgebra) -> Subspace:
     rad = kernel_of(tuple(mat_vec(g, d) for d in derived.basis), L.m)
     if not lie_is_ideal(L, rad):
         raise FatalInconsistency("radical candidate is not an ideal")
-    if not lie_derived_series(L, rad).solvable:
+    if not derived_chain(rad, lambda s: derived_subspace(L, s))[2]:  # lie_derived_series, past its ideal test
         raise FatalInconsistency("radical candidate is not solvable")
     return rad
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from bolalg.core import BolAlgebra, derived_space, ideal_closure, is_ideal, quotient, require_verified
+from bolalg.core import BolAlgebra, derived_space, ideal_closure, ideal_quotient, is_ideal, require_verified
 from bolalg.envelope import envelope
 from bolalg.errors import BolError, StrategyDisagreement
 from bolalg.forms import BilinearForm, envelope_form, left_perp, trace_form
@@ -37,6 +37,7 @@ from bolalg.linalg import (
     basis_vec,
     charpoly,
     closure,
+    derived_chain,
     full_space,
     intersect,
     kernel,
@@ -48,7 +49,6 @@ from bolalg.linalg import (
     transpose,
     unscaled,
 )
-from bolalg.series import is_solvable
 
 DEFAULT_SEED = 20240801
 
@@ -104,13 +104,15 @@ class RadicalCertificate:
 
 
 def _certify(B: BolAlgebra, name: str, cand: Subspace, recheck) -> StrategyCertificate:
+    # The def2 test runs once: the series and the quotient below are those
+    # of `is_solvable` and `quotient`, without their own def2 test.
     ideal_ok = is_ideal(B, cand, "def2")
-    solv_ok = ideal_ok and is_solvable(B, cand)
+    solv_ok = ideal_ok and derived_chain(cand, lambda s: derived_space(B, s))[2]
     quot_ok = False
     if ideal_ok and solv_ok:
         try:
             # B/B is the zero algebra and B/0 is B, whose candidate is cand itself
-            quot_ok = cand.is_zero() or cand.is_full() or recheck(quotient(B, cand)).is_zero()
+            quot_ok = cand.is_zero() or cand.is_full() or recheck(ideal_quotient(B, cand)).is_zero()
         except BolError as exc:
             return StrategyCertificate(
                 name, cand, ideal_ok, solv_ok, False, error=f"quotient re-check: {type(exc).__name__}: {exc}"

@@ -11,10 +11,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from support import mutate_binary, mutate_ternary, random_algebra, rational_basis, reference_axioms, transport
+from support import (
+    mutate_binary,
+    mutate_ternary,
+    random_algebra,
+    rational_basis,
+    reference_axioms,
+    transport,
+    unimodular_basis,
+)
 
+from bolalg import core
 from bolalg.catalog import catalog, catalog_names
-from bolalg.core import check_axioms
+from bolalg.core import BolAlgebra, check_axioms, direct_sum
 from bolalg.envelope import PairEndo, PseudoDerivationReport, inner_pair, is_pseudo_derivation
 from bolalg.linalg import failures, mat_vec, vec_sub
 
@@ -151,3 +160,116 @@ def test_inner_pairs_are_pseudo_derivations_with_denominators(name):
             assert is_pseudo_derivation(B, P).ok
             bumped = PairEndo(P.pi, tuple(c + F(1, 7) * (k == i) for k, c in enumerate(P.comp)))
             assert is_pseudo_derivation(B, bumped) == reference_pseudo_derivation(B, bumped)
+
+
+# `check_axioms` decides A4 and A5 on an echelon basis of the inner pairs
+# (R[i][j], T[i][j]) and sweeps every basis tuple only when that basis
+# fails.  These inputs reach both paths, for each identity on its own.
+
+ALL = list(catalog_names())
+
+
+def from_entries(n, t_entries=(), r_entries=()):
+    """The algebra on n basis vectors whose only nonzero constants are the given T and R entries."""
+    r = range(n)
+    T = [[[F(0)] * n for _ in r] for _ in r]
+    R = [[[[F(0)] * n for _ in r] for _ in r] for _ in r]
+    for (i, j, k), c in t_entries:
+        T[i][j][k] = F(c)
+    for (i, j, k, l), c in r_entries:
+        R[i][j][k][l] = F(c)
+    return BolAlgebra.from_tensors(n, T, R)
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("basis", ["natural", "unimodular", "rational"])
+def test_basis_check_matches_the_sweep_on_the_catalog(name, basis):
+    B = catalog(name)
+    if basis != "natural":
+        rng = random.Random(f"{name}-{basis}-axioms")
+        B = transport(B, (unimodular_basis if basis == "unimodular" else rational_basis)(rng, B.n))
+    if basis == "rational" and B.n > 1 and not B.is_abelian():
+        assert B.integer_rows[0] > 1
+    assert check_axioms(B).ok
+    assert_kernel_matches(B)
+
+
+@pytest.mark.parametrize("name", [name for name in ALL if not name.startswith("abelian")])
+@pytest.mark.parametrize("part", ["T", "R"])
+def test_basis_check_falls_back_on_single_constant_bumps(name, part):
+    B = catalog(name)
+    rng = random.Random(f"{name}-{part}-bump")
+    if name in SMALL:  # the dense reference sweep takes seconds at n = 5, so mixed keeps its basis
+        B = transport(B, unimodular_basis(rng, B.n))
+    for _ in range(3):
+        idx = [rng.randrange(B.n) for _ in range(4)]
+        A = mutate_binary(B, *idx[:3]) if part == "T" else mutate_ternary(B, *idx, delta=F(-1))
+        assert not check_axioms(A).ok
+        assert_kernel_matches(A)
+
+
+def test_a4_fails_through_pairs_that_have_only_a_binary_part():
+    # heis3bol + solv2 has R = 0, so every inner pair is (0, x*y); the bump
+    # z*e0 = e0 makes (x*y)*(e0*e1) = z*e0 nonzero
+    B = direct_sum(catalog("heis3bol"), catalog("solv2"))
+    assert not any(c for cube in B.R for plane in cube for row in plane for c in row)
+    A = mutate_binary(mutate_binary(B, 2, 3, 3), 3, 2, 3, delta=F(-1))
+    rep = check_axioms(A)
+    assert [c.ok for c in rep.identities] == [True, True, True, False, True]
+    assert_kernel_matches(A)
+
+
+@pytest.mark.parametrize(
+    ("n", "t_entries", "r_entries", "failing"),
+    [
+        (0, (), (), []),
+        (1, (), (), []),
+        # A1 fails through the pair (0, 0), and so does A4: e0*e0 = e0
+        (1, [((0, 0, 0), 1)], (), ["A1", "A4"]),
+        # the pair (0, 0) fails A5 (and A2, A3), and passes A4 (T = 0)
+        (1, (), [((0, 0, 0, 0), 1)], ["A2", "A3", "A5"]),
+        # only the pair (1, 0) is nonzero, and it fails A4 and A5 at (e1, e1)
+        (2, [((1, 0, 1), 1)], [((1, 0, 1, 1), 1)], ["A1", "A2", "A3", "A4", "A5"]),
+        # only the pair (1, 0) is nonzero; it passes A4 and fails A5 at (1, 1, 1)
+        (2, (), [((1, 0, 1, 0), 1)], ["A2", "A3", "A5"]),
+    ],
+)
+def test_basis_check_on_small_and_non_antisymmetric_inputs(n, t_entries, r_entries, failing):
+    B = from_entries(n, t_entries, r_entries)
+    rep = check_axioms(B)
+    assert [c.name for c in rep.identities if not c.ok] == failing
+    assert_kernel_matches(B)
+
+
+def test_each_identity_falls_back_on_its_own():
+    # A5 reads only R, and A4 fails once sl2bol's binary product is doubled:
+    # the term (x*y)*(z*w) doubles twice
+    sl2 = catalog("sl2bol")
+    doubled = BolAlgebra.from_tensors(3, [[[2 * c for c in row] for row in plane] for plane in sl2.T], sl2.R)
+    # every A4 term has a factor of T, so A4 holds on lts_sl2 (T = 0) whatever R is
+    bumped = mutate_ternary(catalog("lts_sl2"), 0, 1, 2, 0)
+    for B, failing in ((doubled, ["A4"]), (bumped, ["A2", "A3", "A5"])):
+        assert [c.name for c in check_axioms(B).identities if not c.ok] == failing
+        assert_kernel_matches(B)
+        A = transport(B, rational_basis(random.Random(f"{failing}-basis"), 3))
+        assert [c.name for c in check_axioms(A).identities if not c.ok] == failing
+        assert_kernel_matches(A)
+
+
+def test_a_passing_dense_algebra_is_decided_on_the_pair_basis(monkeypatch):
+    # sl2bol + so3bol: the pairs (ad c, c) for c in [B, B] = B span a space
+    # of rank 6, so A4 takes 6 * 6^2 rule evaluations and A5 6 * 6^3, where
+    # the sweeps take 6^4 and 30 * 6^3
+    B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
+    B = transport(B, unimodular_basis(random.Random("sl2bol+so3bol-pairs"), B.n))
+    calls = {"binary_rule_defect": 0, "ternary_rule_defect": 0}
+    for name in calls:
+        rule = getattr(core, name)
+
+        def counted(*args, name=name, rule=rule):
+            calls[name] += 1
+            return rule(*args)
+
+        monkeypatch.setattr(core, name, counted)
+    assert check_axioms.__wrapped__(B).ok
+    assert calls == {"binary_rule_defect": 6 * 6**2, "ternary_rule_defect": 6 * 6**3}

@@ -9,13 +9,18 @@ from support import random_algebra, rational_basis, reference_random_combination
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra, direct_sum, summand_embeddings
 from bolalg.decompose import find_proper_ideal
+from bolalg.envelope import envelope
 from bolalg.fileio import parse_bol_document
+from bolalg.lie import lie_radical
 from bolalg.linalg import full_space, span, vec, zero_space
 from bolalg.radical import DEFAULT_SEED, _is_simple, _random_combinations, is_semisimple, is_simple, radical
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # the package exports the function `radical` under the module's name
 RADICAL = importlib.import_module("bolalg.radical")
+CORE = importlib.import_module("bolalg.core")
+SERIES = importlib.import_module("bolalg.series")
+LIE = importlib.import_module("bolalg.lie")
 
 
 def test_radical_abelian_is_everything():
@@ -247,3 +252,33 @@ def test_simplicity_search_stops_at_its_first_certificate(name, monkeypatch):
     res = _is_simple.__wrapped__(B, 32, DEFAULT_SEED)
     assert (res.status, res.witness, res.note) == ("yes", None, "dual-kernel criterion")
     assert 0 < len(tried) < candidates
+
+
+def test_each_radical_candidate_is_tested_for_an_ideal_once(monkeypatch):
+    # mixed = sl2bol + solv2: both strategies find the 2-dimensional solv2
+    # summand, and each runs the def2 test on it once (not again in its
+    # derived series or its quotient)
+    B = catalog("mixed")
+    is_ideal = CORE.is_ideal
+    tested = []
+
+    def spy(A, V, mode="def2"):
+        if A == B and V.dim == 2:
+            tested.append(mode)
+        return is_ideal(A, V, mode)
+
+    for module in (CORE, SERIES, RADICAL):
+        monkeypatch.setattr(module, "is_ideal", spy)
+    cert = radical(B)
+    assert cert.decided and cert.strategy == "agreement" and cert.radical.dim == 2
+    assert tested == ["def2", "def2"]
+
+
+def test_lie_radical_brackets_its_candidate_with_the_algebra_once(monkeypatch):
+    L = envelope(catalog("mixed")).lie
+    bracket_span = LIE.bracket_span
+    calls = []
+    monkeypatch.setattr(LIE, "bracket_span", lambda *args: calls.append(args) or bracket_span(*args))
+    rad = lie_radical(L)
+    assert rad.dim > 0
+    assert sum(1 for _, U, V in calls if U == rad and V.is_full()) == 1
