@@ -529,14 +529,6 @@ def direct_sum(B1: BolAlgebra, B2: BolAlgebra) -> BolAlgebra:
     return BolAlgebra.from_tensors(B1.n + B2.n, T, R, _dedupe_labels(B1.labels, B2.labels))
 
 
-def summand_embeddings(B1: BolAlgebra, B2: BolAlgebra) -> tuple[Subspace, Subspace]:
-    """The two coordinate subspaces of direct_sum(B1, B2)."""
-    n = B1.n + B2.n
-    first = span([basis_vec(i, n) for i in range(B1.n)], n)
-    second = span([basis_vec(B1.n + i, n) for i in range(B2.n)], n)
-    return first, second
-
-
 def _dedupe_labels(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     if set(a) & set(b):
         return tuple(f"l.{x}" for x in a) + tuple(f"r.{x}" for x in b)

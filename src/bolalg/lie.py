@@ -18,8 +18,6 @@ from bolalg.linalg import (
     Subspace,
     Vec,
     basis_vec,
-    block_sum,
-    complement_constants,
     derived_chain,
     failures,
     freeze3,
@@ -179,15 +177,3 @@ def lie_is_semisimple(L: LieAlgebra) -> bool:
         return True
     return rank(killing_gram(L)) == L.m
 
-
-def lie_quotient(L: LieAlgebra, I: Subspace) -> LieAlgebra:
-    """Quotient Lie algebra on the complement of an ideal."""
-    if not lie_is_ideal(L, I):
-        raise NotAnIdeal("quotient requires a Lie ideal")
-    comp, C = complement_constants(I, L.C, 3)
-    return LieAlgebra.from_constants(len(comp), C, tuple(L.labels[j] for j in comp))
-
-
-def lie_direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
-    labels = tuple(f"l.{x}" for x in L1.labels) + tuple(f"r.{x}" for x in L2.labels)
-    return LieAlgebra.from_constants(L1.m + L2.m, block_sum(L1.C, L2.C, L1.m, L2.m, 3), labels)

@@ -10,12 +10,15 @@ from itertools import product
 from bolalg.core import AxiomReport, BolAlgebra, IdentityCheck, center, ideal_closure, is_ideal
 from bolalg.forms import InvarianceReport
 from bolalg.envelope import PairEndo
-from bolalg.lie import JacobiReport, LieAlgebra
+from bolalg.errors import NotAnIdeal
+from bolalg.lie import JacobiReport, LieAlgebra, lie_is_ideal
 from bolalg.linalg import (
     ONE,
     Subspace,
     ZERO,
     basis_vec,
+    block_sum,
+    complement_constants,
     failures,
     full_space,
     mat_vec,
@@ -29,6 +32,30 @@ from bolalg.linalg import (
 from bolalg.radical import radical
 
 F = Fraction
+
+
+# Constructions the tests build with, which the package itself does not use.
+
+
+def summand_embeddings(B1: BolAlgebra, B2: BolAlgebra) -> tuple[Subspace, Subspace]:
+    """The two coordinate subspaces of direct_sum(B1, B2)."""
+    n = B1.n + B2.n
+    first = span([basis_vec(i, n) for i in range(B1.n)], n)
+    second = span([basis_vec(B1.n + i, n) for i in range(B2.n)], n)
+    return first, second
+
+
+def lie_quotient(L: LieAlgebra, I: Subspace) -> LieAlgebra:
+    """Quotient Lie algebra on the complement of an ideal."""
+    if not lie_is_ideal(L, I):
+        raise NotAnIdeal("quotient requires a Lie ideal")
+    comp, C = complement_constants(I, L.C, 3)
+    return LieAlgebra.from_constants(len(comp), C, tuple(L.labels[j] for j in comp))
+
+
+def lie_direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
+    labels = tuple(f"l.{x}" for x in L1.labels) + tuple(f"r.{x}" for x in L2.labels)
+    return LieAlgebra.from_constants(L1.m + L2.m, block_sum(L1.C, L2.C, L1.m, L2.m, 3), labels)
 
 
 # Dense references: the products, the Lie layer, the pair algebra and the

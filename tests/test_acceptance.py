@@ -11,10 +11,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from support import axiom_oracle, collect_ideals, mutate_binary, mutate_ternary, transport
+from support import axiom_oracle, collect_ideals, mutate_binary, mutate_ternary, summand_embeddings, transport
 
 from bolalg.catalog import catalog, catalog_names
-from bolalg.core import check_axioms, direct_sum, prod_span, summand_embeddings, tri_span
+from bolalg.core import check_axioms, direct_sum, prod_span, tri_span
 from bolalg.decompose import decompose_semisimple, structure_report
 from bolalg.envelope import envelope, ideal_extension, solvability_transfer_check
 from bolalg.fileio import emit_bol_document, parse_bol_document

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import collect_ideals, mutate_binary, mutate_ternary
+from support import collect_ideals, mutate_binary, mutate_ternary, summand_embeddings
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import (
@@ -17,7 +17,6 @@ from bolalg.core import (
     prod_span,
     quotient,
     restrict,
-    summand_embeddings,
     tri_span,
 )
 from bolalg.errors import DimensionMismatch, NotAnIdeal, UnknownExample

@@ -1,14 +1,30 @@
 import dataclasses
 import importlib
+import random
 import re
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
-from support import collect_ideals, mutate_ternary
+from support import (
+    collect_ideals,
+    dense_binary,
+    dense_ternary,
+    mutate_binary,
+    mutate_ternary,
+    rational_basis,
+    reference_induced_bracket,
+    reference_left_op,
+    reference_span,
+    summand_embeddings,
+    transport,
+    unimodular_basis,
+)
 
 from bolalg.catalog import catalog, catalog_names
-from bolalg.core import summand_embeddings
+from bolalg.core import BolAlgebra, check_axioms, direct_sum
 from bolalg.envelope import (
     EmbeddingReport,
     PairEndo,
@@ -34,10 +50,13 @@ from bolalg.linalg import (
     zero_mat,
     zero_vec,
 )
+from bolalg.radical import radical
 from bolalg.series import is_solvable
 
 F = Fraction
 ENVELOPE = importlib.import_module("bolalg.envelope")
+CORE = importlib.import_module("bolalg.core")
+SERIES = importlib.import_module("bolalg.series")
 
 EXPECTED_ENVELOPE_DIM = {
     "abelian1": 1,
@@ -393,3 +412,128 @@ def _bumped_envelope(name, i, j, k, by=F(1)):
 )
 def test_standard_embedding_check_reports_the_first_failing_relation(bump, report):
     assert standard_embedding_check(_bumped_envelope("lts_sl2", *bump)) == report
+
+
+# h is the span of the inner pairs D(x,y) = (L(x,y), x*y): for a Bol algebra
+#   [[D(x,y), D(u,v)]] = D((x,y,u),v) + D(u,(x,y,v)) - D(x*y, u*v),
+# by A5 for the operators and A4 with A1 for the components.  These tests
+# check that identity with the dense references, and that `h_closure`
+# builds the span from the axiom report, with no closure round.
+
+
+def dense_pair(B, x, y):
+    return PairEndo(reference_left_op(B, x, y), dense_binary(B, x, y))
+
+
+def closure_identity_failures(B):
+    """The (i, j, k, l), i < j and k < l, at which the identity fails, from the dense references alone."""
+    bas = B.basis()
+    pairs = [(i, j) for i in range(B.n) for j in range(i + 1, B.n)]
+    out = []
+    for (i, j), (k, l) in product(pairs, repeat=2):
+        x, y, u, v = bas[i], bas[j], bas[k], bas[l]
+        lhs = reference_induced_bracket(B, dense_pair(B, x, y), dense_pair(B, u, v)).flatten()
+        terms = (
+            dense_pair(B, dense_ternary(B, x, y, u), v),
+            dense_pair(B, u, dense_ternary(B, x, y, v)),
+            dense_pair(B, dense_binary(B, x, y), dense_binary(B, u, v)),
+        )
+        rhs = tuple(a + b - c for a, b, c in zip(*(P.flatten() for P in terms)))
+        if lhs != rhs:
+            out.append((i, j, k, l))
+    return out
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("basis", ["natural", "unimodular", "rational"])
+def test_inner_pairs_close_under_the_induced_bracket(name, basis):
+    B = catalog(name)
+    if basis != "natural":
+        rng = random.Random(f"{name}-{basis}-inner-pairs")
+        B = transport(B, (unimodular_basis if basis == "unimodular" else rational_basis)(rng, B.n))
+    assert closure_identity_failures(B) == []
+    # h_closure is the span of every inner pair, ordered (i, j) with i = j included
+    every_pair = [dense_pair(B, x, y).flatten() for x in B.basis() for y in B.basis()]
+    assert tuple(P.flatten() for P in h_closure(B)) == reference_span(every_pair, B.n * B.n + B.n).basis
+
+
+def test_h_closure_and_envelope_bracket_each_pair_once(monkeypatch):
+    # dense sl2bol + so3bol: C(n, 2) inner pairs, no induced bracket in
+    # h_closure, one per pair of h basis elements in envelope, and no
+    # pseudo-derivation check
+    B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
+    B = transport(B, unimodular_basis(random.Random("sl2bol+so3bol-h"), B.n))
+    calls = {"inner_pair": 0, "induced_bracket": 0, "is_pseudo_derivation": 0}
+    for name in calls:
+        fn = getattr(ENVELOPE, name)
+
+        def counted(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(ENVELOPE, name, counted)
+    N = len(h_closure(B))
+    assert N == 6
+    assert calls == {"inner_pair": comb(B.n, 2), "induced_bracket": 0, "is_pseudo_derivation": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    envelope.__wrapped__(B)
+    assert calls == {"inner_pair": comb(B.n, 2), "induced_bracket": comb(N, 2), "is_pseudo_derivation": 0}
+
+
+def test_h_closure_rejects_an_algebra_that_fails_a4_alone():
+    # doubling sl2bol's binary product breaks A4 only: the component of the
+    # bracket of two inner pairs is then not the component the identity needs
+    sl2 = catalog("sl2bol")
+    B = BolAlgebra.from_tensors(3, [[[2 * c for c in row] for row in plane] for plane in sl2.T], sl2.R)
+    assert [c.name for c in check_axioms(B).identities if not c.ok] == ["A4"]
+    assert closure_identity_failures(B) != []
+    w = check_axioms(B).identity("A4").witness
+    with pytest.raises(FatalInconsistency, match=re.escape(f"inner pair {w[:2]} is not a pseudo-derivation (A4 fails at {w})")):
+        h_closure(B)
+
+
+@pytest.mark.parametrize(
+    "B, failing, guard, message",
+    [
+        # A1 is checked first, before the A4 it breaks too
+        (mutate_binary(catalog("sl2bol"), 0, 1, 0), ["A1", "A4"], "A1", "inner pairs do not span h (A1 fails at {w})"),
+        # A4 holds (T = 0) and A5 fails, so the guard names A5 before A2
+        (
+            mutate_ternary(catalog("lts_sl2"), 0, 1, 2, 0),
+            ["A2", "A3", "A5"],
+            "A5",
+            "inner pair {p} is not a pseudo-derivation (A5 fails at {w})",
+        ),
+        # (e0, e0, e1) = e2 alone: A1, A4 and A5 hold and A2 fails, and the
+        # nonzero D(e0, e0) lies outside the span of the zero pairs i < j
+        (mutate_ternary(BolAlgebra.zero(3), 0, 0, 1, 2), ["A2", "A3"], "A2", "inner pairs do not span h (A2 fails at {w})"),
+    ],
+    ids=["A1", "A5", "A2"],
+)
+def test_h_closure_names_the_first_failing_axiom_it_rests_on(B, failing, guard, message):
+    report = check_axioms(B)
+    assert [c.name for c in report.identities if not c.ok] == failing
+    w = report.identity(guard).witness
+    with pytest.raises(FatalInconsistency, match=re.escape(message.format(w=w, p=w[:2]))):
+        h_closure(B)
+
+
+def test_ideal_extension_tests_its_ideal_once(monkeypatch):
+    # mixed = sl2bol + solv2: V is the solv2 summand; its Bol series is
+    # run past the def2 test that ideal_extension has already made
+    B = catalog("mixed")
+    V = radical(B).radical
+    E = envelope(B)
+    is_ideal = CORE.is_ideal
+    tested = []
+
+    def spy(A, W, mode="def2"):
+        if A == B and W == V:
+            tested.append(mode)
+        return is_ideal(A, W, mode)
+
+    for module in (CORE, SERIES, ENVELOPE):
+        monkeypatch.setattr(module, "is_ideal", spy)
+    rep = ideal_extension(E, V)
+    assert rep.bol_solvable and rep.lie_solvable and rep.implication_holds
+    assert tested == ["def2"]

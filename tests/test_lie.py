@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from support import lie_direct_sum, lie_quotient
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.envelope import envelope
@@ -15,11 +16,9 @@ from bolalg.lie import (
     killing,
     killing_gram,
     lie_derived_series,
-    lie_direct_sum,
     lie_is_ideal,
     lie_is_semisimple,
     lie_is_solvable,
-    lie_quotient,
     lie_radical,
 )
 from bolalg.linalg import basis_vec, full_space, rank, span, vec, zero_space

@@ -4,10 +4,18 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from support import random_algebra, rational_basis, reference_random_combinations, spy_on_cache, transport, unimodular_basis
+from support import (
+    random_algebra,
+    rational_basis,
+    reference_random_combinations,
+    spy_on_cache,
+    summand_embeddings,
+    transport,
+    unimodular_basis,
+)
 
 from bolalg.catalog import catalog, catalog_names
-from bolalg.core import BolAlgebra, direct_sum, summand_embeddings
+from bolalg.core import BolAlgebra, direct_sum
 from bolalg.decompose import find_proper_ideal
 from bolalg.envelope import envelope
 from bolalg.fileio import parse_bol_document
