@@ -13,7 +13,6 @@ defining identities A1-A5; see its docstring for the exact statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -22,6 +21,7 @@ from math import lcm
 from bolalg.errors import DimensionMismatch, IllDefinedQuotient, NotAnIdeal, NotASubsystem
 from bolalg.linalg import (
     Mat,
+    Record,
     Subspace,
     Vec,
     basis_vec,
@@ -52,8 +52,7 @@ def _freeze4(t, n: int) -> Tensor4:
     return tuple(freeze3(cube, n, f"R[{i}]") for i, cube in enumerate(sized(t, n, "R")))
 
 
-@dataclass(frozen=True)
-class BolAlgebra:
+class BolAlgebra(Record):
     """Finite-dimensional Bol algebra given by structure tensors.
 
     Immutable; all operations on it are pure functions.  The dimension 0
@@ -155,8 +154,7 @@ class BolAlgebra:
                 raise DimensionMismatch(f"vector of length {len(v)} in algebra of dimension {self.n}")
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
     """Outcome of one defining identity, with a witness when it fails."""
 
     name: str
@@ -166,8 +164,7 @@ class IdentityCheck:
     failures: int = 0
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     identities: tuple[IdentityCheck, ...]
 
     @property

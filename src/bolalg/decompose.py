@@ -10,7 +10,6 @@ flagged uncertified instead of failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from bolalg.core import BolAlgebra, center, derived_space, ideal_closure, is_ideal, prod_span, restrict, tri_span
@@ -19,6 +18,7 @@ from bolalg.errors import FatalInconsistency, NotASubsystem, PreconditionViolati
 from bolalg.forms import BilinearForm, envelope_form, invariance_check, is_nondegenerate, right_perp
 from bolalg.lie import lie_is_semisimple, lie_is_solvable
 from bolalg.linalg import (
+    Record,
     Subspace,
     basis_vec,
     full_space,
@@ -42,8 +42,7 @@ def find_proper_ideal(B: BolAlgebra, seed: int | None = None) -> tuple[Subspace 
     return None, res
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     components: tuple[BolAlgebra, ...]
     embeddings: tuple[Subspace, ...]  # in the coordinates of the original algebra
     form_used: BilinearForm
@@ -174,8 +173,7 @@ def verify_reassembly(B: BolAlgebra, dec: Decomposition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     """Solvability/semisimplicity structure of B against its envelope.
 
     item1: envelope solvable  vs  base orthogonal to its triple span.

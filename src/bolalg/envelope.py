@@ -31,7 +31,6 @@ unchecked input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -41,6 +40,7 @@ from bolalg.errors import DimensionMismatch, FatalInconsistency, NotAnIdeal, Pre
 from bolalg.lie import LieAlgebra, bracket_span, jacobi_check, lie_is_solvable
 from bolalg.linalg import (
     Mat,
+    Record,
     Subspace,
     Vec,
     ZERO,
@@ -63,8 +63,7 @@ from bolalg.linalg import (
 from bolalg.series import is_solvable
 
 
-@dataclass(frozen=True)
-class PairEndo:
+class PairEndo(Record):
     """Endomorphism/component pair; pseudo-derivation status is a predicate."""
 
     pi: Mat
@@ -86,8 +85,7 @@ class PairEndo:
         return is_zero_vec(self.flatten())
 
 
-@dataclass(frozen=True)
-class PseudoDerivationReport:
+class PseudoDerivationReport(Record):
     ok: bool
     product_rule_ok: bool
     ternary_rule_ok: bool
@@ -234,8 +232,7 @@ def h_closure(B: BolAlgebra) -> tuple[PairEndo, ...]:
     return tuple(PairEndo.unflatten(v, n) for v in span(gens, n * n + n).basis)
 
 
-@dataclass(frozen=True)
-class EnvelopingLie:
+class EnvelopingLie(Record):
     """The Lie algebra G = B (+) h with its bookkeeping tensors.
 
     Coordinates 0..b_dim-1 of `lie` are the base algebra B; the rest are
@@ -355,8 +352,7 @@ def _contract_failure(B: BolAlgebra, G: LieAlgebra) -> tuple[int, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class IdealExtensionReport:
+class IdealExtensionReport(Record):
     w_subspace: Subspace
     is_lie_ideal_of_generated: bool
     lie_solvable: bool
@@ -389,8 +385,7 @@ def ideal_extension(E: EnvelopingLie, V: Subspace) -> IdealExtensionReport:
     return IdealExtensionReport(W, ideal_ok, solvable, bol_solv, (not bol_solv) or solvable)
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(Record):
     ok: bool
     closure_ok: bool
     action_ok: bool
@@ -434,8 +429,7 @@ def standard_embedding_check(E: EnvelopingLie) -> EmbeddingReport:
     return EmbeddingReport(True, True, True, True)
 
 
-@dataclass(frozen=True)
-class SolvabilityTransferReport:
+class SolvabilityTransferReport(Record):
     bol_solvable: bool
     lie_solvable: bool
     implication_holds: bool

@@ -18,7 +18,6 @@ claimed equality that does not hold in general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -27,11 +26,10 @@ from bolalg.core import BolAlgebra, center, prod_span, tri_span
 from bolalg.envelope import envelope
 from bolalg.errors import DimensionMismatch
 from bolalg.lie import killing_gram
-from bolalg.linalg import Mat, Subspace, ZERO, failures, full_space, identity, integral, kernel_of, mat_vec, rank, transpose
+from bolalg.linalg import Mat, Record, Subspace, ZERO, failures, full_space, identity, integral, kernel_of, mat_vec, rank, transpose
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Record):
     """A bilinear form given by its Gram matrix, with provenance metadata."""
 
     gram: Mat
@@ -63,8 +61,7 @@ class BilinearForm:
         return BilinearForm(identity(n))
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(Record):
     variant: str
     binary_ok: bool
     ternary_ok: bool
@@ -142,8 +139,7 @@ def envelope_form(B: BolAlgebra) -> BilinearForm:
     return BilinearForm(tuple(tuple(g[i][j] for j in range(n)) for i in range(n)), provenance="envelope")
 
 
-@dataclass(frozen=True)
-class FormComparison:
+class FormComparison(Record):
     equal: bool
     difference: Mat
     trace_gram: Mat
@@ -174,8 +170,7 @@ def is_nondegenerate(b: BilinearForm) -> bool:
     return rank(b.gram) == b.n
 
 
-@dataclass(frozen=True)
-class CenterOrthogonalityReport:
+class CenterOrthogonalityReport(Record):
     """Outcome of the center-orthogonality identity under an invariant form.
 
     Under a symmetric, nondegenerate, invariant form the left and right

@@ -7,7 +7,6 @@ criterion, and Cartan semisimplicity.  All of it is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -15,6 +14,7 @@ from math import lcm
 from bolalg.errors import DimensionMismatch, FatalInconsistency, NotAnIdeal
 from bolalg.linalg import (
     Mat,
+    Record,
     Subspace,
     Vec,
     basis_vec,
@@ -36,8 +36,7 @@ from bolalg.linalg import (
 Tensor3 = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Record):
     """Lie algebra over Q presented by structure constants C[i][j][k]."""
 
     m: int
@@ -70,8 +69,7 @@ class LieAlgebra:
         return tuple(basis_vec(i, self.m) for i in range(self.m))
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(Record):
     ok: bool
     antisymmetric: bool
     witness: tuple[int, int, int] | None = None
@@ -137,8 +135,7 @@ def lie_is_ideal(L: LieAlgebra, S: Subspace) -> bool:
     return S.is_full() or bracket_span(L, S, full_space(L.m)) <= S
 
 
-@dataclass(frozen=True)
-class LieSeriesResult:
+class LieSeriesResult(Record):
     chain: tuple[Subspace, ...]
     stabilized_at: int
     solvable: bool

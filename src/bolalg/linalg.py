@@ -3,12 +3,12 @@
 Scalars are `fractions.Fraction`, vectors are tuples of scalars, matrices
 are tuples of row tuples.  A `Subspace` stores its basis in reduced
 row-echelon form, which makes subspace equality a plain tuple comparison.
+`Record` is the immutable base of every value type in the package.
 Everything is immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -26,7 +26,9 @@ ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
-    """Coerce an int, string or Fraction to a Fraction (floats are rejected)."""
+    """Coerce an int, string or Fraction to a Fraction (floats are rejected); a Fraction is returned as it is."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact computations")
     return Fraction(x)
@@ -171,8 +173,76 @@ def rank(m: Mat) -> int:
     return span(m, len(m[0]) if m else 0).dim
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Record:
+    """An immutable value whose fields are its class annotations, in order.
+
+    Every value type of the package derives from it.  A subclass is built
+    positionally or by keyword; a field with a class-level value defaults
+    to it.  `==` compares the field tuples of two instances of one class,
+    `hash` hashes that tuple and `repr` is `Name(field=value, ...)`.
+    Assigning or deleting an attribute raises AttributeError.  Instances
+    keep a `__dict__`, so `functools.cached_property` works on them.
+    Nothing is generated per class, which keeps importing the package cheap.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # Set one field at a time: filling `self.__dict__` directly would
+        # give up the interpreter's inline attribute storage and slow every read.
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values, in order, of a call that is not one positional argument per field."""
+        name, fields = cls.__qualname__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+            values[field] = value
+        for field in fields:
+            if field not in values:
+                if not hasattr(cls, field):
+                    raise TypeError(f"{name}() missing argument {field!r}")
+                values[field] = getattr(cls, field)
+        return [values[field] for field in fields]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Subspace(Record):
     """A subspace of Q^n with its canonical (RREF) basis.
 
     Two subspaces are equal iff their canonical bases agree entry-wise,

@@ -23,7 +23,6 @@ then find a proper ideal.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
@@ -33,6 +32,7 @@ from bolalg.errors import BolError, StrategyDisagreement
 from bolalg.forms import BilinearForm, envelope_form, left_perp, trace_form
 from bolalg.lie import lie_radical
 from bolalg.linalg import (
+    Record,
     Subspace,
     basis_vec,
     charpoly,
@@ -73,8 +73,7 @@ def _candidate_envelope_intersection(B: BolAlgebra) -> Subspace:
     return span([v[: B.n] for v in inter.basis], B.n)
 
 
-@dataclass(frozen=True)
-class StrategyCertificate:
+class StrategyCertificate(Record):
     strategy: str
     candidate: Subspace | None
     is_ideal_ok: bool = False
@@ -92,8 +91,7 @@ class StrategyCertificate:
         )
 
 
-@dataclass(frozen=True)
-class RadicalCertificate:
+class RadicalCertificate(Record):
     radical: Subspace | None
     is_ideal_ok: bool
     solvable_ok: bool
@@ -156,8 +154,7 @@ def is_semisimple(B: BolAlgebra) -> bool:
     return cert.decided and cert.radical.is_zero()
 
 
-@dataclass(frozen=True)
-class SimplicityResult:
+class SimplicityResult(Record):
     status: str  # "yes" | "no" | "undecided"
     witness: Subspace | None
     seed: int

@@ -11,15 +11,12 @@ zero; the lts series is exposed for comparison reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from bolalg.core import BolAlgebra, derived_space, is_ideal, tri_span
 from bolalg.errors import NotAnIdeal
-from bolalg.linalg import Subspace, derived_chain, full_space
+from bolalg.linalg import Record, Subspace, derived_chain, full_space
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(Record):
     variant: str  # "lts" | "bol"
     chain: tuple[Subspace, ...]
     stabilized_at: int

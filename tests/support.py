@@ -492,3 +492,13 @@ def spy_on_cache(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, lru_cache(maxsize=None)(spy))
     return computed
+
+
+def record_fields(r) -> dict:
+    """The fields of a `Record`, by name, in order."""
+    return {name: getattr(r, name) for name in r._fields}
+
+
+def replaced(r, **changes):
+    """A copy of the `Record` r with the given fields changed."""
+    return type(r)(**{**record_fields(r), **changes})

@@ -1,10 +1,9 @@
-import dataclasses
 import importlib
 import random
 from functools import reduce
 
 import pytest
-from support import spy_on_cache, transport, unimodular_basis
+from support import record_fields, replaced, spy_on_cache, transport, unimodular_basis
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra, direct_sum, prod_span, tri_span
@@ -233,7 +232,7 @@ def test_dense_decomposition_results_are_unchanged(key):
     dec = decompose_semisimple(B)
     embeddings = [[[str(c) for c in row] for row in e.basis] for e in dec.embeddings]
     assert (tuple(c.n for c in dec.components), embeddings, dec.certified, dec.notes) == DECOMPOSITIONS[key]
-    assert dataclasses.asdict(structure_report(B)) == STRUCTURE[key]
+    assert record_fields(structure_report(B)) == STRUCTURE[key]
 
 
 def rebuilt(B):
@@ -303,7 +302,7 @@ def test_verify_reassembly_rejects_a_wrong_component_tensor(keep_binary):
     B, dec = _sl2_so3_decomposition()
     first = dec.components[0]
     wrong = BolAlgebra.from_tensors(3, first.T, BolAlgebra.zero(3).R) if keep_binary else BolAlgebra.zero(3)
-    assert not verify_reassembly(B, dataclasses.replace(dec, components=(wrong, dec.components[1])))
+    assert not verify_reassembly(B, replaced(dec, components=(wrong, dec.components[1])))
 
 
 def test_verify_reassembly_rejects_a_nonzero_cross_product():
@@ -317,9 +316,9 @@ def test_verify_reassembly_rejects_a_nonzero_cross_product():
 
 def test_verify_reassembly_rejects_dimensions_that_do_not_sum_to_n():
     B, dec = _sl2_so3_decomposition()
-    assert not verify_reassembly(B, dataclasses.replace(dec, components=dec.components[:1], embeddings=dec.embeddings[:1]))
+    assert not verify_reassembly(B, replaced(dec, components=dec.components[:1], embeddings=dec.embeddings[:1]))
 
 
 def test_verify_reassembly_rejects_a_component_of_the_wrong_dimension():
     B, dec = _sl2_so3_decomposition()
-    assert not verify_reassembly(B, dataclasses.replace(dec, components=(dec.components[0], catalog("solv2"))))
+    assert not verify_reassembly(B, replaced(dec, components=(dec.components[0], catalog("solv2"))))

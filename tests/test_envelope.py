@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import random
 import re
@@ -18,6 +17,7 @@ from support import (
     reference_induced_bracket,
     reference_left_op,
     reference_span,
+    replaced,
     summand_embeddings,
     transport,
     unimodular_basis,
@@ -392,7 +392,7 @@ def _bumped_envelope(name, i, j, k, by=F(1)):
     C = [[list(v) for v in plane] for plane in E.lie.C]
     C[i][j][k] += by
     C[j][i][k] -= by
-    return dataclasses.replace(E, lie=LieAlgebra.from_constants(E.lie.m, C, E.lie.labels))
+    return replaced(E, lie=LieAlgebra.from_constants(E.lie.m, C, E.lie.labels))
 
 
 @pytest.mark.parametrize(

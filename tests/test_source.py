@@ -2,6 +2,9 @@
 
 import argparse
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,17 @@ def _imported_names(tree: ast.Module) -> list[str]:
 
 def _used_names(tree: ast.Module) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level package of every module imported anywhere in the tree."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
 
 
 def test_every_module_is_checked():
@@ -93,3 +107,20 @@ def test_each_subcommand_declares_exactly_the_arguments_its_handler_reads():
         declared = {a.dest for a in parser._actions if a.dest != "help"}
         handler = parser.get_default("handler")
         assert declared == _args_read(functions, handler.__name__), name
+
+
+def test_no_module_imports_dataclasses():
+    # the value types derive from linalg.Record: generating dataclass methods
+    # would cost every `bol` call at start-up
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [p.stem for p in paths if "dataclasses" in _imported_modules(ast.parse(p.read_text(encoding="utf-8")))] == []
+    assert "__init__" in {p.stem for p in paths}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = "import sys; before = set(sys.modules); import bolalg.cli; print(*sorted(set(sys.modules) - before))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(done.stdout.split())
+    assert "bolalg.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
