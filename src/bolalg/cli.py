@@ -43,7 +43,7 @@ EXIT_INPUT = 3
 def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
     return parse_bol_document(text)
 

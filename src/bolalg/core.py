@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 from math import lcm
 
 from bolalg.errors import DimensionMismatch, IllDefinedQuotient, NotAnIdeal, NotASubsystem
@@ -32,14 +32,14 @@ from bolalg.linalg import (
     failures,
     freeze3,
     full_space,
-    integral,
+    independent,
     kernel_of,
     multilinear,
     nonzero_row,
+    products,
     scaled_rows,
     sized,
     span,
-    subspace_sum,
     transpose,
     unscaled,
 )
@@ -111,9 +111,9 @@ class BolAlgebra(Record):
         """The nonzero matrices of x -> x*e_i (i = 0..n-1), then of x -> (x, e_i, e_j) (i, j row-major).
 
         A subspace is a def2-ideal exactly when it is invariant under all
-        of them.  The simplicity search reads these matrices; ideal
-        closures and the def2 test apply the same family, in the same
-        order, from the integer rows.
+        of them.  Only the simplicity search reads these matrices; ideal
+        closures and the def2 test take the same products from
+        `linalg.products`.
         """
         r = range(self.n)
         ops = [tuple(tuple(self.T[k][i][l] for k in r) for l in r) for i in r]
@@ -195,22 +195,21 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
     enveloping construction requires; see README "Conventions".
     Multilinearity reduces each identity to basis tuples.  A1-A3 are swept
     over them.  A4 and A5 are linear in the pair (D, c) = (D_{x,y}, x*y),
-    so each holds for every pair exactly when it holds for each element of
-    an echelon basis of span{(R[i][j], T[i][j])} over all ordered (i, j);
-    that basis is checked first, at every (z, w) and every (z, w, u), with
-    no pruning by antisymmetry, so the check is sound whatever A1-A3 say.
-    An identity whose basis check fails is swept over every basis tuple,
-    and only that sweep gives its witness, defect vector and failure count.
-    Failures are reported, never raised.
+    so each holds for every pair exactly when it holds for the pairs
+    (i, j) whose (R[i][j], T[i][j]) are independent (`linalg.independent`
+    over all ordered (i, j)).  Each is first swept over those pairs alone,
+    at every (z, w) or (z, w, u), with no pruning by antisymmetry, up to
+    the first failure, so the check is sound whatever A1-A3 say.  Only a
+    failure runs the sweep over every basis tuple, which gives the
+    witness, defect vector and failure count.  Failures are reported,
+    never raised.
 
     Each defect is summed straight from the nonzero rows of T and R in
     integer arithmetic: with d the lcm of all their denominators, T is
     scaled by d and R by d^2.  Every term of A1 has weight 1 in this
     grading, of A2 and A3 weight 2, of A4 weight 3 and of A5 weight 4,
     so the integer defect is d^weight times the rational one and is zero
-    exactly when it is.  The pairs are scaled the same way (R[i][j] by
-    d^2, T[i][j] by d), so an integer multiple of any combination of them
-    keeps A4 homogeneous.
+    exactly when it is.
     """
     n = B.n
     d, T, R = B.integer_rows
@@ -247,63 +246,38 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
         lambda i, j, k: dense(R[i][j][k], R[j][k][i], R[k][i][j]),
     )
 
-    pair_basis = _inner_pair_basis(n, T, R)
-    if all(not any(binary_rule_defect(T, R, D, c, k, l, n)) for D, c in pair_basis for k, l in product(r, repeat=2)):
+    def a4_defect(i, j, k, l):
+        return binary_rule_defect(T, R, R[i][j], T[i][j], k, l, n)
+
+    def a5_defect(i, j, k, l, m):
+        return ternary_rule_defect(R, R[i][j], k, l, m, n)
+
+    def flat(i, j):  # the pair (R[i][j], T[i][j]) as one integer vector; its scaling keeps independence
+        v = [0] * (n * n + n)
+        for p, row in enumerate((*R[i][j], T[i][j])):
+            for q, x in row:
+                v[p * n + q] = x
+        return v
+
+    pairs = list(product(r, repeat=2))
+    basis = [pairs[k] for k in independent([flat(i, j) for i, j in pairs], n * n + n)]
+    if next(failures(((*p, k, l) for p in basis for k, l in product(r, repeat=2)), a4_defect), None) is None:
         a4 = IdentityCheck("A4", True)
     else:
-        a4 = first_failure(
-            "A4",
-            3,
-            product(r, repeat=4),
-            lambda i, j, k, l: binary_rule_defect(T, R, R[i][j], T[i][j], k, l, n),
-        )
-    if all(not any(ternary_rule_defect(R, D, k, l, m, n)) for D, _ in pair_basis for k, l, m in product(r, repeat=3)):
+        a4 = first_failure("A4", 3, product(r, repeat=4), a4_defect)
+    if next(failures(((*p, k, l, m) for p in basis for k, l, m in product(r, repeat=3)), a5_defect), None) is None:
         a5 = IdentityCheck("A5", True)
     else:
         # Every A5 term carries a factor R[i][j][.], so pairs (i, j) whose
         # operator vanishes cannot fail and are not swept.
-        active = [(i, j) for i in r for j in r if any(R[i][j])]
+        active = [(i, j) for i, j in pairs if any(R[i][j])]
         a5 = first_failure(
             "A5",
             4,
             ((i, j, k, l, m) for i, j in active for k, l, m in product(r, repeat=3)),
-            lambda i, j, k, l, m: ternary_rule_defect(R, R[i][j], k, l, m, n),
+            a5_defect,
         )
     return AxiomReport((a1, a2, a3, a4, a5))
-
-
-def _inner_pair_basis(n: int, T, R) -> list[tuple[tuple, tuple]]:
-    """An echelon basis of span{(R[i][j], T[i][j])} over all ordered (i, j), as integer (D, c) rows.
-
-    T and R are the scaled rows of `BolAlgebra.integer_rows`; each pair is
-    flattened to D's n x n entries followed by c's n entries, and each
-    basis element is scaled to the least integer multiple of itself and
-    cut into D's rows and c.
-    """
-    m = n * n
-
-    def flat(i, j):
-        v = [0] * (m + n)
-        for p, row in enumerate(R[i][j]):
-            for q, x in row:
-                v[p * n + q] = x
-        for q, x in T[i][j]:
-            v[m + q] = x
-        return v
-
-    out = []
-    for row in span([flat(i, j) for i in range(n) for j in range(n)], m + n).basis:
-        D = [[] for _ in range(n)]
-        c = []
-        for idx, x in enumerate(integral(row)[0]):
-            if not x:
-                continue
-            if idx < m:
-                D[idx // n].append((idx % n, x))
-            else:
-                c.append((idx - m, x))
-        out.append((tuple(map(tuple, D)), tuple(c)))
-    return out
 
 
 def binary_rule_defect(T, R, D, c, k: int, l: int, n: int) -> list[int]:
@@ -369,63 +343,35 @@ def require_verified(B: BolAlgebra) -> None:
 def prod_span(B: BolAlgebra, U: Subspace, V: Subspace) -> Subspace:
     """span{ u * v : u in U, v in V }, each product summed in ints from the integer rows."""
     _check_ambient(B, U, V)
-    n = B.n
-    _, T, _ = B.integer_rows
-    by_j = tuple(zip(*T))  # by_j[j][i] = T[i][j]
-    vs = _integral_basis(V)
-
-    def products():
-        for u in _integral_basis(U):
-            left = [nonzero_row(combine(u, col, n)) for col in by_j]  # u * e_j
-            for v in vs:
-                yield combine(v, left, n)
-
-    return span(products(), n)
+    return span(products(B.integer_rows[1], (U, V), B.n), B.n)
 
 
 def tri_span(B: BolAlgebra, U: Subspace, V: Subspace, W: Subspace) -> Subspace:
     """span{ (u, v, w) : u in U, v in V, w in W }, each product summed in ints from the integer rows."""
     _check_ambient(B, U, V, W)
-    n = B.n
-    r = range(n)
-    _, _, R = B.integer_rows
-    by_jk = tuple(tuple(tuple(R[i][j][k] for i in r) for k in r) for j in r)
-    vs, ws = _integral_basis(V), _integral_basis(W)
-
-    def products():
-        for u in _integral_basis(U):
-            # (u, e_j, e_k), stored by k then j
-            uj = [[nonzero_row(combine(u, by_jk[j][k], n)) for j in r] for k in r]
-            for v in vs:
-                uv = [nonzero_row(combine(v, col, n)) for col in uj]  # (u, v, e_k)
-                for w in ws:
-                    yield combine(w, uv, n)
-
-    return span(products(), n)
-
-
-def _integral_basis(S: Subspace) -> list[list[int]]:
-    """S's basis vectors, each scaled to ints; products of them are only spanned, so their scale is not kept."""
-    return [integral(v)[0] for v in S.basis]
+    return span(products(B.integer_rows[2], (U, V, W), B.n), B.n)
 
 
 def derived_space(B: BolAlgebra, V: Subspace) -> Subspace:
-    """V*V + (V,V,B): one step of the derived series."""
-    return subspace_sum(prod_span(B, V, V), tri_span(B, V, V, full_space(B.n)))
+    """V*V + (V,V,B): one step of the derived series, as one span of both kinds of product."""
+    _, T, R = B.integer_rows
+    return span(chain(products(T, (V, V), B.n), products(R, (V, V, full_space(B.n)), B.n)), B.n)
 
 
 def is_subsystem(B: BolAlgebra, V: Subspace) -> bool:
+    """V*V <= V and (V,V,V) <= V, stopping at the first product outside V."""
     _check_ambient(B, V)
-    return prod_span(B, V, V) <= V and tri_span(B, V, V, V) <= V
+    _, T, R = B.integer_rows
+    return all(V.contains(w) for w in chain(products(T, (V, V), B.n), products(R, (V, V, V), B.n)))
 
 
 def is_ideal(B: BolAlgebra, V: Subspace, mode: str = "def2") -> bool:
     """Ideal test in one of the two modes supported by the toolkit.
 
     def2: V*B <= V and (V,B,B) <= V (the variant used by every internal
-          algorithm: closures, radical, decomposition), checked as the
-          invariance of V under `B.ideal_operators`, stopping at the
-          first image outside V; the full space needs no check.
+          algorithm: closures, radical, decomposition), checked on the
+          products of basis vectors, stopping at the first one outside
+          V; the full space needs no check.
     def3: V is a subsystem and V*V + (V,V,B) <= V, checked as
           `derived_space(B, V) <= V` alone: (V,V,V) lies in (V,V,B), so
           that test already says V is a subsystem.
@@ -439,19 +385,16 @@ def is_ideal(B: BolAlgebra, V: Subspace, mode: str = "def2") -> bool:
 
 
 def ideal_closure(B: BolAlgebra, S: Subspace) -> Subspace:
-    """Least def2-ideal containing S: the closure of S under `B.ideal_operators`."""
+    """Least def2-ideal containing S: the closure of S under x -> x*e_i and x -> (x, e_i, e_j)."""
     _check_ambient(B, S)
     return closure(S, lambda s: _images(B, s))
 
 
 def _images(B: BolAlgebra, V: Subspace):
-    """The images of V's basis vectors under `B.ideal_operators`, summed in ints from the integer rows, lazily."""
-    n = B.n
-    r = range(n)
+    """V*B, then (V,B,B): every product of basis vectors, summed in ints from the integer rows, lazily."""
     _, T, R = B.integer_rows
-    ops = [[T[k][i] for k in r] for i in r] + [[R[k][i][j] for k in r] for i in r for j in r]
-    ops = [op for op in ops if any(op)]
-    return (combine(v, op, n) for v in _integral_basis(V) for op in ops)
+    full = full_space(B.n)
+    return chain(products(T, (V, full), B.n), products(R, (V, full, full), B.n))
 
 
 def center(B: BolAlgebra) -> Subspace:
@@ -499,24 +442,32 @@ def ideal_quotient(B: BolAlgebra, I: Subspace) -> BolAlgebra:
 
 
 def restrict(B: BolAlgebra, I: Subspace) -> BolAlgebra:
-    """Re-express the products on a basis of a subsystem I.
+    """Re-express the products on the canonical basis of a subsystem I.
 
-    Raises NotASubsystem at the first product of basis vectors of I
-    that leaves I.
+    The products come from `linalg.products` at scale d*L^2 (binary) and
+    d^2*L^3 (ternary), with d from `B.integer_rows` and L from
+    `I.integer_basis`.  Raises NotASubsystem at the first product of basis
+    vectors of I that leaves I.
     """
     _check_ambient(B, I)
     m = I.dim
-    rows = I.basis
+    r = range(m)
+    d, T, R = B.integer_rows
+    L, _ = I.integer_basis
 
-    def coords(v: Vec) -> Vec:
-        c = I.coords(v)
-        if c is None:
-            raise NotASubsystem("restriction requires a subsystem")
-        return c
+    def coords(table, order: int, scale: int):
+        # the I-coordinates of the products of I's basis vectors, in basis order
+        for w in products(table, (I,) * order, B.n):
+            c = I.coords(unscaled(w, scale))
+            if c is None:
+                raise NotASubsystem("restriction requires a subsystem")
+            yield c
 
-    T = [[coords(B.binary(rows[p], rows[q])) for q in range(m)] for p in range(m)]
-    R = [[[coords(B.ternary(rows[p], rows[q], rows[r])) for r in range(m)] for q in range(m)] for p in range(m)]
-    return BolAlgebra.from_tensors(m, T, R, tuple(f"v{i}" for i in range(m)))
+    ts = coords(T, 2, d * L**2)
+    rs = coords(R, 3, d * d * L**3)
+    Tm = [[next(ts) for _ in r] for _ in r]
+    Rm = [[[next(rs) for _ in r] for _ in r] for _ in r]
+    return BolAlgebra.from_tensors(m, Tm, Rm, tuple(f"v{i}" for i in range(m)))
 
 
 def direct_sum(B1: BolAlgebra, B2: BolAlgebra) -> BolAlgebra:

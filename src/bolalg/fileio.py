@@ -91,6 +91,8 @@ def _read_header(text: str, fields: tuple[str, ...], label: str) -> tuple[dict, 
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError("top-level value must be an object")
     for key in ("name", "dim"):

@@ -96,6 +96,36 @@ def multilinear(table, vectors, scale: int, n: int) -> Vec:
     return unscaled(combine([c for _, c in terms], [row for row, _ in terms], n), scale)
 
 
+def products(table, spaces, n: int):
+    """t(u, v, ...) for every tuple (u, v, ...) of canonical basis vectors of the spaces, in basis order, lazily.
+
+    `table` holds integer rows with one index per space (T or R of
+    `BolAlgebra.integer_rows`).  Each product is a list of ints at the
+    table's scale times the product of the spaces' L
+    (`Subspace.integer_basis`).  The first index is contracted with each
+    vector of the first space, and that partial table is shared by every
+    later vector.
+    """
+    bases = [S.integer_basis[1] for S in spaces]
+    last = len(spaces) - 1
+
+    def partial(nodes, coeffs, depth):
+        # sum_k coeffs[k] nodes[k], for nodes `depth` indices above their rows; rows cut to nonzero entries
+        if depth == 0:
+            return nonzero_row(combine(coeffs, nodes, n))
+        return [partial([node[j] for node in nodes], coeffs, depth - 1) for j in range(n)]
+
+    def walk(table, k):
+        for u in bases[k]:
+            nodes, coeffs = [table[i] for i, _ in u], [c for _, c in u]
+            if k == last:
+                yield combine(coeffs, nodes, n)
+            else:
+                yield from walk(partial(nodes, coeffs, last - k), k + 1)
+
+    return walk(table, 0)
+
+
 def vec(coords) -> Vec:
     return tuple(frac(c) for c in coords)
 
@@ -109,7 +139,7 @@ def basis_vec(i: int, n: int) -> Vec:
 
 
 def is_zero_vec(v: Vec) -> bool:
-    return all(c == 0 for c in v)
+    return not any(v)
 
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
@@ -147,26 +177,24 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
 
 
 def rref(m: Mat) -> Mat:
-    """Reduced row-echelon form; preserves the row space."""
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    piv = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(piv, nrows) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[piv], rows[pivot_row] = rows[pivot_row], rows[piv]
-        inv = ONE / rows[piv][col]
-        rows[piv] = [inv * x for x in rows[piv]]
-        for r in range(nrows):
-            if r != piv and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[piv])]
-        piv += 1
-        if piv == nrows:
-            break
-    return tuple(tuple(row) for row in rows)
+    """Reduced row-echelon form, with as many rows as m (zero rows last); preserves the row space.
+
+    Fraction-free: the rows are reduced to an echelon form in ints
+    (`_echelon`), cleared above their pivots by cross-multiplication,
+    sorted by pivot, and each is divided once by its pivot.  A ragged
+    matrix raises DimensionMismatch.
+    """
+    ncols = len(m[0]) if m else 0
+    rows, pivots, _ = _echelon(m, ncols)
+    for k in range(len(rows) - 1, 0, -1):  # row k is 0 at every other pivot once the rows after it are done
+        p, row = pivots[k], rows[k]
+        a = row[p]
+        for i in range(k):
+            c = rows[i][p]
+            if c:
+                rows[i] = _primitive([a * x - c * y for x, y in zip(rows[i], row)])
+    reduced = tuple(tuple(Fraction(x, row[p]) for x in row) for p, row in sorted(zip(pivots, rows)))
+    return reduced + zero_mat(len(m) - len(rows), ncols)
 
 
 def rank(m: Mat) -> int:
@@ -326,17 +354,38 @@ def full_space(ambient: int) -> Subspace:
 def span(vectors, ambient: int) -> Subspace:
     """Canonical subspace spanned by the given vectors (of Fractions or ints).
 
-    Fraction-free: each vector is scaled to a primitive integer row and
-    reduced into a growing echelon basis by cross-multiplication as it is
-    read; the rows are then cleared above their pivots the same way, and
-    one `rref` divides each by its pivot.  Once the basis is full, the
-    rest of a list or tuple is only checked for length, and any other
-    iterable (a product generator) is not read further.
+    Fraction-free: `_echelon` reduces the vectors to an integer echelon
+    basis as they are read, and one `rref` of that basis gives the
+    canonical one.  Once the basis is full, the rest of a list or tuple
+    is only checked for length, and any other iterable (a product
+    generator) is not read further.
+    """
+    rows, _, _ = _echelon(vectors, ambient)
+    return Subspace(ambient, rref(rows))
+
+
+def independent(vectors, ambient: int) -> tuple[int, ...]:
+    """The positions of the vectors that lie outside the span of the vectors before them.
+
+    Those vectors are a basis of the span of all of them.
+    """
+    return tuple(_echelon(vectors, ambient)[2])
+
+
+def _echelon(vectors, ambient: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """(rows, pivots, kept): a fraction-free echelon basis of the vectors' span, in the order it was found.
+
+    Each vector is scaled to ints and reduced against the rows so far by
+    cross-multiplication; what is left, if nonzero, is kept as a primitive
+    row, which is 0 at the pivots of the rows before it.  `kept` holds the
+    positions of the vectors that gave the rows.  Every length is checked
+    in a list or tuple; any other iterable is not read past a full basis.
     """
     whole = isinstance(vectors, (list, tuple))
-    rows: list[list[int]] = []  # each is 0 at the pivots of the rows before it
+    rows: list[list[int]] = []
     pivots: list[int] = []
-    for v in vectors:
+    kept: list[int] = []
+    for pos, v in enumerate(vectors):
         if len(v) != ambient:
             raise DimensionMismatch(f"vector of length {len(v)} in ambient {ambient}")
         if len(rows) == ambient:
@@ -351,16 +400,10 @@ def span(vectors, ambient: int) -> Subspace:
         if lead is not None:
             rows.append(_primitive(w))
             pivots.append(lead)
+            kept.append(pos)
             if len(rows) == ambient and not whole:
                 break
-    for k in range(len(rows) - 1, 0, -1):  # row k is 0 at every other pivot once the rows after it are done
-        p, row = pivots[k], rows[k]
-        a = row[p]
-        for i in range(k):
-            c = rows[i][p]
-            if c:
-                rows[i] = _primitive([a * x - c * y for x, y in zip(rows[i], row)])
-    return Subspace(ambient, rref(tuple(map(tuple, rows))))
+    return rows, pivots, kept
 
 
 def _primitive(w: list[int]) -> list[int]:

@@ -22,7 +22,6 @@ from bolalg.linalg import (
     failures,
     full_space,
     mat_vec,
-    rref,
     span,
     transpose,
     vec_scale,
@@ -145,6 +144,29 @@ def reference_pair_bracket(B: BolAlgebra, P, Q):
     return PairEndo(commutator(P.pi, Q.pi), comp)
 
 
+def reference_rref(m):
+    """Reduced row-echelon form by Fraction Gauss-Jordan elimination, with as many rows as m."""
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    piv = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(piv, nrows) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[piv], rows[pivot_row] = rows[pivot_row], rows[piv]
+        inv = ONE / rows[piv][col]
+        rows[piv] = [inv * x for x in rows[piv]]
+        for r in range(nrows):
+            if r != piv and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[piv])]
+        piv += 1
+        if piv == nrows:
+            break
+    return tuple(tuple(row) for row in rows)
+
+
 def reference_fraction_span(vectors, n) -> Subspace:
     """The incremental Fraction span: each vector is reduced against rows normalized to 1 at their pivots."""
     rows, pivots = [], []
@@ -156,7 +178,7 @@ def reference_fraction_span(vectors, n) -> Subspace:
         if lead is not None:
             rows.append([x / w[lead] for x in w])
             pivots.append(lead)
-    return Subspace(n, rref(tuple(map(tuple, rows))))
+    return Subspace(n, reference_rref(rows))
 
 
 def reference_coords(S: Subspace, v):
@@ -234,7 +256,7 @@ def invert(m):
     """Matrix inverse via row reduction of [m | I]; oracle-grade, no shortcuts."""
     n = len(m)
     aug = [list(m[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    red = rref(tuple(tuple(r) for r in aug))
+    red = reference_rref(aug)
     for i in range(n):
         assert red[i][i] == 1, "matrix is singular"
     return tuple(tuple(red[i][n + j] for j in range(n)) for i in range(n))
@@ -377,14 +399,14 @@ def rational_basis(rng, n):
 
 
 # Dense references for the ideal layer: the products formed with
-# `B.binary`/`B.ternary` on basis vectors, row-reduced in one `rref`,
+# `B.binary`/`B.ternary` on basis vectors, row-reduced in one `reference_rref`,
 # independently of the structure rows, the operator family and the
 # incremental `span`.
 
 
 def reference_span(vectors, n) -> Subspace:
     rows = tuple(tuple(v) for v in vectors)
-    return Subspace(n, tuple(row for row in rref(rows) if any(c != 0 for c in row)))
+    return Subspace(n, tuple(row for row in reference_rref(rows) if any(c != 0 for c in row)))
 
 
 def reference_prod_span(B: BolAlgebra, U: Subspace, V: Subspace) -> Subspace:

@@ -50,6 +50,19 @@ def test_check_malformed_file_exit_3():
     assert "input error" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe\x00{}", b"[" * 100_000],
+    ids=["not-utf8", "deeply-nested"],
+)
+def test_unreadable_input_is_an_input_error_not_a_traceback(content, tmp_path):
+    f = tmp_path / "doc.json"
+    f.write_bytes(content)
+    r = run_bol("check", str(f))
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr.startswith("input error")
+
+
 def test_check_non_bol_file_exit_1():
     r = run_bol("check", str(FIXTURES / "not_a_bol_algebra.json"))
     assert r.returncode == 1

@@ -85,6 +85,7 @@ def test_parse_accepts_fraction_strings():
         ('{"name": "t", "dim": 2, "ternary": 3}', "must be a list"),
         ("[1, 2]", "object"),
         ("{broken", "invalid JSON"),
+        pytest.param("[" * 100_000, "nested too deeply", id="deeply-nested"),
     ],
 )
 def test_parse_rejects_invalid_documents(body, fragment):
@@ -106,6 +107,7 @@ def test_parse_rejects_invalid_documents(body, fragment):
         ('{"name": "g", "dim": 2, "brackets": [[0, 1, 5, "1"]]}', "out of range"),
         ('{"name": "g", "dim": 2, "brackets": {"0": 1}}', "must be a list"),
         ('{"name": "g", "dim": 2, "binary": []}', "unknown"),
+        pytest.param("[" * 100_000, "nested too deeply", id="deeply-nested"),
     ],
 )
 def test_parse_lie_rejects_invalid_documents(body, fragment):

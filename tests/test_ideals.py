@@ -1,7 +1,8 @@
 """Differential tests of the ideal layer against dense reference formulas.
 
-`prod_span` and `tri_span` build their products from the structure rows,
-and `ideal_closure` and the def2 `is_ideal` read `BolAlgebra.ideal_operators`.
+`prod_span`, `tri_span`, `ideal_closure` and the def2 `is_ideal` build
+their products from the structure rows (`linalg.products`), and
+`is_simple` reads `BolAlgebra.ideal_operators`.
 Here they are compared with the same constructions written with
 `BolAlgebra.binary`/`ternary` on dense vectors (tests/support.py), on
 zero, proper and full subspaces, and on algebras that need not be Bol.

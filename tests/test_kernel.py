@@ -162,9 +162,10 @@ def test_inner_pairs_are_pseudo_derivations_with_denominators(name):
             assert is_pseudo_derivation(B, bumped) == reference_pseudo_derivation(B, bumped)
 
 
-# `check_axioms` decides A4 and A5 on an echelon basis of the inner pairs
-# (R[i][j], T[i][j]) and sweeps every basis tuple only when that basis
-# fails.  These inputs reach both paths, for each identity on its own.
+# `check_axioms` decides A4 and A5 on the pairs (i, j) whose constants
+# (R[i][j], T[i][j]) are independent, and sweeps every basis tuple only
+# when one of them fails.  These inputs reach both paths, for each
+# identity on its own.
 
 ALL = list(catalog_names())
 

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import reference_rref
 
 from bolalg.catalog import catalog
 from bolalg.core import prod_span, tri_span
@@ -17,6 +18,7 @@ from bolalg.linalg import (
     failures,
     full_space,
     identity,
+    independent,
     intersect,
     kernel,
     kernel_of,
@@ -325,10 +327,25 @@ def test_span_rank_and_kernel_agree_with_sympy(case):
     reduced, pivots = M.rref()
     want_rows = tuple(_from_sympy(reduced.row(i)) for i in range(len(pivots)))
     assert span(m, ncols).basis == want_rows
+    assert independent(m, ncols) == M.T.rref()[1]
     assert rank(m) == M.rank() == len(pivots)
     null = [_from_sympy(v) for v in M.nullspace()]
     assert kernel(m) == span(null, ncols)
     assert kernel(m).dim == ncols - len(pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.data())
+def test_rref_agrees_with_the_fraction_reference_on_zero_and_repeated_rows(case, data):
+    m, ncols = case
+    rows = data.draw(st.permutations(m + ((F(0),) * ncols, data.draw(st.sampled_from(m)))))
+    assert rref(tuple(rows)) == reference_rref(rows)
+
+
+@pytest.mark.parametrize("m", [((F(1), F(2)), (F(3),)), ((F(1),), (F(0), F(1))), ((F(1), F(0)), (F(0), F(1)), (F(1),))])
+def test_rref_rejects_a_ragged_matrix(m):
+    with pytest.raises(DimensionMismatch):
+        rref(m)
 
 
 # Denominators that share some prime factors and not others, numerators up to 10^12.

@@ -1,8 +1,8 @@
 """Differential tests of the integer-row Lie layer, pair algebra and linear algebra.
 
 `LieAlgebra.bracket`, `jacobi_check`, `killing_gram`, `BolAlgebra.left_op`,
-`induced_bracket`, `envelope`, `span` and `Subspace.coords` sum in ints
-from the structure rows.  Here they are compared with the dense Fraction
+`induced_bracket`, `envelope`, `restrict`, `span` and `Subspace.coords`
+sum in ints from the structure rows.  Here they are compared with the dense Fraction
 references of tests/support.py on random integer tensors, tensors with
 denominators (d > 1), broken Lie constants, and every catalog entry in
 its natural basis and under a rational and an integral basis change.
@@ -16,6 +16,7 @@ import pytest
 from support import (
     dense_binary,
     dense_ternary,
+    invert,
     random_algebra,
     rational_basis,
     reference_bracket,
@@ -32,6 +33,7 @@ from support import (
 )
 
 from bolalg.catalog import catalog, catalog_names
+from bolalg.core import BolAlgebra, direct_sum, restrict
 from bolalg.envelope import PairEndo, envelope, induced_bracket, pair_bracket
 from bolalg.lie import LieAlgebra, jacobi_check, killing_gram
 from bolalg.linalg import span
@@ -161,6 +163,28 @@ def test_span_and_coords_match_the_fraction_references(seed):
             assert S.coords(v) == reference_coords(S, v)
             assert S.contains(v) == (reference_coords(S, v) is not None)
         assert S.coords(inside) is not None
+
+
+@pytest.mark.parametrize("names", [("sl2bol", "so3bol"), ("heis3bol", "lts_sl2"), ("solv2", "mixed")], ids="+".join)
+def test_restrict_to_a_rational_subsystem_matches_the_dense_reference(names):
+    # The summands of a direct sum are subsystems.  Under a rational basis
+    # change the algebra has denominators (d > 1) and so do the summands'
+    # canonical bases (L > 1), so a wrong scale changes the restriction.
+    B = direct_sum(*(catalog(x) for x in names))
+    S = rational_basis(random.Random(f"{names}-restrict"), B.n)
+    A, Sinv = transport(B, S), invert(S)  # row i of Sinv is e_i in the new coordinates
+    assert A.integer_rows[0] > 1
+    start = 0
+    for name in names:
+        k = catalog(name).n
+        I = span(Sinv[start : start + k], B.n)
+        start += k
+        assert I.integer_basis[0] > 1
+        T = [[reference_coords(I, dense_binary(A, p, q)) for q in I.basis] for p in I.basis]
+        R = [[[reference_coords(I, dense_ternary(A, p, q, r)) for r in I.basis] for q in I.basis] for p in I.basis]
+        got = restrict(A, I)
+        assert got == BolAlgebra.from_tensors(k, T, R, tuple(f"v{i}" for i in range(k)))
+        assert not got.is_abelian()
 
 
 def test_span_of_integer_and_fraction_vectors_agree():
