@@ -13,10 +13,8 @@ defining identities A1-A5; see its docstring for the exact statements.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
-from math import lcm
 
 from bolalg.errors import DimensionMismatch, IllDefinedQuotient, NotAnIdeal, NotASubsystem
 from bolalg.linalg import (
@@ -29,55 +27,43 @@ from bolalg.linalg import (
     closure,
     combine,
     complement_constants,
+    dense_tensor,
     failures,
-    freeze3,
     full_space,
     independent,
+    integer_tensors,
     kernel_of,
     multilinear,
-    nonzero_row,
     products,
-    scaled_rows,
     sized,
     span,
     transpose,
     unscaled,
 )
 
-Tensor3 = tuple[tuple[tuple[Fraction, ...], ...], ...]
-Tensor4 = tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]
-
-
-def _freeze4(t, n: int) -> Tensor4:
-    return tuple(freeze3(cube, n, f"R[{i}]") for i, cube in enumerate(sized(t, n, "R")))
-
 
 class BolAlgebra(Record):
     """Finite-dimensional Bol algebra given by structure tensors.
 
     Immutable; all operations on it are pure functions.  The dimension 0
-    case is allowed and behaves as the zero algebra.
+    case is allowed and behaves as the zero algebra.  The tensors are
+    stored once, as the rows (d, T, R) of `linalg.integer_tensors`, which
+    products, sweeps, equality and the hash read; `T` and `R` are views.
     """
 
     n: int
     labels: tuple[str, ...]
-    T: Tensor3
-    R: Tensor4
+    integer_rows: tuple[int, tuple, tuple]
 
     @staticmethod
     def from_tensors(n: int, T, R, labels=None) -> BolAlgebra:
         if labels is None:
             labels = tuple(f"e{i}" for i in range(n))
-        labels = tuple(labels)
-        if len(labels) != n:
-            raise DimensionMismatch(f"{len(labels)} labels for dimension {n}")
-        return BolAlgebra(n, labels, freeze3(T, n, "T"), _freeze4(R, n))
+        return BolAlgebra(n, sized(labels, n, "labels"), integer_tensors(n, (T, 3, "T"), (R, 4, "R")))
 
     @staticmethod
     def zero(n: int) -> BolAlgebra:
-        T = [[[0] * n for _ in range(n)] for _ in range(n)]
-        R = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        return BolAlgebra.from_tensors(n, T, R)
+        return BolAlgebra.from_tensors(n, [[[0] * n] * n] * n, [[[[0] * n] * n] * n] * n)
 
     def __hash__(self) -> int:
         return self._hash
@@ -87,24 +73,19 @@ class BolAlgebra(Record):
         # Kept on the instance: the lru_caches keyed on algebras hash them
         # on every call.  The labels are left out (equal algebras still
         # hash equal), so the value does not depend on string hashing.
-        return hash((self.n, self.T, self.R))
+        return hash((self.n, self.integer_rows))
 
     @cached_property
-    def integer_rows(self) -> tuple[int, tuple, tuple]:
-        """(d, T, R): every T[i][j] and R[i][j][k] cut to its nonzero entries, T scaled by d and R by d^2, as ints.
+    def T(self) -> tuple:
+        """T[i][j][k], the coefficient of e_k in e_i*e_j: a read-only Fraction view of the rows, built on first use."""
+        d, T, _ = self.integer_rows
+        return dense_tensor(T, 3, d, self.n)
 
-        d is the lcm of every denominator in T and R, so a term with a
-        factors of T and b of R is d^(a+2b) times its rational value.
-        Built on first use and kept; every product and sweep reads the
-        structure tensors through these rows.
-        """
-        d = lcm(
-            *(c.denominator for plane in self.T for v in plane for c in v),
-            *(c.denominator for cube in self.R for plane in cube for v in plane for c in v),
-        )
-        T = tuple(scaled_rows(map(nonzero_row, plane), d) for plane in self.T)
-        R = tuple(tuple(scaled_rows(map(nonzero_row, plane), d * d) for plane in cube) for cube in self.R)
-        return d, T, R
+    @cached_property
+    def R(self) -> tuple:
+        """R[i][j][k][l], the coefficient of e_l in (e_i, e_j, e_k): a read-only Fraction view of the rows, built on first use."""
+        d, _, R = self.integer_rows
+        return dense_tensor(R, 4, d * d, self.n)
 
     @cached_property
     def ideal_operators(self) -> tuple[Mat, ...]:
@@ -144,9 +125,8 @@ class BolAlgebra(Record):
         return tuple(tuple(cols[k][l] for k in range(self.n)) for l in range(self.n))
 
     def is_abelian(self) -> bool:
-        return all(c == 0 for p in self.T for r in p for c in r) and all(
-            c == 0 for cu in self.R for p in cu for r in p for c in r
-        )
+        _, T, R = self.integer_rows
+        return not any(row for plane in chain(T, *R) for row in plane)
 
     def _check_vec(self, *vs: Vec) -> None:
         for v in vs:

@@ -166,7 +166,7 @@ def verify_reassembly(B: BolAlgebra, dec: Decomposition) -> bool:
             part = restrict(B, fa)
         except NotASubsystem:
             return False
-        if (part.T, part.R) != (comp.T, comp.R):
+        if part.integer_rows != comp.integer_rows:
             return False
         if any(not prod_span(B, fa, fb).is_zero() for b, fb in enumerate(frames) if b != a):
             return False

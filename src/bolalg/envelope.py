@@ -332,22 +332,25 @@ def _verify_envelope(B: BolAlgebra, G: LieAlgebra) -> None:
 
 
 def _contract_failure(B: BolAlgebra, G: LieAlgebra) -> tuple[int, ...] | None:
-    """The first failure of projection or recovery on B's basis, read from G's rows.
+    """The first failure of projection or recovery on B's basis, read from the rows of B and G.
 
     That is the first (i, j) with proj_B [e_i, e_j] != e_i*e_j, else the
-    first (i, j, k) with [e_k, [e_i, e_j]] != (e_i, e_j, e_k), else None.
+    first (i, j, k) with [e_k, [e_i, e_j]] != (e_i, e_j, e_k), else None;
+    each side is multiplied by the other's scale (d or d^2 for B, g for G).
     """
     n = B.n
+    d, T, R = B.integer_rows
+    g, C = G.integer_rows
     for i, j in product(range(n), repeat=2):
-        if G.C[i][j][:n] != B.T[i][j]:
+        if tuple((q, c * d) for q, c in C[i][j] if q < n) != tuple((q, c * g) for q, c in T[i][j]):
             return i, j
-    d, C = G.integer_rows
     for i, j, k in product(range(n), repeat=3):
-        rec = [0] * G.m  # [e_k, [e_i, e_j]] at weight d^2
+        rec = [0] * G.m  # [e_k, [e_i, e_j]] at weight g^2
         for p, c in C[i][j]:
             for q, v in C[k][p]:
                 rec[q] += c * v
-        if unscaled(rec[:n], d * d) != B.R[i][j][k] or any(rec[n:]):
+        got = nonzero_row(x * d * d for x in rec[:n])
+        if got != tuple((q, v * g * g) for q, v in R[i][j][k]) or any(rec[n:]):
             return i, j, k
     return None
 
@@ -407,7 +410,7 @@ def standard_embedding_check(E: EnvelopingLie) -> EmbeddingReport:
     Rejects algebras with a nonzero binary product.
     """
     B = E.base
-    if any(c != 0 for p in B.T for r in p for c in r):
+    if any(row for plane in B.integer_rows[1] for row in plane):
         raise PreconditionViolation("standard-embedding relations require a zero binary product")
     witness = _contract_failure(B, E.lie)
     if witness is not None:  # a pair breaks the closure relation, a triple the action relation

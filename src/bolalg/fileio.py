@@ -25,6 +25,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from bolalg.core import BolAlgebra
@@ -34,6 +35,11 @@ from bolalg.lie import LieAlgebra
 from bolalg.linalg import ZERO
 
 
+# The documented scalar grammar, "p" or "p/q": Fraction alone also reads
+# decimals, exponents, spaces and underscores, and "1e10000000" costs seconds.
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_scalar(x, field: str) -> Fraction:
     if isinstance(x, bool) or isinstance(x, float):
         raise DocumentError(f"{field}: scalars must be integers or fraction strings, got {x!r}", field)
@@ -41,6 +47,8 @@ def _parse_scalar(x, field: str) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         try:
+            if not _SCALAR.fullmatch(x):  # the text Fraction gives a literal it cannot read
+                raise ValueError(f"Invalid literal for Fraction: {x!r}")
             f = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{field}: cannot parse scalar {x!r} ({exc})", field) from None
@@ -89,7 +97,7 @@ def _read_header(text: str, fields: tuple[str, ...], label: str) -> tuple[dict, 
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the interpreter's digit limit
         raise DocumentError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None

@@ -118,16 +118,12 @@ def invariance_check(B: BolAlgebra, b: BilinearForm, variant: str = "skew") -> I
 
 
 def trace_form(B: BolAlgebra) -> BilinearForm:
-    """Ricci-style trace form of the ternary tensor (see module docstring)."""
+    """Ricci-style trace form of the ternary tensor (see module docstring), its traces summed from R's rows at weight d^2."""
     n = B.n
-    g = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            s = ZERO
-            for k in range(n):
-                s += B.R[k][i][j][k] + B.R[k][j][i][k]
-            g[i][j] = g[j][i] = -s
-    return BilinearForm(tuple(tuple(row) for row in g), provenance="trace")
+    d, _, R = B.integer_rows
+    tr = [[sum(c for k in range(n) for q, c in R[k][i][j] if q == k) for j in range(n)] for i in range(n)]
+    gram = tuple(tuple(Fraction(-(tr[i][j] + tr[j][i]), d * d) for j in range(n)) for i in range(n))
+    return BilinearForm(gram, provenance="trace")
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 
 from bolalg.errors import DimensionMismatch, FatalInconsistency, NotAnIdeal
 from bolalg.linalg import (
@@ -18,45 +17,42 @@ from bolalg.linalg import (
     Subspace,
     Vec,
     basis_vec,
+    dense_tensor,
     derived_chain,
     failures,
-    freeze3,
     full_space,
+    integer_tensors,
     kernel_of,
     mat_vec,
     multilinear,
-    nonzero_row,
     rank,
-    scaled_rows,
     sized,
     span,
     unscaled,
 )
 
-Tensor3 = tuple[tuple[tuple[Fraction, ...], ...], ...]
-
 
 class LieAlgebra(Record):
-    """Lie algebra over Q presented by structure constants C[i][j][k]."""
+    """Lie algebra over Q presented by structure constants C[i][j][k].
+
+    They are stored once, as the rows (d, C) of `linalg.integer_tensors`; `C` is a Fraction view.
+    """
 
     m: int
     labels: tuple[str, ...]
-    C: Tensor3
+    integer_rows: tuple[int, tuple]
 
     @staticmethod
     def from_constants(m: int, C, labels=None) -> LieAlgebra:
         if labels is None:
             labels = tuple(f"f{i}" for i in range(m))
-        return LieAlgebra(m, sized(labels, m, "labels"), freeze3(C, m, "C"))
+        return LieAlgebra(m, sized(labels, m, "labels"), integer_tensors(m, (C, 3, "C")))
 
     @cached_property
-    def integer_rows(self) -> tuple[int, tuple]:
-        """(d, C): every C[i][j] cut to its nonzero entries and scaled by d, the lcm of all denominators, as ints.
-
-        A term with a factors of C is then d^a times its rational value.
-        """
-        d = lcm(*(c.denominator for plane in self.C for v in plane for c in v))
-        return d, tuple(scaled_rows(map(nonzero_row, plane), d) for plane in self.C)
+    def C(self) -> tuple:
+        """C[i][j][k], the coefficient of f_k in [f_i, f_j]: a read-only Fraction view of the rows, built on first use."""
+        d, C = self.integer_rows
+        return dense_tensor(C, 3, d, self.m)
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
         """Bilinear extension of the bracket, summed from the integer rows."""

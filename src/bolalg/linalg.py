@@ -41,15 +41,40 @@ def sized(items, n: int, name: str) -> tuple:
     return items
 
 
-def freeze3(t, n: int, name: str):
-    """t as an n x n x n tensor of Fractions; DimensionMismatch names the first mis-sized index."""
-    return tuple(
-        tuple(
-            tuple(frac(c) for c in sized(row, n, f"{name}[{i}][{j}]"))
-            for j, row in enumerate(sized(plane, n, f"{name}[{i}]"))
-        )
-        for i, plane in enumerate(sized(t, n, name))
-    )
+def integer_tensors(n: int, *tensors) -> tuple:
+    """(d, t_1, t_2, ...): each (t, order, name) as canonical integer rows, the one stored form of a structure tensor.
+
+    t has `order` indices over range(n), the last over coordinates, and
+    entries `frac` accepts; DimensionMismatch names the first mis-sized
+    index.  Each innermost vector is cut to its nonzero (index, int)
+    entries, d is the lcm of every denominator and t_k is scaled by d^k.
+    """
+    denominators = set()
+
+    def cut(t, order: int, name: str):
+        t = sized(t, n, name)
+        if order > 1:
+            return [cut(x, order - 1, f"{name}[{i}]") for i, x in enumerate(t)]
+        row = [(k, frac(c)) for k, c in enumerate(t) if c is not ZERO]  # the parser pads with ZERO
+        if row:
+            row = [(k, c) for k, c in row if c]
+            denominators.update(c.denominator for _, c in row)
+        return row
+
+    def scale(t, order: int, s: int):
+        return scaled_rows(t, s) if order == 2 else tuple(scale(x, order - 1, s) for x in t)
+
+    cuts = [(cut(t, order, name), order) for t, order, name in tensors]
+    d = lcm(*denominators)
+    return (d, *(scale(t, order, d**k) for k, (t, order) in enumerate(cuts, start=1)))
+
+
+def dense_tensor(rows, order: int, s: int, n: int):
+    """The Fraction tensor, `order` indices over range(n), of integer rows at scale s; the inverse of `integer_tensors`."""
+    if order > 1:
+        return tuple(dense_tensor(x, order - 1, s, n) for x in rows)
+    v = dict(rows)
+    return tuple(Fraction(v[k], s) if k in v else ZERO for k in range(n))
 
 
 def nonzero_row(v) -> Row:
@@ -111,6 +136,8 @@ def products(table, spaces, n: int):
 
     def partial(nodes, coeffs, depth):
         # sum_k coeffs[k] nodes[k], for nodes `depth` indices above their rows; rows cut to nonzero entries
+        if coeffs == [1]:  # a unit vector selects its node
+            return nodes[0]
         if depth == 0:
             return nonzero_row(combine(coeffs, nodes, n))
         return [partial([node[j] for node in nodes], coeffs, depth - 1) for j in range(n)]

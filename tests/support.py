@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from bolalg.core import AxiomReport, BolAlgebra, IdentityCheck, center, ideal_closure, is_ideal
 from bolalg.forms import InvarianceReport
@@ -90,6 +91,22 @@ def _dense_product(table, vectors, n):
             if t != 0:
                 out[k] += c * t
     return tuple(out)
+
+
+def reference_integer_rows(T, R):
+    """(d, T, R) of dense Fraction tensors, entry by entry: d the lcm of every denominator, T's nonzero entries times d, R's times d^2."""
+    n = len(T)
+    r = range(n)
+    d = lcm(*(c.denominator for i, j, k in product(r, repeat=3) for c in (T[i][j][k], *R[i][j][k])))
+
+    def rows(v, s):
+        return tuple((k, int(c * s)) for k, c in enumerate(v) if c != 0)
+
+    return (
+        d,
+        tuple(tuple(rows(T[i][j], d) for j in r) for i in r),
+        tuple(tuple(tuple(rows(R[i][j][k], d * d) for k in r) for j in r) for i in r),
+    )
 
 
 def dense_binary(B: BolAlgebra, x, y):

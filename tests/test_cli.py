@@ -52,8 +52,8 @@ def test_check_malformed_file_exit_3():
 
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe\x00{}", b"[" * 100_000],
-    ids=["not-utf8", "deeply-nested"],
+    [b"\xff\xfe\x00{}", b"[" * 100_000, b'{"name": "x", "dim": 2, "binary": [[0, 1, 0, ' + b"7" * 5000 + b"]]}"],
+    ids=["not-utf8", "deeply-nested", "long-integer"],
 )
 def test_unreadable_input_is_an_input_error_not_a_traceback(content, tmp_path):
     f = tmp_path / "doc.json"

@@ -1,7 +1,12 @@
+import json
 import re
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra
@@ -11,6 +16,10 @@ from bolalg.fileio import emit_bol_document, emit_lie_document, parse_bol_docume
 from bolalg.lie import LieAlgebra
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# A JSON integer past the interpreter's 4300-digit limit for int <-> str.
+LONG_COEFF = '{"name": "t", "dim": 2, "binary": [[0, 1, 0, ' + "7" * 5000 + "]]}"
+# Strings Fraction reads but the documented grammar "p" or "p/q" does not allow.
+OFF_GRAMMAR = ("0.5", "1e5", " 3", "1_000", "1e10000000", "\u0663")
 
 
 def test_round_trip_catalog_byte_identical():
@@ -86,6 +95,12 @@ def test_parse_accepts_fraction_strings():
         ("[1, 2]", "object"),
         ("{broken", "invalid JSON"),
         pytest.param("[" * 100_000, "nested too deeply", id="deeply-nested"),
+        pytest.param(LONG_COEFF, "invalid JSON", id="long-integer"),
+        pytest.param('{"name": "t", "dim": ' + "7" * 5000 + "}", "invalid JSON", id="long-dim"),
+        *(
+            pytest.param(f'{{"name": "t", "dim": 2, "binary": [[0, 1, 0, "{x}"]]}}', "cannot parse", id=f"scalar-{x}")
+            for x in OFF_GRAMMAR
+        ),
     ],
 )
 def test_parse_rejects_invalid_documents(body, fragment):
@@ -108,6 +123,15 @@ def test_parse_rejects_invalid_documents(body, fragment):
         ('{"name": "g", "dim": 2, "brackets": {"0": 1}}', "must be a list"),
         ('{"name": "g", "dim": 2, "binary": []}', "unknown"),
         pytest.param("[" * 100_000, "nested too deeply", id="deeply-nested"),
+        pytest.param(LONG_COEFF.replace("binary", "brackets"), "invalid JSON", id="long-integer"),
+        *(
+            pytest.param(
+                f'{{"name": "g", "dim": 1, "b_dim": 1, "h_basis": [{{"pi": [["{x}"]], "comp": ["0"]}}]}}',
+                "cannot parse",
+                id=f"h-scalar-{x}",
+            )
+            for x in OFF_GRAMMAR
+        ),
     ],
 )
 def test_parse_lie_rejects_invalid_documents(body, fragment):
@@ -166,3 +190,69 @@ def test_emit_refuses_tensors_the_format_cannot_hold():
     C = [[[0, 0], [0, 1]], [[0, 0], [0, 0]]]
     with pytest.raises(PreconditionViolation, match=re.escape("C[0][1]")):
         emit_lie_document(LieAlgebra.from_constants(2, C), "bad")
+
+
+def test_an_exponent_scalar_is_rejected_at_once():
+    start = time.perf_counter()
+    with pytest.raises(DocumentError, match="cannot parse"):
+        parse_bol_document('{"name": "t", "dim": 2, "binary": [[0, 1, 0, "1e10000000"]]}')
+    assert time.perf_counter() - start < 1.0
+
+
+@given(st.sampled_from(["", "+", "-"]), st.integers(0, 10**40), st.integers(1, 10**40))
+def test_scalar_strings_read_as_their_fraction(sign, p, q):
+    B, _ = parse_bol_document(
+        json.dumps({"name": "t", "dim": 2, "binary": [[0, 1, 0, f"{sign}{p}/{q}"], [0, 1, 1, f"{sign}{p}"]]})
+    )
+    s = -1 if sign == "-" else 1
+    assert B.T[0][1] == (s * Fraction(p, q), s * Fraction(p))
+
+
+# Documents that are mostly well formed: the known keys, small indices and
+# dims, and scalars on and off the grammar.  Dims stay small because a
+# valid document of dimension n allocates n^4 coefficients.
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1/2", "-3/6", "+2", "1/0", "0.5", "1e5", " 3", "1_000", "\u0663", "x", ""]),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+JSON = st.recursive(
+    SCALARS | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=16,
+)
+ENTRY = st.lists(st.integers(-1, 3) | SCALARS, min_size=3, max_size=6)
+PAIR = st.fixed_dictionaries({"pi": JSON, "comp": JSON}) | st.fixed_dictionaries(
+    {"pi": st.lists(st.lists(SCALARS, max_size=3), max_size=3), "comp": st.lists(SCALARS, max_size=3)}
+)
+FIELDS = {
+    "name": st.text(max_size=3) | JSON,
+    "dim": st.integers(-1, 3) | JSON,
+    "basis": st.lists(st.text(max_size=2), max_size=4) | JSON,
+    "binary": st.lists(ENTRY, max_size=4) | JSON,
+    "ternary": st.lists(ENTRY, max_size=4) | JSON,
+    "brackets": st.lists(ENTRY, max_size=4) | JSON,
+    "b_dim": st.integers(-1, 4) | JSON,
+    "h_basis": st.lists(PAIR, max_size=3) | JSON,
+    "extra": JSON,
+}
+DOCUMENTS = st.one_of(
+    st.text(max_size=40),
+    JSON.map(json.dumps),
+    st.fixed_dictionaries({}, optional=FIELDS).map(json.dumps),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOCUMENTS)
+@example(LONG_COEFF)
+@example('{"name": "t", "dim": 2, "binary": [[0, 1, 0, "1e100"]]}')
+@example('{"name": "g", "dim": 1, "b_dim": 1, "h_basis": [{"pi": [["1e100"]], "comp": ["0"]}]}')
+def test_every_text_parses_or_is_a_document_error(text):
+    for parse in (parse_bol_document, parse_lie_document):
+        try:
+            parse(text)
+        except DocumentError:
+            pass

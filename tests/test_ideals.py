@@ -26,6 +26,7 @@ from support import (
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra, direct_sum, ideal_closure, is_ideal, prod_span, tri_span
+from bolalg import linalg
 from bolalg.linalg import basis_vec, full_space, span, zero_space
 from bolalg.radical import is_simple
 
@@ -182,3 +183,22 @@ def test_is_simple_results_are_unchanged(key):
 def test_every_catalog_entry_has_a_simplicity_result():
     assert set(catalog_names()) <= set(SIMPLICITY)
     assert {f"{name}@basis" for name in catalog_names()} <= set(SIMPLICITY)
+
+
+def test_products_of_unit_vectors_take_one_row_sum_each(monkeypatch):
+    # The walks of the def2 test on a summand of sl2bol + so3bol: a unit
+    # vector selects its part of the table, so only the product is summed.
+    B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
+    V, full = span([basis_vec(i, 6) for i in range(3)], 6), full_space(6)
+    _, T, R = B.integer_rows
+    calls = []
+    combine = linalg.combine
+
+    def counted(*args):
+        calls.append(args)
+        return combine(*args)
+
+    monkeypatch.setattr(linalg, "combine", counted)
+    assert len(list(linalg.products(T, (V, full), 6))) == len(calls) == 3 * 6
+    assert len(list(linalg.products(R, (V, full, full), 6))) == len(calls) - 18 == 3 * 6 * 6
+    assert is_ideal(B, V, "def2")

@@ -74,7 +74,7 @@ def test_bol_algebra_keeps_its_integer_rows_and_hashes_without_labels():
     B = catalog("sl2bol")
     rows = B.integer_rows
     assert B.integer_rows is rows and B.__dict__["integer_rows"] is rows
-    relabelled = BolAlgebra(B.n, ("x", "y", "z"), B.T, B.R)
+    relabelled = BolAlgebra(B.n, ("x", "y", "z"), B.integer_rows)
     assert relabelled != B and hash(relabelled) == hash(B)
     assert BolAlgebra.from_tensors(B.n, B.T, B.R, B.labels) == B
 

@@ -6,11 +6,17 @@ sum in ints from the structure rows.  Here they are compared with the dense Frac
 references of tests/support.py on random integer tensors, tensors with
 denominators (d > 1), broken Lie constants, and every catalog entry in
 its natural basis and under a rational and an integral basis change.
+The rows are the one stored form of the tensors: they are checked
+against a Fraction-built reference, and the Fraction views `T`, `R` and
+`C` are checked to rebuild the algebra and to stay unbuilt where no
+dense reader runs.
 """
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from support import (
@@ -24,6 +30,7 @@ from support import (
     reference_envelope,
     reference_fraction_span,
     reference_induced_bracket,
+    reference_integer_rows,
     reference_jacobi_check,
     reference_killing_gram,
     reference_left_op,
@@ -33,8 +40,10 @@ from support import (
 )
 
 from bolalg.catalog import catalog, catalog_names
-from bolalg.core import BolAlgebra, direct_sum, restrict
+from bolalg.core import BolAlgebra, check_axioms, direct_sum, restrict
 from bolalg.envelope import PairEndo, envelope, induced_bracket, pair_bracket
+from bolalg.errors import DocumentError
+from bolalg.fileio import parse_bol_document
 from bolalg.lie import LieAlgebra, jacobi_check, killing_gram
 from bolalg.linalg import span
 
@@ -204,3 +213,47 @@ def test_lie_bracket_reads_the_constants_in_index_order():
     assert L.bracket(e[1], e[0]) == (0, 0, 0)
     assert not jacobi_check(L).antisymmetric
     assert all(L.bracket(x, y) == reference_bracket(L, x, y) for x, y in product(e, repeat=2))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("basis", BASES)
+def test_the_stored_rows_are_canonical_and_the_views_rebuild_them(name, basis):
+    B = basis_change(name, basis)
+    assert B.integer_rows == reference_integer_rows(B.T, B.R)
+    if basis == "rational" and not B.is_abelian():
+        assert B.integer_rows[0] > 1
+    as_strings = [[[str(c) for c in v] for v in plane] for plane in B.T]
+    mixed = [[[c.numerator if c.denominator == 1 else str(c) for c in v] for v in plane] for plane in B.T]
+    for T in (B.T, as_strings, mixed):
+        rebuilt = BolAlgebra.from_tensors(B.n, T, B.R, B.labels)
+        assert rebuilt == B and hash(rebuilt) == hash(B)
+    G = envelope(B).lie
+    rebuilt = LieAlgebra.from_constants(G.m, G.C, G.labels)
+    assert rebuilt == G and hash(rebuilt) == hash(G)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_parsing_and_checking_a_document_builds_no_dense_view(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    checked = 0
+    for doc in gen.check_sparse(29) + gen.reject_invalid(29):
+        try:
+            B, _ = parse_bol_document(doc.text)
+        except DocumentError:
+            continue
+        check_axioms.__wrapped__(B)
+        assert "T" not in B.__dict__ and "R" not in B.__dict__
+        checked += 1
+    assert checked >= 8
+
+
+def test_a_full_session_never_builds_the_envelope_constants(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen, job = importlib.import_module("gen"), importlib.import_module("job")
+    for doc in gen.session_dense(29):
+        job.session(doc.text)
+        B, _ = parse_bol_document(doc.text)
+        assert "C" not in envelope(B).lie.__dict__
