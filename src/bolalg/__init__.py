@@ -8,7 +8,7 @@ from bolalg.linalg import Subspace, full_space, intersect, kernel, rref, span, s
 from bolalg.core import AxiomReport, BolAlgebra, center, check_axioms, direct_sum, ideal_closure, is_ideal, is_subsystem, prod_span, quotient, restrict, tri_span
 from bolalg.catalog import catalog, catalog_names
 from bolalg.series import SeriesResult, bol_derived_series, is_solvable, lts_derived_series
-from bolalg.lie import LieAlgebra, jacobi_check, killing, lie_derived_series, lie_is_semisimple, lie_is_solvable, lie_radical
+from bolalg.lie import LieAlgebra, jacobi_check, lie_derived_series, lie_is_semisimple, lie_is_solvable, lie_radical
 from bolalg.envelope import (
     EnvelopingLie,
     PairEndo,
@@ -17,7 +17,6 @@ from bolalg.envelope import (
     ideal_extension,
     inner_pair,
     is_pseudo_derivation,
-    pair_bracket,
     solvability_transfer_check,
     standard_embedding_check,
 )
@@ -28,6 +27,7 @@ from bolalg.forms import (
     envelope_form,
     invariance_check,
     is_nondegenerate,
+    killing,
     left_perp,
     right_perp,
     trace_form,
@@ -81,7 +81,6 @@ __all__ = [
     "lie_is_solvable",
     "lie_radical",
     "lts_derived_series",
-    "pair_bracket",
     "prod_span",
     "quotient",
     "radical",

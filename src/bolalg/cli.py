@@ -3,7 +3,7 @@
 Each subcommand takes the flags its handler reads, and no other:
 
     bol check FILE      [--json]
-    bol info FILE       [--json] [--form] [--invariance] [--ideal-mode]
+    bol info FILE       [--json] [--form] [--invariance]
     bol radical FILE    [--json] [--form]
     bol envelope FILE   [--json] [--emit PATH] [--seed N]
     bol decompose FILE  [--json] [--form] [--invariance] [--seed N]
@@ -12,8 +12,8 @@ Each subcommand takes the flags its handler reads, and no other:
 `COMMANDS` holds this table and also dispatches; any other flag is a
 usage error, shown with the subcommand's usage.  Exit codes: 0 success/decided, 1 not a Bol algebra or
 verification failure, 2 undecided/uncertified result, 3 input error (a
-malformed document or command line).  All numbers in any output are exact
-fraction strings; there are no floats.
+malformed document or command line, or a result past the int-to-str digit
+limit).  All numbers in any output are exact fraction strings; there are no floats.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ import sys
 from pathlib import Path
 
 from bolalg.catalog import catalog, catalog_names
-from bolalg.core import center, check_axioms, ideal_closure, is_ideal
+from bolalg.core import center, check_axioms, ideal_closure
 from bolalg.decompose import decompose_semisimple, structure_report
 from bolalg.envelope import envelope
-from bolalg.errors import BolError, DocumentError, FatalInconsistency, PreconditionViolation
+from bolalg.errors import BolError, DocumentError, FatalInconsistency, NotASubsystem, PreconditionViolation
 from bolalg.fileio import emit_bol_document, emit_lie_document, parse_bol_document
-from bolalg.forms import compare_trace_vs_envelope, envelope_form, invariance_check, trace_form
+from bolalg.forms import envelope_form, invariance_check, trace_form
 from bolalg.linalg import basis_vec, full_space, rank, span
 from bolalg.radical import DEFAULT_SEED, radical
 from bolalg.series import bol_derived_series, lts_derived_series
@@ -48,8 +48,16 @@ def _load(path: str):
     return parse_bol_document(text)
 
 
+def _num(c) -> str:
+    """An exact number as the CLI prints it; one past the interpreter's int-to-str digit limit is an input error."""
+    try:
+        return str(c)
+    except ValueError:
+        raise DocumentError(f"a number in the result has more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def _vec_strs(v) -> list[str]:
-    return [str(c) for c in v]
+    return [_num(c) for c in v]
 
 
 def _subspace_json(S) -> dict:
@@ -57,7 +65,7 @@ def _subspace_json(S) -> dict:
 
 
 def _gram_strs(g) -> list[list[str]]:
-    return [[str(c) for c in row] for row in g]
+    return [_vec_strs(row) for row in g]
 
 
 def _print(data: dict, as_json: bool, lines) -> None:
@@ -104,27 +112,22 @@ def _require_bol(args):
     report = check_axioms(B)
     if not report.ok:
         bad = ", ".join(c.name for c in report.identities if not c.ok)
-        print(f"{name}: not a Bol algebra (identities {bad} fail); run `bol check` for witnesses", file=sys.stderr)
-        return None, name
+        raise NotASubsystem(f"{name}: not a Bol algebra (identities {bad} fail); run `bol check` for witnesses")
     return B, name
 
 
 def cmd_info(args) -> int:
     B, name = _require_bol(args)
-    if B is None:
-        return EXIT_FAIL
     full = full_space(B.n)
     c = center(B)
     lts = lts_derived_series(B, full)
     bol = bol_derived_series(B, full)
     tf = trace_form(B)
     ef = envelope_form(B)
-    cmp_forms = compare_trace_vs_envelope(B)
     inv = invariance_check(B, ef if args.form == "env" else tf, args.invariance)
-    closures = []
-    for i in range(B.n):
-        cl = ideal_closure(B, span([basis_vec(i, B.n)], B.n))
-        closures.append({"generator": B.labels[i], "dim": cl.dim, "is_ideal": is_ideal(B, cl, args.ideal_mode)})
+    closures = [
+        {"generator": label, "dim": ideal_closure(B, span([basis_vec(i, B.n)], B.n)).dim} for i, label in enumerate(B.labels)
+    ]
     data = {
         "name": name,
         "dim": B.n,
@@ -136,22 +139,21 @@ def cmd_info(args) -> int:
         "solvable": bol.solvable,
         "form_trace": _gram_strs(tf.gram),
         "form_envelope": _gram_strs(ef.gram),
-        "forms_equal": cmp_forms.equal,
+        "forms_equal": tf.gram == ef.gram,
         "form_ranks": {"trace": rank(tf.gram), "envelope": rank(ef.gram)},
         "invariance": {"form": args.form, "variant": args.invariance, "ok": inv.ok},
         "ideal_closures": closures,
-        "ideal_mode": args.ideal_mode,
     }
     lines = [
         f"{name}: dimension {B.n}",
         f"  center: dim {c.dim}" + (f", basis {[_vec_strs(r) for r in c.basis]}" if c.dim else ""),
         f"  ternary derived series dims: {[s.dim for s in lts.chain]} (reaches zero: {lts.solvable})",
         f"  full derived series dims:    {[s.dim for s in bol.chain]} (solvable: {bol.solvable})",
-        f"  Killing-Ricci (trace form):    {_gram_strs(tf.gram)} rank {rank(tf.gram)}",
-        f"  Killing-Ricci (envelope form): {_gram_strs(ef.gram)} rank {rank(ef.gram)}",
-        f"  forms agree entrywise: {cmp_forms.equal}",
+        f"  Killing-Ricci (trace form):    {data['form_trace']} rank {data['form_ranks']['trace']}",
+        f"  Killing-Ricci (envelope form): {data['form_envelope']} rank {data['form_ranks']['envelope']}",
+        f"  forms agree entrywise: {data['forms_equal']}",
         f"  invariance of {args.form} form ({args.invariance} variant): {inv.ok}",
-        f"  basis-vector ideal closures ({args.ideal_mode}): "
+        "  basis-vector ideal closures: "
         + ", ".join(f"{x['generator']}->dim {x['dim']}" for x in closures),
     ]
     _print(data, args.json, lines)
@@ -160,8 +162,6 @@ def cmd_info(args) -> int:
 
 def cmd_radical(args) -> int:
     B, name = _require_bol(args)
-    if B is None:
-        return EXIT_FAIL
     cert = radical(B, form_kind=args.form)
     data = {
         "name": name,
@@ -202,13 +202,7 @@ def cmd_radical(args) -> int:
 
 def cmd_envelope(args) -> int:
     B, name = _require_bol(args)
-    if B is None:
-        return EXIT_FAIL
-    try:
-        E = envelope(B)
-    except FatalInconsistency as exc:
-        print(f"{name}: envelope construction rejected: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    E = envelope(B)
     rep = structure_report(B, seed=args.seed)
     data = {
         "name": name,
@@ -251,8 +245,6 @@ def cmd_envelope(args) -> int:
 
 def cmd_decompose(args) -> int:
     B, name = _require_bol(args)
-    if B is None:
-        return EXIT_FAIL
     beta = envelope_form(B) if args.form == "env" else trace_form(B)
     try:
         dec = decompose_semisimple(B, beta, args.invariance, seed=args.seed)
@@ -309,7 +301,6 @@ FLAGS = {
     "--seed": {"type": int, "default": DEFAULT_SEED, "help": "seed for randomized searches"},
     "--form": {"choices": ("env", "prop1"), "default": "env", "help": "which Killing-Ricci construction to use"},
     "--invariance": {"choices": ("skew", "paper"), "default": "skew", "help": "ternary invariance variant"},
-    "--ideal-mode": {"choices": ("def2", "def3"), "default": "def2", "help": "ideal test used in reports"},
 }
 
 _FILE = ("file", "Bol algebra JSON file")
@@ -318,7 +309,7 @@ _FILE = ("file", "Bol algebra JSON file")
 # the flags the handler reads.  The parser offers exactly these.
 COMMANDS = {
     "check": (cmd_check, "verify the defining identities", _FILE, ("--json",)),
-    "info": (cmd_info, "center, derived series, forms", _FILE, ("--json", "--form", "--invariance", "--ideal-mode")),
+    "info": (cmd_info, "center, derived series, forms", _FILE, ("--json", "--form", "--invariance")),
     "radical": (cmd_radical, "radical with certificates", _FILE, ("--json", "--form")),
     "envelope": (cmd_envelope, "construct and verify the enveloping Lie algebra", _FILE, ("--json", "--emit", "--seed")),
     "decompose": (cmd_decompose, "split into orthogonal simple ideals", _FILE, ("--json", "--form", "--invariance", "--seed")),

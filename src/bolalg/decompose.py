@@ -26,17 +26,16 @@ from bolalg.linalg import (
     span,
     subspace_sum,
 )
-from bolalg.radical import SimplicityResult, is_simple
+from bolalg.radical import DEFAULT_SEED, SimplicityResult, is_simple
 
 
-def find_proper_ideal(B: BolAlgebra, seed: int | None = None) -> tuple[Subspace | None, SimplicityResult]:
+def find_proper_ideal(B: BolAlgebra, seed: int = DEFAULT_SEED) -> tuple[Subspace | None, SimplicityResult]:
     """A proper nonzero def2-ideal if the simplicity search finds one.
 
     Returns (ideal, search_result); the ideal is None both for certified
     simple and for undecided searches, which the result distinguishes.
     """
-    kwargs = {} if seed is None else {"seed": seed}
-    res = is_simple(B, **kwargs)
+    res = is_simple(B, seed)
     if res.status == "no" and res.witness is not None and 0 < res.witness.dim < B.n:
         return res.witness, res
     return None, res
@@ -51,7 +50,7 @@ class Decomposition(Record):
     notes: tuple[str, ...] = ()
 
 
-def _trivial_derived_ideal_probe(B: BolAlgebra, seed: int | None) -> Subspace | None:
+def _trivial_derived_ideal_probe(B: BolAlgebra, seed: int) -> Subspace | None:
     """Look for a nonzero ideal I with I*I + (I,I,B) = 0."""
     probes = [full_space(B.n)]
     c = center(B)
@@ -70,14 +69,14 @@ def _trivial_derived_ideal_probe(B: BolAlgebra, seed: int | None) -> Subspace | 
 
 def _restrict_form(b: BilinearForm, S: Subspace) -> BilinearForm:
     rows = tuple(tuple(b.value(u, v) for v in S.basis) for u in S.basis)
-    return BilinearForm(rows, provenance=b.provenance)
+    return BilinearForm(rows)
 
 
 def decompose_semisimple(
     B: BolAlgebra,
     b: BilinearForm | None = None,
     variant: str = "skew",
-    seed: int | None = None,
+    seed: int = DEFAULT_SEED,
 ) -> Decomposition:
     """Split B into pairwise b-orthogonal simple ideals.
 
@@ -94,7 +93,7 @@ def decompose_semisimple(
 
 
 @lru_cache(maxsize=None)
-def _decompose_semisimple(B: BolAlgebra, b: BilinearForm, variant: str, seed: int | None) -> Decomposition:
+def _decompose_semisimple(B: BolAlgebra, b: BilinearForm, variant: str, seed: int) -> Decomposition:
     if not b.symmetric:
         raise PreconditionViolation("decomposition form must be symmetric")
     if not is_nondegenerate(b):
@@ -197,7 +196,7 @@ class StructureReport(Record):
     note: str = ""
 
 
-def structure_report(B: BolAlgebra, seed: int | None = None) -> StructureReport:
+def structure_report(B: BolAlgebra, seed: int = DEFAULT_SEED) -> StructureReport:
     E = envelope(B)
     beta = envelope_form(B)
     full = full_space(B.n)

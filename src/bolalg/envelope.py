@@ -109,7 +109,8 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
     `core.ternary_rule_defect`.
     """
     n = B.n
-    _check_pair(B, P)
+    if len(P.pi) != n or any(len(row) != n for row in P.pi) or len(P.comp) != n:
+        raise DimensionMismatch(f"pair of size {len(P.pi)}/{len(P.comp)} in algebra of dimension {n}")
     d, T, R = B.integer_rows
     (A, a), e = _integral_pair(P)
     pb = [nonzero_row([d * row[i] for row in A]) for i in range(n)]  # Pi e_i
@@ -146,27 +147,9 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
     return PseudoDerivationReport(True, True, True)
 
 
-def _check_pair(B: BolAlgebra, P: PairEndo) -> None:
-    n = B.n
-    if len(P.pi) != n or any(len(row) != n for row in P.pi) or len(P.comp) != n:
-        raise DimensionMismatch(f"pair of size {len(P.pi)}/{len(P.comp)} in algebra of dimension {n}")
-
-
 def inner_pair(B: BolAlgebra, x: Vec, y: Vec) -> PairEndo:
     """The pair (L(x,y), x*y) attached to two algebra elements."""
     return PairEndo(B.left_op(x, y), B.binary(x, y))
-
-
-def pair_bracket(B: BolAlgebra, P: PairEndo, Q: PairEndo) -> PairEndo:
-    """Commutator of pairs with the component rule of the pair algebra, ([A,A'], a*a' + Aa' - A'a).
-
-    It is the induced bracket plus the inner pair of the components:
-    ([A,A'] - L(a,a'), Aa' - A'a) + (L(a,a'), a*a').
-    """
-    _check_pair(B, P)
-    _check_pair(B, Q)
-    S, L = induced_bracket(B, P, Q), inner_pair(B, P.comp, Q.comp)
-    return PairEndo.unflatten(tuple(x + y for x, y in zip(S.flatten(), L.flatten())), B.n)
 
 
 def induced_bracket(B: BolAlgebra, P: PairEndo, Q: PairEndo) -> PairEndo:
@@ -281,7 +264,7 @@ def envelope(B: BolAlgebra) -> EnvelopingLie:
     h = h_closure(B)
     N = len(h)
     m = n + N
-    h_space = span([P.flatten() for P in h], n * n + n)
+    h_space = Subspace(n * n + n, tuple(P.flatten() for P in h))  # h_closure's basis is canonical
 
     def h_coords(P: PairEndo) -> Vec:
         c = h_space.coords(P.flatten())

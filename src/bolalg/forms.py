@@ -19,21 +19,19 @@ claimed equality that does not hold in general.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from bolalg.core import BolAlgebra, center, prod_span, tri_span
 from bolalg.envelope import envelope
 from bolalg.errors import DimensionMismatch
-from bolalg.lie import killing_gram
+from bolalg.lie import LieAlgebra, killing_gram
 from bolalg.linalg import Mat, Record, Subspace, ZERO, failures, full_space, identity, integral, kernel_of, mat_vec, rank, transpose
 
 
 class BilinearForm(Record):
-    """A bilinear form given by its Gram matrix, with provenance metadata."""
+    """A bilinear form given by its Gram matrix."""
 
     gram: Mat
-    provenance: str = "user"
 
     @property
     def n(self) -> int:
@@ -62,7 +60,6 @@ class BilinearForm(Record):
 
 
 class InvarianceReport(Record):
-    variant: str
     binary_ok: bool
     ternary_ok: bool
     binary_witness: tuple[int, int, int] | None = None
@@ -114,7 +111,7 @@ def invariance_check(B: BolAlgebra, b: BilinearForm, variant: str = "skew") -> I
 
     b_wit = next((t for t, _ in failures(product(r, repeat=3), binary_defect)), None)
     t_wit = next((t for t, _ in failures(product(r, repeat=4), ternary_defect)), None)
-    return InvarianceReport(variant, b_wit is None, t_wit is None, b_wit, t_wit)
+    return InvarianceReport(b_wit is None, t_wit is None, b_wit, t_wit)
 
 
 def trace_form(B: BolAlgebra) -> BilinearForm:
@@ -123,16 +120,18 @@ def trace_form(B: BolAlgebra) -> BilinearForm:
     d, _, R = B.integer_rows
     tr = [[sum(c for k in range(n) for q, c in R[k][i][j] if q == k) for j in range(n)] for i in range(n)]
     gram = tuple(tuple(Fraction(-(tr[i][j] + tr[j][i]), d * d) for j in range(n)) for i in range(n))
-    return BilinearForm(gram, provenance="trace")
+    return BilinearForm(gram)
 
 
-@lru_cache(maxsize=None)
+def killing(L: LieAlgebra) -> BilinearForm:
+    """Killing form tr(ad x . ad y) as a BilinearForm."""
+    return BilinearForm(killing_gram(L))
+
+
 def envelope_form(B: BolAlgebra) -> BilinearForm:
-    """Killing form of the enveloping Lie algebra restricted to B."""
-    E = envelope(B)
-    g = killing_gram(E.lie)
-    n = B.n
-    return BilinearForm(tuple(tuple(g[i][j] for j in range(n)) for i in range(n)), provenance="envelope")
+    """Killing form of the enveloping Lie algebra restricted to B: the B-corner of its cached `killing_gram`."""
+    g = killing_gram(envelope(B).lie)
+    return BilinearForm(tuple(row[: B.n] for row in g[: B.n]))
 
 
 class FormComparison(Record):
@@ -159,7 +158,7 @@ def left_perp(b: BilinearForm, S: Subspace) -> Subspace:
 
 def right_perp(b: BilinearForm, S: Subspace) -> Subspace:
     """{x : b(s, x) = 0 for all s in S}: the left orthogonal under the transposed form."""
-    return left_perp(BilinearForm(transpose(b.gram), b.provenance), S)
+    return left_perp(BilinearForm(transpose(b.gram)), S)
 
 
 def is_nondegenerate(b: BilinearForm) -> bool:
@@ -179,7 +178,6 @@ class CenterOrthogonalityReport(Record):
 
     preconditions_ok: bool
     triple_in_binary: bool
-    invariance_variant: str
     center_space: Subspace
     left_perp_center: Subspace
     right_perp_center: Subspace
@@ -195,4 +193,4 @@ def center_orthogonality_check(B: BolAlgebra, b: BilinearForm, variant: str = "s
     full = full_space(B.n)
     bb = prod_span(B, full, full)
     triple = tri_span(B, full, full, full) <= bb
-    return CenterOrthogonalityReport(pre, triple, variant, c, lp, rp, bb, lp == rp == bb)
+    return CenterOrthogonalityReport(pre, triple, c, lp, rp, bb, lp == rp == bb)

@@ -111,13 +111,6 @@ def killing_gram(L: LieAlgebra) -> Mat:
     return tuple(tuple(row) for row in g)
 
 
-def killing(L: LieAlgebra):
-    """Killing form tr(ad x . ad y) as a BilinearForm."""
-    from bolalg.forms import BilinearForm
-
-    return BilinearForm(killing_gram(L), provenance="lie-killing")
-
-
 def derived_subspace(L: LieAlgebra, S: Subspace) -> Subspace:
     return bracket_span(L, S, S)
 

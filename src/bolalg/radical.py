@@ -51,6 +51,7 @@ from bolalg.linalg import (
 )
 
 DEFAULT_SEED = 20240801
+N_RANDOM = 32  # seeded random combinations of the operator family tried by `is_simple`
 
 
 def _form_for(B: BolAlgebra, kind: str) -> BilinearForm:
@@ -93,12 +94,16 @@ class StrategyCertificate(Record):
 
 class RadicalCertificate(Record):
     radical: Subspace | None
-    is_ideal_ok: bool
-    solvable_ok: bool
-    quotient_semisimple_ok: bool
     strategy: str  # "form-orthogonal" | "envelope-intersection" | "agreement" | "none"
     decided: bool
     details: tuple[StrategyCertificate, StrategyCertificate]
+
+    @property
+    def is_ideal_ok(self) -> bool:
+        """A decided radical passed the ideal, solvability and quotient checks, and an undecided one has none to pass."""
+        return self.decided
+
+    solvable_ok = quotient_semisimple_ok = is_ideal_ok
 
 
 def _certify(B: BolAlgebra, name: str, cand: Subspace, recheck) -> StrategyCertificate:
@@ -142,11 +147,11 @@ def radical(B: BolAlgebra, form_kind: str = "env") -> RadicalCertificate:
             raise StrategyDisagreement(
                 f"both strategies certify but disagree: dims {s1.candidate.dim} vs {s2.candidate.dim}"
             )
-        return RadicalCertificate(s1.candidate, True, True, True, "agreement", True, (s1, s2))
+        return RadicalCertificate(s1.candidate, "agreement", True, (s1, s2))
     for s in (s1, s2):
         if s.certified:
-            return RadicalCertificate(s.candidate, True, True, True, s.strategy, True, (s1, s2))
-    return RadicalCertificate(None, False, False, False, "none", False, (s1, s2))
+            return RadicalCertificate(s.candidate, s.strategy, True, (s1, s2))
+    return RadicalCertificate(None, "none", False, (s1, s2))
 
 
 def is_semisimple(B: BolAlgebra) -> bool:
@@ -161,22 +166,22 @@ class SimplicityResult(Record):
     note: str = ""
 
 
-def is_simple(B: BolAlgebra, n_random: int = 32, seed: int = DEFAULT_SEED) -> SimplicityResult:
+def is_simple(B: BolAlgebra, seed: int = DEFAULT_SEED) -> SimplicityResult:
     """Three-valued simplicity test.
 
     Searches for proper nonzero def2-ideals through ideal closures of
     basis vectors and of rational eigenvectors of the natural operator
     family (right multiplications and first-slot ternary operators,
-    plus seeded random combinations).  A positive answer is only issued
+    plus `N_RANDOM` seeded random combinations).  A positive answer is only issued
     through the dual-kernel criterion with one-dimensional kernels
     (Norton's irreducibility test), which is sound, so the search
     returns "yes" at its first certificate; otherwise the result is
     "no" with a witness or "undecided".
 
-    The search runs once per (algebra, n_random, seed): equal algebras
-    share one result, however the arguments are passed.
+    The search runs once per (algebra, seed): equal algebras share one
+    result, however the seed is passed.
     """
-    return _is_simple(B, n_random, seed)
+    return _is_simple(B, seed)
 
 
 def _random_combinations(ops: list, n: int, n_random: int, seed: int) -> list:
@@ -203,7 +208,7 @@ def _random_combinations(ops: list, n: int, n_random: int, seed: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _is_simple(B: BolAlgebra, n_random: int, seed: int) -> SimplicityResult:
+def _is_simple(B: BolAlgebra, seed: int) -> SimplicityResult:
     n = B.n
     if n == 0:
         return SimplicityResult("no", None, seed, "zero algebra")
@@ -212,7 +217,7 @@ def _is_simple(B: BolAlgebra, n_random: int, seed: int) -> SimplicityResult:
         return SimplicityResult("no", witness, seed, "abelian")
 
     ops = list(B.ideal_operators)
-    candidates = ops + _random_combinations(ops, n, n_random, seed)
+    candidates = ops + _random_combinations(ops, n, N_RANDOM, seed)
 
     for i in range(n):
         cl = ideal_closure(B, span([basis_vec(i, n)], n))

@@ -17,7 +17,6 @@ from bolalg.linalg import Record, Subspace, derived_chain, full_space
 
 
 class SeriesResult(Record):
-    variant: str  # "lts" | "bol"
     chain: tuple[Subspace, ...]
     stabilized_at: int
     solvable: bool
@@ -28,14 +27,14 @@ def lts_derived_series(B: BolAlgebra, V: Subspace) -> SeriesResult:
     _require_ideal(B, V)
     full = full_space(B.n)
     chain, k, solvable = derived_chain(V, lambda s: tri_span(B, s, s, full))
-    return SeriesResult("lts", chain, k, solvable)
+    return SeriesResult(chain, k, solvable)
 
 
 def bol_derived_series(B: BolAlgebra, W: Subspace) -> SeriesResult:
     """W^(k+1) = W^(k)*W^(k) + (W^(k), W^(k), B), run until stabilization."""
     _require_ideal(B, W)
     chain, k, solvable = derived_chain(W, lambda s: derived_space(B, s))
-    return SeriesResult("bol", chain, k, solvable)
+    return SeriesResult(chain, k, solvable)
 
 
 def is_solvable(B: BolAlgebra, W: Subspace) -> bool:

@@ -10,7 +10,7 @@ from math import lcm
 
 from bolalg.core import AxiomReport, BolAlgebra, IdentityCheck, center, ideal_closure, is_ideal
 from bolalg.forms import InvarianceReport
-from bolalg.envelope import PairEndo
+from bolalg.envelope import PairEndo, induced_bracket, inner_pair
 from bolalg.errors import NotAnIdeal
 from bolalg.lie import JacobiReport, LieAlgebra, lie_is_ideal
 from bolalg.linalg import (
@@ -56,6 +56,16 @@ def lie_quotient(L: LieAlgebra, I: Subspace) -> LieAlgebra:
 def lie_direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
     labels = tuple(f"l.{x}" for x in L1.labels) + tuple(f"r.{x}" for x in L2.labels)
     return LieAlgebra.from_constants(L1.m + L2.m, block_sum(L1.C, L2.C, L1.m, L2.m, 3), labels)
+
+
+def pair_bracket(B: BolAlgebra, P: PairEndo, Q: PairEndo) -> PairEndo:
+    """Commutator of pairs with the component rule of the pair algebra, ([A,A'], a*a' + Aa' - A'a).
+
+    It is the induced bracket plus the inner pair of the components:
+    ([A,A'] - L(a,a'), Aa' - A'a) + (L(a,a'), a*a').
+    """
+    S, L = induced_bracket(B, P, Q), inner_pair(B, P.comp, Q.comp)
+    return PairEndo.unflatten(tuple(x + y for x, y in zip(S.flatten(), L.flatten())), B.n)
 
 
 # Dense references: the products, the Lie layer, the pair algebra and the
@@ -513,7 +523,7 @@ def reference_invariance_check(B: BolAlgebra, b, variant: str = "skew") -> Invar
 
     b_wit = next((t for t, _ in failures(product(r, repeat=3), binary_defect)), None)
     t_wit = next((t for t, _ in failures(product(r, repeat=4), ternary_defect)), None)
-    return InvarianceReport(variant, b_wit is None, t_wit is None, b_wit, t_wit)
+    return InvarianceReport(b_wit is None, t_wit is None, b_wit, t_wit)
 
 
 def spy_on_cache(monkeypatch, module, name: str) -> list:

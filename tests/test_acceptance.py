@@ -23,12 +23,12 @@ from bolalg.forms import (
     center_orthogonality_check,
     compare_trace_vs_envelope,
     envelope_form,
+    killing,
     trace_form,
 )
 from bolalg.lie import (
     LieAlgebra,
     derived_subspace,
-    killing,
     killing_gram,
     lie_is_solvable,
 )

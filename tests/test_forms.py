@@ -26,7 +26,7 @@ from bolalg.linalg import full_space, mat, rank, span, vec, zero_space
 
 F = Fraction
 
-KILLING_SL2 = BilinearForm(mat([[0, 4, 0], [4, 0, 0], [0, 0, 8]]), provenance="user")
+KILLING_SL2 = BilinearForm(mat([[0, 4, 0], [4, 0, 0], [0, 0, 8]]))
 
 
 def test_invariance_abelian_any_form():
@@ -214,7 +214,7 @@ def _random_form(rng, n, symmetric):
 def _bumped(b, i, j, delta):
     g = [list(row) for row in b.gram]
     g[i][j] += delta
-    return BilinearForm(mat(g), provenance=b.provenance)
+    return BilinearForm(mat(g))
 
 
 def invariance_forms(B, rng):

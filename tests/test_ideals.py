@@ -100,6 +100,29 @@ def test_catalog_under_rational_basis_change(name):
     assert_ideal_layer_matches(transport(B, rational_basis(rng, B.n)), rng)
 
 
+def assert_basis_closures_are_ideals_in_both_modes(B):
+    # A closure absorbs V*B and (V,B,B), which hold V*V and (V,V,B): it is a
+    # def3-ideal too, so `bol info` reports the closures with no ideal test.
+    for i in range(B.n):
+        V = ideal_closure(B, span([basis_vec(i, B.n)], B.n))
+        assert is_ideal(B, V, "def2") and is_ideal(B, V, "def3"), i
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_basis_vector_closures_of_the_catalog_are_ideals_in_both_modes(name):
+    B = catalog(name)
+    assert_basis_closures_are_ideals_in_both_modes(B)
+    assert_basis_closures_are_ideals_in_both_modes(transport(B, rational_basis(random.Random(f"{name}-modes"), B.n)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_basis_vector_closures_of_random_constants_are_ideals_in_both_modes(seed):
+    # sparse constants that need not satisfy any axiom, so most closures are proper
+    rng = random.Random(f"closure-modes-{seed}")
+    n = rng.randint(3, 5)
+    assert_basis_closures_are_ideals_in_both_modes(random_algebra(rng, n, (1, 2), (1, 3), density=0.04, idle_pairs=0.5))
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_closures_of_coordinate_planes(name):
     # In the natural basis the summands of a direct sum are coordinate

@@ -8,12 +8,12 @@ from support import lie_direct_sum, lie_quotient
 from bolalg.catalog import catalog, catalog_names
 from bolalg.envelope import envelope
 from bolalg.errors import DimensionMismatch, NotAnIdeal
+from bolalg.forms import killing
 from bolalg.lie import (
     LieAlgebra,
     bracket_span,
     derived_subspace,
     jacobi_check,
-    killing,
     killing_gram,
     lie_derived_series,
     lie_is_ideal,

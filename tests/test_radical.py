@@ -21,7 +21,7 @@ from bolalg.envelope import envelope
 from bolalg.fileio import parse_bol_document
 from bolalg.lie import lie_radical
 from bolalg.linalg import full_space, span, vec, zero_space
-from bolalg.radical import DEFAULT_SEED, _is_simple, _random_combinations, is_semisimple, is_simple, radical
+from bolalg.radical import DEFAULT_SEED, N_RANDOM, _is_simple, _random_combinations, is_semisimple, is_simple, radical
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # the package exports the function `radical` under the module's name
@@ -187,25 +187,18 @@ def test_argument_forms_share_one_simplicity_search(monkeypatch):
     B = catalog("so3bol")
     first = is_simple(B)
     assert is_simple(B, seed=DEFAULT_SEED) is first
-    assert is_simple(B, 32, DEFAULT_SEED) is first
-    assert is_simple(B, n_random=32, seed=DEFAULT_SEED) is first
+    assert is_simple(B, DEFAULT_SEED) is first
     assert find_proper_ideal(B)[1] is first
     assert find_proper_ideal(B, DEFAULT_SEED)[1] is first
-    assert computed == [(B, 32, DEFAULT_SEED)]
+    assert computed == [(B, DEFAULT_SEED)]
 
 
 def test_other_arguments_get_their_own_simplicity_search(monkeypatch):
     computed = spy_on_cache(monkeypatch, RADICAL, "_is_simple")
     B = catalog("so3bol")
-    results = [is_simple(B), is_simple(B, seed=7), is_simple(B, n_random=8), is_simple(B, 8, 7), is_simple(catalog("sl2bol"))]
-    assert computed == [
-        (B, 32, DEFAULT_SEED),
-        (B, 32, 7),
-        (B, 8, DEFAULT_SEED),
-        (B, 8, 7),
-        (catalog("sl2bol"), 32, DEFAULT_SEED),
-    ]
-    assert [res.seed for res in results] == [DEFAULT_SEED, 7, DEFAULT_SEED, 7, DEFAULT_SEED]
+    results = [is_simple(B), is_simple(B, seed=7), is_simple(B, 8), is_simple(catalog("sl2bol"))]
+    assert computed == [(B, DEFAULT_SEED), (B, 7), (B, 8), (catalog("sl2bol"), DEFAULT_SEED)]
+    assert [res.seed for res in results] == [DEFAULT_SEED, 7, 8, DEFAULT_SEED]
 
 
 def assert_combinations_match(B, rng):
@@ -253,11 +246,11 @@ def test_simplicity_search_stops_at_its_first_certificate(name, monkeypatch):
     # by Norton's test a certificate rules out every proper ideal, so no later candidate is tried
     B = catalog(name)
     ops = list(B.ideal_operators)
-    candidates = len(ops) + len(_random_combinations(ops, B.n, 32, DEFAULT_SEED))
+    candidates = len(ops) + len(_random_combinations(ops, B.n, N_RANDOM, DEFAULT_SEED))
     tried = []
     roots = RADICAL.rational_roots
     monkeypatch.setattr(RADICAL, "rational_roots", lambda p: tried.append(p) or roots(p))
-    res = _is_simple.__wrapped__(B, 32, DEFAULT_SEED)
+    res = _is_simple.__wrapped__(B, DEFAULT_SEED)
     assert (res.status, res.witness, res.note) == ("yes", None, "dual-kernel criterion")
     assert 0 < len(tried) < candidates
 

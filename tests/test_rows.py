@@ -23,6 +23,7 @@ from support import (
     dense_binary,
     dense_ternary,
     invert,
+    pair_bracket,
     random_algebra,
     rational_basis,
     reference_bracket,
@@ -41,7 +42,7 @@ from support import (
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra, check_axioms, direct_sum, restrict
-from bolalg.envelope import PairEndo, envelope, induced_bracket, pair_bracket
+from bolalg.envelope import PairEndo, envelope, induced_bracket
 from bolalg.errors import DocumentError
 from bolalg.fileio import parse_bol_document
 from bolalg.lie import LieAlgebra, jacobi_check, killing_gram

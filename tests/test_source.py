@@ -70,13 +70,40 @@ def _package_imports_in_functions(tree: ast.Module) -> list[tuple[str, str]]:
 
 
 def test_modules_import_each_other_only_at_the_top():
-    # forms -> envelope -> lie, so lie.killing imports BilinearForm when called
     found = [
         (path.stem, function, module)
         for path in MODULES
         for function, module in _package_imports_in_functions(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert found == [("lie", "killing", "bolalg.forms")]
+    assert found == []
+
+
+def _cached_functions(tree: ast.Module) -> list[str]:
+    """The module-level functions decorated with `lru_cache` or `functools.lru_cache`, called or not."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name == "lru_cache":
+                    found.append(node.name)
+    return found
+
+
+def test_the_module_level_caches_are_the_known_ones():
+    # each is unbounded and lives as long as the process: a new one is a decision, not a detail
+    found = {
+        (path.stem, name) for path in MODULES for name in _cached_functions(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {
+        ("core", "check_axioms"),
+        ("envelope", "envelope"),
+        ("lie", "killing_gram"),
+        ("radical", "_is_simple"),
+        ("decompose", "_decompose_semisimple"),
+        ("catalog", "catalog"),
+    }
 
 
 def _args_read(functions: dict, name: str) -> set[str]:
@@ -107,6 +134,13 @@ def test_each_subcommand_declares_exactly_the_arguments_its_handler_reads():
         declared = {a.dest for a in parser._actions if a.dest != "help"}
         handler = parser.get_default("handler")
         assert declared == _args_read(functions, handler.__name__), name
+
+
+def test_every_flag_is_offered_by_some_subcommand():
+    from bolalg.cli import COMMANDS, FLAGS
+
+    offered = {flag for *_, flags in COMMANDS.values() for flag in flags}
+    assert offered == set(FLAGS)
 
 
 def test_no_module_imports_dataclasses():
