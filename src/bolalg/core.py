@@ -32,7 +32,7 @@ from bolalg.linalg import (
     full_space,
     independent,
     integer_tensors,
-    kernel_of,
+    kernel,
     multilinear,
     products,
     sized,
@@ -195,7 +195,11 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
     d, T, R = B.integer_rows
     r = range(n)
 
-    def first_failure(name, weight, tuples, defect_fn):
+    def first_failure(name, weight, tuples, defect_fn, decide=None):
+        # With `decide`, the identity holds when no tuple of it fails, and
+        # `tuples` is swept only to report a failure.
+        if decide is not None and next(failures(decide, defect_fn), None) is None:
+            return IdentityCheck(name, True)
         witness = defect = None
         count = 0
         for t, v in failures(tuples, defect_fn):
@@ -241,22 +245,14 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
 
     pairs = list(product(r, repeat=2))
     basis = [pairs[k] for k in independent([flat(i, j) for i, j in pairs], n * n + n)]
-    if next(failures(((*p, k, l) for p in basis for k, l in product(r, repeat=2)), a4_defect), None) is None:
-        a4 = IdentityCheck("A4", True)
-    else:
-        a4 = first_failure("A4", 3, product(r, repeat=4), a4_defect)
-    if next(failures(((*p, k, l, m) for p in basis for k, l, m in product(r, repeat=3)), a5_defect), None) is None:
-        a5 = IdentityCheck("A5", True)
-    else:
-        # Every A5 term carries a factor R[i][j][.], so pairs (i, j) whose
-        # operator vanishes cannot fail and are not swept.
-        active = [(i, j) for i, j in pairs if any(R[i][j])]
-        a5 = first_failure(
-            "A5",
-            4,
-            ((i, j, k, l, m) for i, j in active for k, l, m in product(r, repeat=3)),
-            a5_defect,
-        )
+    def on_basis(k):  # each pair of the basis, followed by every k basis indices
+        return ((*p, *t) for p in basis for t in product(r, repeat=k))
+
+    a4 = first_failure("A4", 3, product(r, repeat=4), a4_defect, on_basis(2))
+    # Every A5 term carries a factor R[i][j][.], so pairs (i, j) whose
+    # operator vanishes cannot fail and are not swept.
+    active = ((i, j, *t) for i, j in pairs if any(R[i][j]) for t in product(r, repeat=3))
+    a5 = first_failure("A5", 4, active, a5_defect, on_basis(3))
     return AxiomReport((a1, a2, a3, a4, a5))
 
 
@@ -385,7 +381,7 @@ def center(B: BolAlgebra) -> Subspace:
         constraints.extend(transpose(B.T[i]))
         for j in range(B.n):
             constraints.extend(transpose(B.R[i][j]))
-    return kernel_of(tuple(constraints), B.n)
+    return kernel(constraints, B.n)
 
 
 def quotient(B: BolAlgebra, I: Subspace) -> BolAlgebra:

@@ -187,10 +187,7 @@ class StructureReport(Record):
     beta_nondegenerate: bool
     item2_biconditional: bool
     decomposition_ran: bool
-    component_count: int
     component_dims: tuple[int, ...]
-    envelope_dim: int
-    component_envelope_dims: tuple[int, ...]
     triple_span_is_everything: bool
     decomposition_certified: bool
     note: str = ""
@@ -207,10 +204,8 @@ def structure_report(B: BolAlgebra, seed: int = DEFAULT_SEED) -> StructureReport
     beta_nd = is_nondegenerate(beta)
 
     ran = False
-    count = 0
     dims: tuple[int, ...] = ()
     cert = False
-    comp_env_dims: tuple[int, ...] = ()
     note = ""
     if beta_nd and invariance_check(B, beta, "skew").ok:
         try:
@@ -219,10 +214,8 @@ def structure_report(B: BolAlgebra, seed: int = DEFAULT_SEED) -> StructureReport
             note = f"decomposition unavailable: {exc}"
         else:
             ran = True
-            count = len(dec.components)
             dims = tuple(c.n for c in dec.components)
             cert = dec.certified
-            comp_env_dims = tuple(envelope(c).total_dim for c in dec.components)
     else:
         note = "form degenerate or not invariant; decomposition skipped"
     return StructureReport(
@@ -233,10 +226,7 @@ def structure_report(B: BolAlgebra, seed: int = DEFAULT_SEED) -> StructureReport
         beta_nondegenerate=beta_nd,
         item2_biconditional=(lie_ss == beta_nd),
         decomposition_ran=ran,
-        component_count=count,
         component_dims=dims,
-        envelope_dim=E.total_dim,
-        component_envelope_dims=comp_env_dims,
         triple_span_is_everything=(triple.dim == B.n),
         decomposition_certified=cert,
         note=note,

@@ -31,7 +31,6 @@ unchecked input.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -54,6 +53,7 @@ from bolalg.linalg import (
     is_zero_vec,
     nonzero_row,
     span,
+    subspace_sum,
     transpose,
     unscaled,
     vec_sub,
@@ -216,18 +216,17 @@ def h_closure(B: BolAlgebra) -> tuple[PairEndo, ...]:
 
 
 class EnvelopingLie(Record):
-    """The Lie algebra G = B (+) h with its bookkeeping tensors.
+    """The Lie algebra G = B (+) h.
 
     Coordinates 0..b_dim-1 of `lie` are the base algebra B; the rest are
-    the h basis.  Dtau[i][j] are the h-coordinates of the inner pair of
-    (e_i, e_j); K[tau][i] is the B-component of [h_tau, e_i].
+    the h basis.  G holds every bracket: the h-part of [e_i, e_j] is minus
+    the h-coordinates of the inner pair of (e_i, e_j), and the B-part of
+    [h_t, e_i] is A_t e_i - e_i*a_t for h_t = (A_t, a_t).
     """
 
     lie: LieAlgebra
     base: BolAlgebra
     h_basis: tuple[PairEndo, ...]
-    Dtau: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    K: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     @property
     def b_dim(self) -> int:
@@ -286,11 +285,9 @@ def envelope(B: BolAlgebra) -> EnvelopingLie:
     for i in r:
         for j in range(i + 1, n):
             put(i, j, B.T[i][j] + tuple(-c for c in Dtau[i][j]))
-    K = []
     for t, P in enumerate(h):
         (A, a), e = _integral_pair(P)
         b_parts = [[x - d * A[l][i] for l, x in enumerate(combine(a, T[i], n))] for i in r]  # e_i*a - A e_i
-        K.append(tuple(unscaled([-x for x in b], e * d) for b in b_parts))
         for i in r:  # [e_i, (A, a)] = (e_i*a - A e_i) (+) -D(e_i, a)
             put(i, n + t, unscaled(b_parts[i], e * d) + unscaled([-x for x in combine(a, D[i], N)], e * f))
     for s in range(N):
@@ -300,7 +297,7 @@ def envelope(B: BolAlgebra) -> EnvelopingLie:
     labels = B.labels + tuple(f"D{t}" for t in range(N))
     G = LieAlgebra.from_constants(m, C, labels)
     _verify_envelope(B, G)
-    return EnvelopingLie(G, B, h, Dtau, tuple(K))
+    return EnvelopingLie(G, B, h)
 
 
 def _verify_envelope(B: BolAlgebra, G: LieAlgebra) -> None:
@@ -354,20 +351,17 @@ def ideal_extension(E: EnvelopingLie, V: Subspace) -> IdealExtensionReport:
     latter.
     """
     G = E.lie
-    m = G.m
-    n = E.b_dim
-    if V.ambient != n:
+    if V.ambient != E.b_dim:
         raise NotAnIdeal("ideal must live in the base algebra")
     B = E.base
     if not is_ideal(B, V, "def2"):
         raise NotAnIdeal("ideal_extension requires a def2-ideal")
-    lifted = [E.lift(v) for v in V.basis]
-    brackets = [G.bracket(w, basis_vec(j, m)) for w in lifted for j in range(n)]
-    W = span(lifted + brackets, m)
-    S = closure(W, lambda s: (G.bracket(u, v) for u in s.basis for v in s.basis))
+    lifted = Subspace(G.m, tuple(E.lift(v) for v in V.basis))  # V's canonical basis, padded with zeros
+    W = subspace_sum(lifted, bracket_span(G, lifted, E.b_subspace()))
+    S = closure(W, lambda s: bracket_span(G, s, s).basis)
     ideal_ok = bracket_span(G, S, W) <= W
-    _, _, solvable = derived_chain(W, lambda s: bracket_span(G, s, s))
-    bol_solv = derived_chain(V, lambda s: derived_space(B, s))[2]  # is_solvable, past its def2 test
+    solvable = derived_chain(W, lambda s: bracket_span(G, s, s)).solvable
+    bol_solv = derived_chain(V, lambda s: derived_space(B, s)).solvable  # is_solvable, past its def2 test
     return IdealExtensionReport(W, ideal_ok, solvable, bol_solv, (not bol_solv) or solvable)
 
 

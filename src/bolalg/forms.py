@@ -25,7 +25,7 @@ from bolalg.core import BolAlgebra, center, prod_span, tri_span
 from bolalg.envelope import envelope
 from bolalg.errors import DimensionMismatch
 from bolalg.lie import LieAlgebra, killing_gram
-from bolalg.linalg import Mat, Record, Subspace, ZERO, failures, full_space, identity, integral, kernel_of, mat_vec, rank, transpose
+from bolalg.linalg import Mat, Record, Subspace, ZERO, failures, full_space, identity, integral, kernel, mat_vec, rank, transpose
 
 
 class BilinearForm(Record):
@@ -153,7 +153,7 @@ def left_perp(b: BilinearForm, S: Subspace) -> Subspace:
     """{x : b(x, s) = 0 for all s in S}."""
     if b.n != S.ambient:
         raise DimensionMismatch("form and subspace ambient dimensions disagree")
-    return kernel_of(tuple(mat_vec(b.gram, s) for s in S.basis), b.n)
+    return kernel([mat_vec(b.gram, s) for s in S.basis], b.n)
 
 
 def right_perp(b: BilinearForm, S: Subspace) -> Subspace:

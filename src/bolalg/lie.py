@@ -14,6 +14,7 @@ from bolalg.errors import DimensionMismatch, FatalInconsistency, NotAnIdeal
 from bolalg.linalg import (
     Mat,
     Record,
+    SeriesResult,
     Subspace,
     Vec,
     basis_vec,
@@ -22,7 +23,7 @@ from bolalg.linalg import (
     failures,
     full_space,
     integer_tensors,
-    kernel_of,
+    kernel,
     mat_vec,
     multilinear,
     rank,
@@ -124,17 +125,11 @@ def lie_is_ideal(L: LieAlgebra, S: Subspace) -> bool:
     return S.is_full() or bracket_span(L, S, full_space(L.m)) <= S
 
 
-class LieSeriesResult(Record):
-    chain: tuple[Subspace, ...]
-    stabilized_at: int
-    solvable: bool
-
-
-def lie_derived_series(L: LieAlgebra, S: Subspace) -> LieSeriesResult:
+def lie_derived_series(L: LieAlgebra, S: Subspace) -> SeriesResult:
     """Standard derived series S >= [S,S] >= ... of an ideal S."""
     if not lie_is_ideal(L, S):
         raise NotAnIdeal("derived series requires a Lie ideal")
-    return LieSeriesResult(*derived_chain(S, lambda s: derived_subspace(L, s)))
+    return derived_chain(S, lambda s: derived_subspace(L, s))
 
 
 def lie_is_solvable(L: LieAlgebra) -> bool:
@@ -149,10 +144,10 @@ def lie_radical(L: LieAlgebra) -> Subspace:
     """
     g = killing_gram(L)
     derived = derived_subspace(L, full_space(L.m))
-    rad = kernel_of(tuple(mat_vec(g, d) for d in derived.basis), L.m)
+    rad = kernel([mat_vec(g, d) for d in derived.basis], L.m)
     if not lie_is_ideal(L, rad):
         raise FatalInconsistency("radical candidate is not an ideal")
-    if not derived_chain(rad, lambda s: derived_subspace(L, s))[2]:  # lie_derived_series, past its ideal test
+    if not derived_chain(rad, lambda s: derived_subspace(L, s)).solvable:  # lie_derived_series, past its ideal test
         raise FatalInconsistency("radical candidate is not solvable")
     return rad
 

@@ -361,13 +361,11 @@ class Subspace(Record):
         if len(v) != self.ambient:
             raise DimensionMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
 
-    def is_subspace_of(self, other: Subspace) -> bool:
+    def __le__(self, other: Subspace) -> bool:
+        """Containment: every basis vector of self lies in other."""
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient dimensions disagree")
         return all(other.contains(row) for row in self.basis)
-
-    def __le__(self, other: Subspace) -> bool:
-        return self.is_subspace_of(other)
 
 
 def zero_space(ambient: int) -> Subspace:
@@ -451,15 +449,16 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.is_zero() or b.is_zero():
         return zero_space(a.ambient)
     # Solve sum_i x_i a_i - sum_j y_j b_j = 0; columns are the basis vectors.
-    sols = kernel(transpose(a.basis + tuple(vec_scale(-ONE, row) for row in b.basis)))
+    sols = kernel(transpose(a.basis + tuple(vec_scale(-ONE, row) for row in b.basis)), a.dim + b.dim)
     return span([a.element(s[: a.dim]) for s in sols.basis], a.ambient)
 
 
-def kernel(m: Mat) -> Subspace:
-    """Canonical basis of the right null space {v : m v = 0}."""
-    if not m:
-        raise DimensionMismatch("kernel of a matrix with no columns is ambiguous; pass a 0 x n matrix")
-    ncols = len(m[0])
+def kernel(m: Mat, ncols: int) -> Subspace:
+    """Canonical basis of the right null space {v : m v = 0} of a matrix with ncols columns.
+
+    A matrix with no rows, or with only zero rows, has the full space as
+    its kernel; a row of another length raises DimensionMismatch.
+    """
     r = span(m, ncols)
     vectors = []
     free = [j for j in range(ncols) if j not in r.pivots]
@@ -502,14 +501,6 @@ def block_sum(a, b, n1: int, n2: int, order: int):
     return part(a, b, order)
 
 
-def kernel_of(m: Mat, ncols: int) -> Subspace:
-    """Kernel of a constraint list; all-zero rows are dropped, no rows means no constraint."""
-    rows = tuple(row for row in m if not is_zero_vec(row))
-    if not rows:
-        return full_space(ncols)
-    return kernel(rows)
-
-
 def closure(start: Subspace, grow) -> Subspace:
     """Least subspace that contains `start` and is closed under `grow`.
 
@@ -530,12 +521,19 @@ def closure(start: Subspace, grow) -> Subspace:
     return space
 
 
-def derived_chain(start: Subspace, step) -> tuple[tuple[Subspace, ...], int, bool]:
+class SeriesResult(Record):
+    """A derived series: its members, the index of the last one, and whether that one is zero."""
+
+    chain: tuple[Subspace, ...]
+    stabilized_at: int
+    solvable: bool
+
+
+def derived_chain(start: Subspace, step) -> SeriesResult:
     """The chain start, step(start), step(step(start)), ... run until it stabilizes.
 
-    Returns (chain, stabilized_at, solvable): the chain stops at the
-    first repeated space or at zero, `stabilized_at` is the index of its
-    last member, and `solvable` says whether that member is zero.
+    The chain stops at the first repeated space or at zero; the series is
+    solvable when its last member is zero.
     """
     chain = [start]
     current = start
@@ -547,7 +545,7 @@ def derived_chain(start: Subspace, step) -> tuple[tuple[Subspace, ...], int, boo
         current = nxt
         if current.is_zero():
             break
-    return tuple(chain), len(chain) - 1, chain[-1].is_zero()
+    return SeriesResult(tuple(chain), len(chain) - 1, chain[-1].is_zero())
 
 
 def failures(tuples, defect):

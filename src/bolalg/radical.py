@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 
 from bolalg.core import BolAlgebra, derived_space, ideal_closure, ideal_quotient, is_ideal, require_verified
@@ -110,7 +111,7 @@ def _certify(B: BolAlgebra, name: str, cand: Subspace, recheck) -> StrategyCerti
     # The def2 test runs once: the series and the quotient below are those
     # of `is_solvable` and `quotient`, without their own def2 test.
     ideal_ok = is_ideal(B, cand, "def2")
-    solv_ok = ideal_ok and derived_chain(cand, lambda s: derived_space(B, s))[2]
+    solv_ok = ideal_ok and derived_chain(cand, lambda s: derived_space(B, s)).solvable
     quot_ok = False
     if ideal_ok and solv_ok:
         try:
@@ -179,21 +180,24 @@ def is_simple(B: BolAlgebra, seed: int = DEFAULT_SEED) -> SimplicityResult:
     "no" with a witness or "undecided".
 
     The search runs once per (algebra, seed): equal algebras share one
-    result, however the seed is passed.
+    result, however the seed is passed.  A seed that is not an int (or
+    is a bool) raises TypeError.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, not {type(seed).__name__}")
     return _is_simple(B, seed)
 
 
-def _random_combinations(ops: list, n: int, n_random: int, seed: int) -> list:
-    """The nonzero ones of `n_random` seeded combinations sum(c_k * ops[k]), c_k drawn from -3..3.
+def _random_combinations(ops, n: int, n_random: int, seed: int):
+    """The nonzero ones of `n_random` seeded combinations sum(c_k * ops[k]), c_k drawn from -3..3, lazily in draw order.
 
     Summed in integers: every operator is scaled by d, the lcm of all
     their denominators, and cut to its nonzero (flat index, int) entries.
+    Nothing is drawn or summed before the first combination is asked for.
     """
     d = lcm(*(c.denominator for op in ops for row in op for c in row))
     flat = scaled_rows([nonzero_row([c for row in op for c in row]) for op in ops], d)
     rng = random.Random(seed)
-    combos = []
     for _ in range(n_random):
         coeffs = [rng.randint(-3, 3) for _ in ops]
         acc = [0] * (n * n)
@@ -203,8 +207,7 @@ def _random_combinations(ops: list, n: int, n_random: int, seed: int) -> list:
             for idx, v in op:
                 acc[idx] += c * v
         if any(acc):
-            combos.append(tuple(unscaled(acc[a * n : (a + 1) * n], d) for a in range(n)))
-    return combos
+            yield tuple(unscaled(acc[a * n : (a + 1) * n], d) for a in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -216,31 +219,29 @@ def _is_simple(B: BolAlgebra, seed: int) -> SimplicityResult:
         witness = ideal_closure(B, span([basis_vec(0, n)], n)) if n >= 2 else None
         return SimplicityResult("no", witness, seed, "abelian")
 
-    ops = list(B.ideal_operators)
-    candidates = ops + _random_combinations(ops, n, N_RANDOM, seed)
-
+    ops = B.ideal_operators
     for i in range(n):
         cl = ideal_closure(B, span([basis_vec(i, n)], n))
         if 0 < cl.dim < n:
             return SimplicityResult("no", cl, seed, f"closure of basis vector {i}")
 
     ops_t = [transpose(op) for op in ops]
-    for m in candidates:
+    for m in chain(ops, _random_combinations(ops, n, N_RANDOM, seed)):
         for lam in rational_roots(charpoly(m)):
             shifted = tuple(tuple(x - lam if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m))
-            ker = kernel(shifted)
+            ker = kernel(shifted, n)
             for v in ker.basis:
                 cl = ideal_closure(B, span([v], n))
                 if 0 < cl.dim < n:
                     return SimplicityResult("no", cl, seed, f"eigenvector closure at eigenvalue {lam}")
             if ker.dim == 1:
                 # the transposed kernel has the same dimension: one vector w
-                (w,) = kernel(transpose(shifted)).basis
+                (w,) = kernel(transpose(shifted), n).basis
                 dual = closure(span([w], n), lambda s: (mat_vec(op, v) for v in s.basis for op in ops_t))
                 if dual.is_full():
                     return SimplicityResult("yes", None, seed, "dual-kernel criterion")
                 # annihilator of a proper dual-invariant subspace is a proper ideal
-                ann = kernel(tuple(dual.basis))
+                ann = kernel(dual.basis, n)
                 if 0 < ann.dim < n and is_ideal(B, ann, "def2"):
                     return SimplicityResult("no", ann, seed, "annihilator of dual-invariant subspace")
     return SimplicityResult("undecided", None, seed, "no witness found and no sound certificate available")

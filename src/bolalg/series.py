@@ -13,28 +13,20 @@ from __future__ import annotations
 
 from bolalg.core import BolAlgebra, derived_space, is_ideal, tri_span
 from bolalg.errors import NotAnIdeal
-from bolalg.linalg import Record, Subspace, derived_chain, full_space
-
-
-class SeriesResult(Record):
-    chain: tuple[Subspace, ...]
-    stabilized_at: int
-    solvable: bool
+from bolalg.linalg import SeriesResult, Subspace, derived_chain, full_space
 
 
 def lts_derived_series(B: BolAlgebra, V: Subspace) -> SeriesResult:
     """V^(k+1) = (V^(k), V^(k), B), run until stabilization."""
     _require_ideal(B, V)
     full = full_space(B.n)
-    chain, k, solvable = derived_chain(V, lambda s: tri_span(B, s, s, full))
-    return SeriesResult(chain, k, solvable)
+    return derived_chain(V, lambda s: tri_span(B, s, s, full))
 
 
 def bol_derived_series(B: BolAlgebra, W: Subspace) -> SeriesResult:
     """W^(k+1) = W^(k)*W^(k) + (W^(k), W^(k), B), run until stabilization."""
     _require_ideal(B, W)
-    chain, k, solvable = derived_chain(W, lambda s: derived_space(B, s))
-    return SeriesResult(chain, k, solvable)
+    return derived_chain(W, lambda s: derived_space(B, s))
 
 
 def is_solvable(B: BolAlgebra, W: Subspace) -> bool:

@@ -219,7 +219,7 @@ def reference_coords(S: Subspace, v):
 
 
 def reference_envelope(B: BolAlgebra):
-    """(h_basis, Dtau, K, C) built with the dense references above and checked by nothing."""
+    """(h_basis, C) built with the dense references above and checked by nothing."""
     n = B.n
     bas = B.basis()
     inner = [[PairEndo(reference_left_op(B, x, y), dense_binary(B, x, y)) for y in bas] for x in bas]
@@ -255,7 +255,7 @@ def reference_envelope(B: BolAlgebra):
     for s in range(N):
         for t in range(s + 1, N):
             put(n + s, n + t, (ZERO,) * n + coords(reference_induced_bracket(B, h[s], h[t])))
-    return h, Dtau, K, tuple(tuple(tuple(row) for row in plane) for plane in C)
+    return h, tuple(tuple(tuple(row) for row in plane) for plane in C)
 
 
 def symmetric_lts(m: int) -> BolAlgebra:

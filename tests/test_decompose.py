@@ -1,6 +1,7 @@
 import importlib
 import random
 from functools import reduce
+from itertools import combinations_with_replacement
 
 import pytest
 from support import record_fields, replaced, spy_on_cache, transport, unimodular_basis
@@ -8,10 +9,11 @@ from support import record_fields, replaced, spy_on_cache, transport, unimodular
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra, direct_sum, prod_span, tri_span
 from bolalg.decompose import Decomposition, decompose_semisimple, find_proper_ideal, structure_report, verify_reassembly
+from bolalg.envelope import envelope
 from bolalg.errors import PreconditionViolation
 from bolalg.forms import BilinearForm, envelope_form
-from bolalg.linalg import basis_vec, full_space, intersect, span
-from bolalg.radical import DEFAULT_SEED, is_simple
+from bolalg.linalg import basis_vec, full_space, intersect, span, zero_vec
+from bolalg.radical import DEFAULT_SEED, is_simple, radical
 
 RADICAL = importlib.import_module("bolalg.radical")
 DECOMPOSE = importlib.import_module("bolalg.decompose")
@@ -20,6 +22,14 @@ DECOMPOSE = importlib.import_module("bolalg.decompose")
 def test_find_proper_ideal_simple_algebra():
     ideal, res = find_proper_ideal(catalog("sl2bol"))
     assert ideal is None and res.status == "yes"
+
+
+@pytest.mark.parametrize("seed", [None, "1", 1.0, True])
+@pytest.mark.parametrize("search", [is_simple, find_proper_ideal, structure_report], ids=lambda f: f.__name__)
+def test_the_seed_must_be_an_int(search, seed):
+    # None would seed from OS entropy, so the cached search would differ from process to process
+    with pytest.raises(TypeError, match="seed must be an int"):
+        search(catalog("sl2bol"), seed)
 
 
 def test_find_proper_ideal_mixed():
@@ -89,14 +99,32 @@ def test_structure_report_item2_on_catalog():
 def test_structure_report_item3_semisimple_entries():
     for name in ("sl2bol", "so3bol", "lts_sl2"):
         rep = structure_report(catalog(name))
-        assert rep.decomposition_ran and rep.component_count == 1
+        assert rep.decomposition_ran and rep.component_dims == (3,)
         assert rep.triple_span_is_everything
         assert rep.decomposition_certified
     B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
     rep = structure_report(B)
-    assert rep.component_count == 2 and rep.component_dims == (3, 3)
+    assert rep.component_dims == (3, 3)
     assert rep.triple_span_is_everything
-    assert rep.envelope_dim == sum(rep.component_envelope_dims)
+
+
+@pytest.mark.parametrize("pair", list(combinations_with_replacement(catalog_names(), 2)), ids="+".join)
+@pytest.mark.parametrize("basis", ["natural", "unimodular"])
+def test_direct_sums_add_envelopes_radicals_and_components(pair, basis):
+    A, B = (catalog(name) for name in pair)
+    S = direct_sum(A, B)
+    if basis == "unimodular":
+        S = transport(S, unimodular_basis(random.Random("+".join(pair)), S.n))
+    assert envelope(S).total_dim == envelope(A).total_dim + envelope(B).total_dim
+    rad_s, rad_a, rad_b = radical(S), radical(A), radical(B)
+    assert rad_s.decided and rad_a.decided and rad_b.decided
+    assert rad_s.radical.dim == rad_a.radical.dim + rad_b.radical.dim
+    if basis == "natural":  # radical(A+B) = radical(A) + radical(B), block by block
+        blocks = [v + zero_vec(B.n) for v in rad_a.radical.basis] + [zero_vec(A.n) + v for v in rad_b.radical.basis]
+        assert rad_s.radical == span(blocks, S.n)
+    if rad_a.radical.is_zero() and rad_b.radical.is_zero():
+        parts = decompose_semisimple(A).components + decompose_semisimple(B).components
+        assert sorted(c.n for c in decompose_semisimple(S).components) == sorted(c.n for c in parts)
 
 
 def test_structure_report_solvable_entry():
@@ -173,12 +201,9 @@ STRUCTURE = {
     "sl2bol+so3bol": dict(
         beta_nondegenerate=True,
         beta_orthogonal_to_triple_span=False,
-        component_count=2,
         component_dims=(3, 3),
-        component_envelope_dims=(6, 6),
         decomposition_certified=True,
         decomposition_ran=True,
-        envelope_dim=12,
         item1_biconditional=True,
         item2_biconditional=True,
         lie_semisimple=True,
@@ -189,12 +214,9 @@ STRUCTURE = {
     "lts_sl2+lts_sl2": dict(
         beta_nondegenerate=True,
         beta_orthogonal_to_triple_span=False,
-        component_count=2,
         component_dims=(3, 3),
-        component_envelope_dims=(6, 6),
         decomposition_certified=True,
         decomposition_ran=True,
-        envelope_dim=12,
         item1_biconditional=True,
         item2_biconditional=True,
         lie_semisimple=True,
@@ -205,12 +227,9 @@ STRUCTURE = {
     "sl2bol+so3bol+lts_sl2": dict(
         beta_nondegenerate=True,
         beta_orthogonal_to_triple_span=False,
-        component_count=3,
         component_dims=(3, 3, 3),
-        component_envelope_dims=(6, 6, 6),
         decomposition_certified=True,
         decomposition_ran=True,
-        envelope_dim=18,
         item1_biconditional=True,
         item2_biconditional=True,
         lie_semisimple=True,

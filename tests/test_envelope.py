@@ -45,8 +45,10 @@ from bolalg.linalg import (
     identity,
     intersect,
     is_zero_vec,
+    mat_vec,
     span,
     vec,
+    vec_sub,
     zero_mat,
     zero_vec,
 )
@@ -232,24 +234,27 @@ def test_envelope_h_generation_bound():
         assert len(envelope(B).h_basis) >= gen_dim
 
 
-def test_envelope_k_and_dtau_tensors():
-    for name in ("solv2", "sl2bol", "mixed"):
-        B = catalog(name)
-        E = envelope(B)
-        G = E.lie
-        m = G.m
-        n = B.n
-        for t, P in enumerate(E.h_basis):
-            for i in range(n):
-                br = G.bracket(basis_vec(n + t, m), basis_vec(i, m))
-                assert E.project_b(br) == E.K[t][i]
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("basis", ["natural", "unimodular"])
+def test_envelope_brackets_hold_the_inner_pairs_and_the_action_of_h(name, basis):
+    # The h-part of [e_i, e_j] is minus the inner pair of (e_i, e_j) in the
+    # h basis, and the B-part of [h_t, e_i] is A_t e_i - e_i*a_t.
+    B = catalog(name)
+    if basis == "unimodular":
+        B = transport(B, unimodular_basis(random.Random(f"{name}-envelope-brackets"), B.n))
+    E = envelope(B)
+    G, n = E.lie, B.n
+    e = [basis_vec(i, G.m) for i in range(G.m)]
+    for i in range(n):
+        for j in range(n):
+            acc = zero_vec(n * n + n)
+            for c, P in zip(G.bracket(e[i], e[j])[n:], E.h_basis):
+                acc = tuple(x - c * y for x, y in zip(acc, P.flatten()))
+            assert PairEndo.unflatten(acc, n) == inner_pair(B, B.basis_vec(i), B.basis_vec(j))
+    for t, P in enumerate(E.h_basis):
         for i in range(n):
-            for j in range(n):
-                got = PairEndo.zero(n)
-                acc = got.flatten()
-                for c, P in zip(E.Dtau[i][j], E.h_basis):
-                    acc = tuple(a + c * b for a, b in zip(acc, P.flatten()))
-                assert PairEndo.unflatten(acc, n) == inner_pair(B, B.basis_vec(i), B.basis_vec(j))
+            x = B.basis_vec(i)
+            assert E.project_b(G.bracket(e[n + t], e[i])) == vec_sub(mat_vec(P.pi, x), B.binary(x, P.comp))
 
 
 def test_ideal_extension_zero():

@@ -10,6 +10,7 @@ from support import reference_rref
 from bolalg.catalog import catalog
 from bolalg.core import prod_span, tri_span
 from bolalg.linalg import (
+    SeriesResult,
     Subspace,
     basis_vec,
     charpoly,
@@ -21,7 +22,6 @@ from bolalg.linalg import (
     independent,
     intersect,
     kernel,
-    kernel_of,
     mat,
     mat_vec,
     rank,
@@ -62,16 +62,29 @@ def test_rref_idempotent():
 
 
 def test_kernel_identity_is_zero():
-    assert kernel(identity(3)) == zero_space(3)
+    assert kernel(identity(3), 3) == zero_space(3)
 
 
 def test_kernel_zero_matrix_is_full():
-    assert kernel(mat([[0, 0, 0], [0, 0, 0]])) == full_space(3)
+    assert kernel(mat([[0, 0, 0], [0, 0, 0]]), 3) == full_space(3)
+    assert kernel((), 3) == full_space(3)  # no rows: no constraint
+    assert kernel((), 0) == full_space(0) == zero_space(0)
+
+
+def test_kernel_ignores_zero_rows():
+    assert kernel(mat([[0, 0, 0], [1, 0, -1], [0, 0, 0]]), 3) == kernel(mat([[1, 0, -1]]), 3)
+    assert kernel(mat([[0, 0], [0, 0]]), 2) == kernel((), 2) == full_space(2)
+
+
+@pytest.mark.parametrize("m", [((F(1), F(0)),), ((F(1), F(0), F(0)), (F(0), F(1))), ((F(0),) * 4,)])
+def test_kernel_rejects_a_row_of_the_wrong_length(m):
+    with pytest.raises(DimensionMismatch):
+        kernel(m, 3)
 
 
 def test_kernel_single_equation():
     # x + 2y = 0 has solution line through (-2, 1)
-    k = kernel(mat([[1, 2]]))
+    k = kernel(mat([[1, 2]]), 2)
     assert k == span([vec([-2, 1])], 2)
     assert k.dim == 1
 
@@ -82,7 +95,7 @@ def test_kernel_rank_nullity():
         rows = [[F(rng.randint(-3, 3)) for _ in range(5)] for _ in range(3)]
         m = mat(rows)
         r = len([row for row in rref(m) if any(c != 0 for c in row)])
-        assert kernel(m).dim == 5 - r
+        assert kernel(m, 5).dim == 5 - r
 
 
 def test_span_empty_and_full():
@@ -162,12 +175,6 @@ def test_element_rejects_the_wrong_number_of_coordinates(coords):
         span([vec([1, 0, 0]), vec([0, 1, 0])], 3).element(vec(coords))
 
 
-def test_kernel_of_drops_zero_rows():
-    assert kernel_of(mat([[0, 0, 0], [1, 0, -1], [0, 0, 0]]), 3) == kernel(mat([[1, 0, -1]]))
-    assert kernel_of(mat([[0, 0], [0, 0]]), 2) == full_space(2)
-    assert kernel_of((), 2) == full_space(2)
-
-
 def test_charpoly_known_matrix():
     # det(xI - [[2,1],[0,3]]) = x^2 - 5x + 6
     m = mat([[2, 1], [0, 3]])
@@ -213,17 +220,14 @@ def _bol_step(B):
 
 def test_derived_chain_stalls_on_so3bol():
     B = catalog("so3bol")
-    chain, stabilized_at, solvable = derived_chain(full_space(3), _bol_step(B))
-    assert chain == (full_space(3),)
-    assert stabilized_at == 0 and not solvable
+    assert derived_chain(full_space(3), _bol_step(B)) == SeriesResult((full_space(3),), 0, False)
 
 
 def test_derived_chain_reaches_zero_on_heis3bol():
     # x*y = z spans B*B, and every ternary product [w,[u,v]] vanishes.
     B = catalog("heis3bol")
-    chain, stabilized_at, solvable = derived_chain(full_space(3), _bol_step(B))
-    assert chain == (full_space(3), Subspace(3, (vec([0, 0, 1]),)), zero_space(3))
-    assert stabilized_at == 2 and solvable
+    chain = (full_space(3), Subspace(3, (vec([0, 0, 1]),)), zero_space(3))
+    assert derived_chain(full_space(3), _bol_step(B)) == SeriesResult(chain, 2, True)
 
 
 def test_failures_yields_nonzero_defects_in_sweep_order():
@@ -311,18 +315,20 @@ rational = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 
 @st.composite
-def rational_matrices(draw):
+def rational_matrices(draw, min_rows=1):
     ncols = draw(st.integers(1, 5))
-    nrows = draw(st.integers(1, 5))
+    nrows = draw(st.integers(min_rows, 5))
     # Sparse entries make rank-deficient matrices common.
     entry = st.one_of(st.just(F(0)), rational)
     return tuple(tuple(draw(entry) for _ in range(ncols)) for _ in range(nrows)), ncols
 
 
 @settings(max_examples=150, deadline=None)
-@given(rational_matrices())
-def test_span_rank_and_kernel_agree_with_sympy(case):
+@given(rational_matrices(min_rows=0), st.integers(0, 2))
+def test_span_rank_and_kernel_agree_with_sympy(case, zero_rows):
+    # the matrix may have no rows, and gets up to two all-zero rows
     m, ncols = case
+    m += ((F(0),) * ncols,) * zero_rows
     M = _to_sympy(m, ncols)
     reduced, pivots = M.rref()
     want_rows = tuple(_from_sympy(reduced.row(i)) for i in range(len(pivots)))
@@ -330,8 +336,8 @@ def test_span_rank_and_kernel_agree_with_sympy(case):
     assert independent(m, ncols) == M.T.rref()[1]
     assert rank(m) == M.rank() == len(pivots)
     null = [_from_sympy(v) for v in M.nullspace()]
-    assert kernel(m) == span(null, ncols)
-    assert kernel(m).dim == ncols - len(pivots)
+    assert kernel(m, ncols) == span(null, ncols)
+    assert kernel(m, ncols).dim == ncols - len(pivots)
 
 
 @settings(max_examples=150, deadline=None)

@@ -205,7 +205,7 @@ def assert_combinations_match(B, rng):
     ops = list(B.ideal_operators)
     for n_random in (0, 5, 32):
         for seed in (DEFAULT_SEED, rng.randrange(10**6)):
-            got = _random_combinations(ops, B.n, n_random, seed)
+            got = list(_random_combinations(ops, B.n, n_random, seed))
             assert got == reference_random_combinations(ops, B.n, n_random, seed)
 
 
@@ -246,13 +246,31 @@ def test_simplicity_search_stops_at_its_first_certificate(name, monkeypatch):
     # by Norton's test a certificate rules out every proper ideal, so no later candidate is tried
     B = catalog(name)
     ops = list(B.ideal_operators)
-    candidates = len(ops) + len(_random_combinations(ops, B.n, N_RANDOM, DEFAULT_SEED))
+    candidates = len(ops) + len(list(_random_combinations(ops, B.n, N_RANDOM, DEFAULT_SEED)))
     tried = []
     roots = RADICAL.rational_roots
     monkeypatch.setattr(RADICAL, "rational_roots", lambda p: tried.append(p) or roots(p))
     res = _is_simple.__wrapped__(B, DEFAULT_SEED)
     assert (res.status, res.witness, res.note) == ("yes", None, "dual-kernel criterion")
     assert 0 < len(tried) < candidates
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_the_simplicity_search_draws_random_combinations_only_when_it_needs_them(name, monkeypatch):
+    # every catalog entry is decided by a closure or by the operators themselves
+    pulled = []
+    draw = RADICAL._random_combinations
+
+    def counting(*args):
+        for combo in draw(*args):
+            pulled.append(combo)
+            yield combo
+
+    monkeypatch.setattr(RADICAL, "_random_combinations", counting)
+    B = catalog(name)
+    res = _is_simple.__wrapped__(B, DEFAULT_SEED)
+    assert res == is_simple(B)
+    assert pulled == []
 
 
 def test_each_radical_candidate_is_tested_for_an_ideal_once(monkeypatch):

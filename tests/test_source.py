@@ -106,6 +106,25 @@ def test_the_module_level_caches_are_the_known_ones():
     }
 
 
+def _record_fields(tree: ast.Module) -> dict[str, tuple[str, ...]]:
+    """The annotated fields, in order, of each class in the module that derives from `Record` by name."""
+    return {
+        node.name: tuple(item.target.id for item in node.body if isinstance(item, ast.AnnAssign))
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) == "Record" for base in node.bases)
+    }
+
+
+def test_no_two_records_declare_the_same_fields():
+    # two value types with one field list are one concept with two names
+    owners: dict[tuple[str, ...], list[str]] = {}
+    for path in MODULES:
+        for name, fields in _record_fields(ast.parse(path.read_text(encoding="utf-8"))).items():
+            owners.setdefault(fields, []).append(f"{path.stem}.{name}")
+    assert len(owners) > 20
+    assert [names for names in owners.values() if len(names) > 1] == []
+
+
 def _args_read(functions: dict, name: str) -> set[str]:
     """The `args.<attr>` names read by module function `name` and by the module functions it hands `args` to."""
     read = set()
