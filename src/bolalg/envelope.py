@@ -287,9 +287,9 @@ def envelope(B: BolAlgebra) -> EnvelopingLie:
             put(i, j, B.T[i][j] + tuple(-c for c in Dtau[i][j]))
     for t, P in enumerate(h):
         (A, a), e = _integral_pair(P)
-        b_parts = [[x - d * A[l][i] for l, x in enumerate(combine(a, T[i], n))] for i in r]  # e_i*a - A e_i
         for i in r:  # [e_i, (A, a)] = (e_i*a - A e_i) (+) -D(e_i, a)
-            put(i, n + t, unscaled(b_parts[i], e * d) + unscaled([-x for x in combine(a, D[i], N)], e * f))
+            b_part = [x - d * A[l][i] for l, x in enumerate(combine(a, T[i], n))]
+            put(i, n + t, unscaled(b_part, e * d) + unscaled([-x for x in combine(a, D[i], N)], e * f))
     for s in range(N):
         for t in range(s + 1, N):
             put(n + s, n + t, zero_vec(n) + h_coords(induced_bracket(B, h[s], h[t])))
