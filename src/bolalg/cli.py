@@ -12,8 +12,8 @@ Each subcommand takes the flags its handler reads, and no other:
 `COMMANDS` holds this table and also dispatches; any other flag is a
 usage error, shown with the subcommand's usage.  Exit codes: 0 success/decided, 1 not a Bol algebra or
 verification failure, 2 undecided/uncertified result, 3 input error (a
-malformed document or command line, or a result past the int-to-str digit
-limit).  All numbers in any output are exact fraction strings; there are no floats.
+malformed document or command line, an --emit path that cannot be written,
+or a result past the int-to-str digit limit).  All numbers in any output are exact fraction strings; there are no floats.
 """
 
 from __future__ import annotations
@@ -23,16 +23,13 @@ import json
 import sys
 from pathlib import Path
 
-from bolalg.catalog import catalog, catalog_names
-from bolalg.core import center, check_axioms, ideal_closure
-from bolalg.decompose import decompose_semisimple, structure_report
-from bolalg.envelope import envelope
+# The analysis layers are reached through the package, which imports each
+# on first use: `bol check` and a rejected document load none of them.
+import bolalg
+from bolalg.core import DEFAULT_SEED, center, check_axioms, ideal_closure
 from bolalg.errors import BolError, DocumentError, FatalInconsistency, NotASubsystem, PreconditionViolation
 from bolalg.fileio import emit_bol_document, emit_lie_document, parse_bol_document
-from bolalg.forms import envelope_form, invariance_check, trace_form
 from bolalg.linalg import basis_vec, full_space, rank, span
-from bolalg.radical import DEFAULT_SEED, radical
-from bolalg.series import bol_derived_series, lts_derived_series
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,6 +43,13 @@ def _load(path: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
     return parse_bol_document(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from None
 
 
 def _num(c) -> str:
@@ -120,11 +124,11 @@ def cmd_info(args) -> int:
     B, name = _require_bol(args)
     full = full_space(B.n)
     c = center(B)
-    lts = lts_derived_series(B, full)
-    bol = bol_derived_series(B, full)
-    tf = trace_form(B)
-    ef = envelope_form(B)
-    inv = invariance_check(B, ef if args.form == "env" else tf, args.invariance)
+    lts = bolalg.lts_derived_series(B, full)
+    bol = bolalg.bol_derived_series(B, full)
+    tf = bolalg.trace_form(B)
+    ef = bolalg.envelope_form(B)
+    inv = bolalg.invariance_check(B, ef if args.form == "env" else tf, args.invariance)
     closures = [
         {"generator": label, "dim": ideal_closure(B, span([basis_vec(i, B.n)], B.n)).dim} for i, label in enumerate(B.labels)
     ]
@@ -162,7 +166,7 @@ def cmd_info(args) -> int:
 
 def cmd_radical(args) -> int:
     B, name = _require_bol(args)
-    cert = radical(B, form_kind=args.form)
+    cert = bolalg.radical(B, form_kind=args.form)
     data = {
         "name": name,
         "decided": cert.decided,
@@ -202,8 +206,8 @@ def cmd_radical(args) -> int:
 
 def cmd_envelope(args) -> int:
     B, name = _require_bol(args)
-    E = envelope(B)
-    rep = structure_report(B, seed=args.seed)
+    E = bolalg.envelope(B)
+    rep = bolalg.structure_report(B, seed=args.seed)
     data = {
         "name": name,
         "b_dim": E.b_dim,
@@ -236,7 +240,7 @@ def cmd_envelope(args) -> int:
     if rep.decomposition_ran:
         lines.append(f"  simple components: {list(rep.component_dims)} (certified: {rep.decomposition_certified})")
     if args.emit:
-        Path(args.emit).write_text(emit_lie_document(E.lie, f"{name}.envelope", env=E), encoding="utf-8")
+        _write(args.emit, emit_lie_document(E.lie, f"{name}.envelope", env=E))
         lines.append(f"  wrote {args.emit}")
         data["emitted"] = args.emit
     _print(data, args.json, lines)
@@ -245,9 +249,9 @@ def cmd_envelope(args) -> int:
 
 def cmd_decompose(args) -> int:
     B, name = _require_bol(args)
-    beta = envelope_form(B) if args.form == "env" else trace_form(B)
+    beta = bolalg.envelope_form(B) if args.form == "env" else bolalg.trace_form(B)
     try:
-        dec = decompose_semisimple(B, beta, args.invariance, seed=args.seed)
+        dec = bolalg.decompose_semisimple(B, beta, args.invariance, seed=args.seed)
     except PreconditionViolation as exc:
         print(f"{name}: decomposition preconditions fail: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
@@ -273,13 +277,13 @@ def cmd_decompose(args) -> int:
 
 def cmd_examples(args) -> int:
     try:
-        B = catalog(args.name)
+        B = bolalg.catalog(args.name)
     except BolError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
     text = emit_bol_document(B, args.name)
     if args.emit:
-        Path(args.emit).write_text(text, encoding="utf-8")
+        _write(args.emit, text)
         print(f"wrote {args.emit}")
     else:
         print(text, end="")
@@ -313,7 +317,7 @@ COMMANDS = {
     "radical": (cmd_radical, "radical with certificates", _FILE, ("--json", "--form")),
     "envelope": (cmd_envelope, "construct and verify the enveloping Lie algebra", _FILE, ("--json", "--emit", "--seed")),
     "decompose": (cmd_decompose, "split into orthogonal simple ideals", _FILE, ("--json", "--form", "--invariance", "--seed")),
-    "examples": (cmd_examples, "emit a catalog algebra", ("name", f"one of: {', '.join(catalog_names())}"), ("--emit",)),
+    "examples": (cmd_examples, "emit a catalog algebra", ("name", f"one of: {', '.join(bolalg.catalog_names())}"), ("--emit",)),
 }
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from bolalg.core import BolAlgebra, center, derived_space, ideal_closure, is_ideal, prod_span, restrict, tri_span
+from bolalg.core import DEFAULT_SEED, BolAlgebra, center, derived_space, ideal_closure, is_ideal, prod_span, restrict, tri_span
 from bolalg.envelope import envelope
 from bolalg.errors import FatalInconsistency, NotASubsystem, PreconditionViolation
 from bolalg.forms import BilinearForm, envelope_form, invariance_check, is_nondegenerate, right_perp
@@ -26,7 +26,7 @@ from bolalg.linalg import (
     span,
     subspace_sum,
 )
-from bolalg.radical import DEFAULT_SEED, SimplicityResult, is_simple
+from bolalg.radical import SimplicityResult, is_simple
 
 
 def find_proper_ideal(B: BolAlgebra, seed: int = DEFAULT_SEED) -> tuple[Subspace | None, SimplicityResult]:

@@ -34,11 +34,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from bolalg.core import BolAlgebra, check_axioms, derived_space, is_ideal, require_verified, ternary_rule_defect
+from bolalg.core import BolAlgebra, PairEndo, check_axioms, derived_space, is_ideal, require_verified, ternary_rule_defect
 from bolalg.errors import DimensionMismatch, FatalInconsistency, NotAnIdeal, PreconditionViolation
 from bolalg.lie import LieAlgebra, bracket_span, jacobi_check, lie_is_solvable
 from bolalg.linalg import (
-    Mat,
     Record,
     Subspace,
     Vec,
@@ -50,39 +49,15 @@ from bolalg.linalg import (
     failures,
     full_space,
     integral,
-    is_zero_vec,
     nonzero_row,
     span,
     subspace_sum,
     transpose,
     unscaled,
     vec_sub,
-    zero_mat,
     zero_vec,
 )
 from bolalg.series import is_solvable
-
-
-class PairEndo(Record):
-    """Endomorphism/component pair; pseudo-derivation status is a predicate."""
-
-    pi: Mat
-    comp: Vec
-
-    @staticmethod
-    def zero(n: int) -> PairEndo:
-        return PairEndo(zero_mat(n, n), zero_vec(n))
-
-    def flatten(self) -> Vec:
-        return tuple(c for row in self.pi for c in row) + self.comp
-
-    @staticmethod
-    def unflatten(v: Vec, n: int) -> PairEndo:
-        pi = tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
-        return PairEndo(pi, tuple(v[n * n :]))
-
-    def is_zero(self) -> bool:
-        return is_zero_vec(self.flatten())
 
 
 class PseudoDerivationReport(Record):

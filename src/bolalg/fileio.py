@@ -28,8 +28,8 @@ import json
 import re
 from fractions import Fraction
 
-from bolalg.core import BolAlgebra
-from bolalg.envelope import EnvelopingLie, PairEndo
+import bolalg  # names `EnvelopingLie` in a signature without loading the envelope code
+from bolalg.core import BolAlgebra, PairEndo
 from bolalg.errors import DocumentError, PreconditionViolation
 from bolalg.lie import LieAlgebra
 from bolalg.linalg import ZERO
@@ -197,7 +197,7 @@ def emit_bol_document(B: BolAlgebra, name: str) -> str:
     )
 
 
-def emit_lie_document(L: LieAlgebra, name: str, env: EnvelopingLie | None = None) -> str:
+def emit_lie_document(L: LieAlgebra, name: str, env: bolalg.EnvelopingLie | None = None) -> str:
     """Canonical serialization of a Lie algebra, optionally with envelope data; C must be antisymmetric."""
     pairs = [
         ("name", "plain", name),

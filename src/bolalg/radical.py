@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import chain
 from math import lcm
 
-from bolalg.core import BolAlgebra, derived_space, ideal_closure, ideal_quotient, is_ideal, require_verified
+from bolalg.core import DEFAULT_SEED, BolAlgebra, derived_space, ideal_closure, ideal_quotient, is_ideal, require_verified
 from bolalg.envelope import envelope
 from bolalg.errors import BolError, StrategyDisagreement
 from bolalg.forms import BilinearForm, envelope_form, left_perp, trace_form
@@ -51,7 +51,6 @@ from bolalg.linalg import (
     unscaled,
 )
 
-DEFAULT_SEED = 20240801
 N_RANDOM = 32  # seeded random combinations of the operator family tried by `is_simple`
 
 

@@ -167,6 +167,17 @@ def test_envelope_round_trip_reparses(tmp_path):
     assert L.m == 6 and b_dim == 3 and len(h_basis) == 3
 
 
+@pytest.mark.parametrize("cmd", ["examples", "envelope"])
+def test_emit_to_a_path_that_cannot_be_written_is_an_input_error(cmd, tmp_path):
+    f = tmp_path / "solv2.json"
+    run_bol("examples", "solv2", "--emit", str(f))
+    target = tmp_path / "no-such-dir" / "out.json"
+    r = run_bol(cmd, "solv2" if cmd == "examples" else str(f), "--emit", str(target))
+    assert r.returncode == 3
+    assert r.stderr.startswith("input error"), r.stderr
+    assert not target.exists()
+
+
 def test_decompose_two_summands(tmp_path):
     from bolalg.catalog import catalog
     from bolalg.core import direct_sum

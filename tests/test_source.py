@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bolalg"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -177,3 +179,101 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     loaded = set(done.stdout.split())
     assert "bolalg.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect"})
+
+
+def test_only_the_package_imports_importlib():
+    # `importlib.import_module` inside a function would get round the rule
+    # that the modules import each other at the top
+    found = [p.stem for p in MODULES if "importlib" in _imported_modules(ast.parse(p.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def _in_a_fresh_interpreter(code: str, *argv: str):
+    """The JSON value that `code` prints last, run in a new interpreter with `argv`."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+ANALYSIS_LAYERS = ["bolalg.envelope", "bolalg.forms", "bolalg.series", "bolalg.radical", "bolalg.decompose"]
+
+
+@pytest.mark.parametrize(
+    ("command", "document", "code"),
+    [("check", None, 0), ("check", "malformed.json", 3), ("radical", "not_a_bol_algebra.json", 1)],
+    ids=["check-catalog", "check-malformed", "radical-not-bol"],
+)
+def test_checking_or_rejecting_a_document_loads_no_analysis_layer(command, document, code, tmp_path):
+    if document is None:
+        from bolalg import catalog
+        from bolalg.fileio import emit_bol_document
+
+        path = tmp_path / "sl2bol.json"
+        path.write_text(emit_bol_document(catalog("sl2bol"), "sl2bol"), encoding="utf-8")
+    else:
+        path = FIXTURES / document
+    program = (
+        "import contextlib, io, json, sys\n"
+        "from bolalg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))"
+    )
+    got, loaded = _in_a_fresh_interpreter(program, command, str(path))
+    assert got == code
+    assert "bolalg.core" in loaded
+    assert [m for m in ANALYSIS_LAYERS if m in loaded] == []
+
+
+def test_functions_named_like_their_module_stay_functions_after_the_module_is_imported():
+    program = (
+        "import json, sys, types\n"
+        "import bolalg.decompose\n"
+        "names = ['radical', 'envelope', 'catalog']\n"
+        "print(json.dumps([all(getattr(bolalg, n) is getattr(sys.modules['bolalg.' + n], n) for n in names),"
+        " any(isinstance(getattr(bolalg, n), types.ModuleType) for n in names),"
+        " bolalg.core is sys.modules['bolalg.core']]))"
+    )
+    assert _in_a_fresh_interpreter(program) == [True, False, True]
+
+
+def test_each_public_name_is_the_object_its_module_defines():
+    program = (
+        "import json, sys\n"
+        "import bolalg\n"
+        "homes = {n: getattr(bolalg, n).__module__ for n in bolalg.__all__}\n"
+        "print(json.dumps([homes, [n for n, m in homes.items() if getattr(sys.modules[m], n) is not getattr(bolalg, n)]]))"
+    )
+    homes, differing = _in_a_fresh_interpreter(program)
+    assert len(homes) > 50 and differing == []
+    assert {m.split(".")[0] for m in homes.values()} == {"bolalg"}
+    # each is the module's own definition, not one it imported
+    for name, module in homes.items():
+        tree = ast.parse((PACKAGE / f"{module.split('.')[1]}.py").read_text(encoding="utf-8"))
+        assert name in {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}, name
+
+
+def test_a_star_import_binds_exactly_the_public_names():
+    program = (
+        "import json\n"
+        "import bolalg\n"
+        "ns = {}\n"
+        "exec('from bolalg import *', ns)\n"
+        "print(json.dumps([sorted(set(ns) - {'__builtins__'}), sorted(bolalg.__all__)]))"
+    )
+    bound, public = _in_a_fresh_interpreter(program)
+    assert bound == public
+
+
+def test_an_unknown_name_is_an_attribute_error_and_loads_nothing():
+    program = (
+        "import json, sys\n"
+        "import bolalg\n"
+        "try:\n"
+        "    bolalg.no_such_name\n"
+        "    raised = False\n"
+        "except AttributeError:\n"
+        "    raised = True\n"
+        "print(json.dumps([raised, hasattr(bolalg, 'check_axiom'), sorted(m for m in sys.modules if m.startswith('bolalg'))]))"
+    )
+    assert _in_a_fresh_interpreter(program) == [True, False, ["bolalg"]]
