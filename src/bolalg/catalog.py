@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import bolalg  # reaches `LieAlgebra` on first build, so listing the names loads no Lie layer
 from bolalg.core import BolAlgebra, check_axioms, direct_sum
 from bolalg.errors import FatalInconsistency, UnknownExample
-from bolalg.lie import LieAlgebra
 from bolalg.linalg import ONE, ZERO
 
 _SL2 = {  # [e,f]=h, [h,e]=2e, [h,f]=-2f
@@ -47,7 +47,7 @@ def _lie_to_bol(n: int, sparse: dict, labels, with_binary: bool, ternary: str) -
     (x,y,z) = [[x,y],z].
     """
     C = _bracket_table(n, sparse)
-    L = LieAlgebra.from_constants(n, C)
+    L = bolalg.LieAlgebra.from_constants(n, C)
     basis = L.basis()
     T = [[C[i][j] if with_binary else (ZERO,) * n for j in range(n)] for i in range(n)]
     R = [

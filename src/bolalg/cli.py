@@ -5,8 +5,8 @@ Each subcommand takes the flags its handler reads, and no other:
     bol check FILE      [--json]
     bol info FILE       [--json] [--form] [--invariance]
     bol radical FILE    [--json] [--form]
-    bol envelope FILE   [--json] [--emit PATH] [--seed N]
-    bol decompose FILE  [--json] [--form] [--invariance] [--seed N]
+    bol envelope FILE   [--json] [--emit PATH]
+    bol decompose FILE  [--json] [--form] [--invariance]
     bol examples NAME   [--emit PATH]
 
 `COMMANDS` holds this table and also dispatches; any other flag is a
@@ -26,7 +26,7 @@ from pathlib import Path
 # The analysis layers are reached through the package, which imports each
 # on first use: `bol check` and a rejected document load none of them.
 import bolalg
-from bolalg.core import DEFAULT_SEED, center, check_axioms, ideal_closure
+from bolalg.core import center, check_axioms, ideal_closure
 from bolalg.errors import BolError, DocumentError, FatalInconsistency, NotASubsystem, PreconditionViolation
 from bolalg.fileio import emit_bol_document, emit_lie_document, parse_bol_document
 from bolalg.linalg import basis_vec, full_space, rank, span
@@ -207,7 +207,7 @@ def cmd_radical(args) -> int:
 def cmd_envelope(args) -> int:
     B, name = _require_bol(args)
     E = bolalg.envelope(B)
-    rep = bolalg.structure_report(B, seed=args.seed)
+    rep = bolalg.structure_report(B)
     data = {
         "name": name,
         "b_dim": E.b_dim,
@@ -226,7 +226,6 @@ def cmd_envelope(args) -> int:
             "triple_span_is_everything": rep.triple_span_is_everything,
             "note": rep.note,
         },
-        "seed": args.seed,
     }
     lines = [
         f"{name}: envelope has dimension {E.total_dim} = {E.b_dim} + {len(E.h_basis)}",
@@ -251,7 +250,7 @@ def cmd_decompose(args) -> int:
     B, name = _require_bol(args)
     beta = bolalg.envelope_form(B) if args.form == "env" else bolalg.trace_form(B)
     try:
-        dec = bolalg.decompose_semisimple(B, beta, args.invariance, seed=args.seed)
+        dec = bolalg.decompose_semisimple(B, beta, args.invariance)
     except PreconditionViolation as exc:
         print(f"{name}: decomposition preconditions fail: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
@@ -263,7 +262,6 @@ def cmd_decompose(args) -> int:
         ],
         "orthogonality": [[bool(x) for x in row] for row in dec.orthogonality],
         "notes": list(dec.notes),
-        "seed": args.seed,
     }
     lines = [f"{name}: {len(dec.components)} component(s), certified: {dec.certified}"]
     for c, e in zip(dec.components, dec.embeddings):
@@ -302,7 +300,6 @@ class _Parser(argparse.ArgumentParser):
 FLAGS = {
     "--json": {"action": "store_true", "help": "machine-readable output"},
     "--emit": {"metavar": "PATH", "default": None, "help": "write an output document here"},
-    "--seed": {"type": int, "default": DEFAULT_SEED, "help": "seed for randomized searches"},
     "--form": {"choices": ("env", "prop1"), "default": "env", "help": "which Killing-Ricci construction to use"},
     "--invariance": {"choices": ("skew", "paper"), "default": "skew", "help": "ternary invariance variant"},
 }
@@ -315,8 +312,8 @@ COMMANDS = {
     "check": (cmd_check, "verify the defining identities", _FILE, ("--json",)),
     "info": (cmd_info, "center, derived series, forms", _FILE, ("--json", "--form", "--invariance")),
     "radical": (cmd_radical, "radical with certificates", _FILE, ("--json", "--form")),
-    "envelope": (cmd_envelope, "construct and verify the enveloping Lie algebra", _FILE, ("--json", "--emit", "--seed")),
-    "decompose": (cmd_decompose, "split into orthogonal simple ideals", _FILE, ("--json", "--form", "--invariance", "--seed")),
+    "envelope": (cmd_envelope, "construct and verify the enveloping Lie algebra", _FILE, ("--json", "--emit")),
+    "decompose": (cmd_decompose, "split into orthogonal simple ideals", _FILE, ("--json", "--form", "--invariance")),
     "examples": (cmd_examples, "emit a catalog algebra", ("name", f"one of: {', '.join(bolalg.catalog_names())}"), ("--emit",)),
 }
 

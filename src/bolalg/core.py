@@ -44,8 +44,6 @@ from bolalg.linalg import (
     zero_vec,
 )
 
-DEFAULT_SEED = 20240801  # seed of every randomized search (`radical.is_simple`) unless the caller passes one
-
 
 class BolAlgebra(Record):
     """Finite-dimensional Bol algebra given by structure tensors.

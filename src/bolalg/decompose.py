@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from bolalg.core import DEFAULT_SEED, BolAlgebra, center, derived_space, ideal_closure, is_ideal, prod_span, restrict, tri_span
+from bolalg.core import BolAlgebra, center, derived_space, ideal_closure, is_ideal, prod_span, restrict, tri_span
 from bolalg.envelope import envelope
 from bolalg.errors import FatalInconsistency, NotASubsystem, PreconditionViolation
 from bolalg.forms import BilinearForm, envelope_form, invariance_check, is_nondegenerate, right_perp
@@ -29,13 +29,13 @@ from bolalg.linalg import (
 from bolalg.radical import SimplicityResult, is_simple
 
 
-def find_proper_ideal(B: BolAlgebra, seed: int = DEFAULT_SEED) -> tuple[Subspace | None, SimplicityResult]:
+def find_proper_ideal(B: BolAlgebra) -> tuple[Subspace | None, SimplicityResult]:
     """A proper nonzero def2-ideal if the simplicity search finds one.
 
     Returns (ideal, search_result); the ideal is None both for certified
     simple and for undecided searches, which the result distinguishes.
     """
-    res = is_simple(B, seed)
+    res = is_simple(B)
     if res.status == "no" and res.witness is not None and 0 < res.witness.dim < B.n:
         return res.witness, res
     return None, res
@@ -50,7 +50,7 @@ class Decomposition(Record):
     notes: tuple[str, ...] = ()
 
 
-def _trivial_derived_ideal_probe(B: BolAlgebra, seed: int) -> Subspace | None:
+def _trivial_derived_ideal_probe(B: BolAlgebra) -> Subspace | None:
     """Look for a nonzero ideal I with I*I + (I,I,B) = 0."""
     probes = [full_space(B.n)]
     c = center(B)
@@ -58,7 +58,7 @@ def _trivial_derived_ideal_probe(B: BolAlgebra, seed: int) -> Subspace | None:
         probes.append(ideal_closure(B, c))
     for i in range(B.n):
         probes.append(ideal_closure(B, span([basis_vec(i, B.n)], B.n)))
-    found, _ = find_proper_ideal(B, seed)
+    found, _ = find_proper_ideal(B)
     if found is not None:
         probes.append(found)
     for I in probes:  # each is an ideal as built: the full space, a closure, or the search's witness
@@ -72,12 +72,7 @@ def _restrict_form(b: BilinearForm, S: Subspace) -> BilinearForm:
     return BilinearForm(rows)
 
 
-def decompose_semisimple(
-    B: BolAlgebra,
-    b: BilinearForm | None = None,
-    variant: str = "skew",
-    seed: int = DEFAULT_SEED,
-) -> Decomposition:
+def decompose_semisimple(B: BolAlgebra, b: BilinearForm | None = None, variant: str = "skew") -> Decomposition:
     """Split B into pairwise b-orthogonal simple ideals.
 
     Preconditions: b symmetric, nondegenerate, invariant (in the given
@@ -85,15 +80,15 @@ def decompose_semisimple(
     for the latter raise PreconditionViolation when they find one.
     b defaults to `envelope_form(B)`.
 
-    The decomposition runs once per (algebra, form, variant, seed):
+    The decomposition runs once per (algebra, form, variant):
     equal algebras share one result, and omitting b shares the entry
     of passing `envelope_form(B)`.  An exception is not cached.
     """
-    return _decompose_semisimple(B, envelope_form(B) if b is None else b, variant, seed)
+    return _decompose_semisimple(B, envelope_form(B) if b is None else b, variant)
 
 
 @lru_cache(maxsize=None)
-def _decompose_semisimple(B: BolAlgebra, b: BilinearForm, variant: str, seed: int) -> Decomposition:
+def _decompose_semisimple(B: BolAlgebra, b: BilinearForm, variant: str) -> Decomposition:
     if not b.symmetric:
         raise PreconditionViolation("decomposition form must be symmetric")
     if not is_nondegenerate(b):
@@ -101,7 +96,7 @@ def _decompose_semisimple(B: BolAlgebra, b: BilinearForm, variant: str, seed: in
     inv = invariance_check(B, b, variant)
     if not inv.ok:
         raise PreconditionViolation(f"decomposition form is not invariant (variant {variant})")
-    bad = _trivial_derived_ideal_probe(B, seed)
+    bad = _trivial_derived_ideal_probe(B)
     if bad is not None:
         raise PreconditionViolation(
             f"found a nonzero ideal of dimension {bad.dim} with vanishing self-products"
@@ -116,7 +111,7 @@ def _decompose_semisimple(B: BolAlgebra, b: BilinearForm, variant: str, seed: in
         nonlocal certified
         if algebra.n == 0:
             return
-        ideal, search = find_proper_ideal(algebra, seed)
+        ideal, search = find_proper_ideal(algebra)
         if ideal is None:
             components.append(algebra)
             embeddings.append(frame)
@@ -193,7 +188,7 @@ class StructureReport(Record):
     note: str = ""
 
 
-def structure_report(B: BolAlgebra, seed: int = DEFAULT_SEED) -> StructureReport:
+def structure_report(B: BolAlgebra) -> StructureReport:
     E = envelope(B)
     beta = envelope_form(B)
     full = full_space(B.n)
@@ -209,7 +204,7 @@ def structure_report(B: BolAlgebra, seed: int = DEFAULT_SEED) -> StructureReport
     note = ""
     if beta_nd and invariance_check(B, beta, "skew").ok:
         try:
-            dec = decompose_semisimple(B, beta, "skew", seed)
+            dec = decompose_semisimple(B, beta, "skew")
         except (PreconditionViolation, FatalInconsistency) as exc:
             note = f"decomposition unavailable: {exc}"
         else:

@@ -28,10 +28,9 @@ import json
 import re
 from fractions import Fraction
 
-import bolalg  # names `EnvelopingLie` in a signature without loading the envelope code
+import bolalg  # reaches `LieAlgebra` and `EnvelopingLie` on use, so a Bol document loads neither layer
 from bolalg.core import BolAlgebra, PairEndo
 from bolalg.errors import DocumentError, PreconditionViolation
-from bolalg.lie import LieAlgebra
 from bolalg.linalg import ZERO
 
 
@@ -197,7 +196,7 @@ def emit_bol_document(B: BolAlgebra, name: str) -> str:
     )
 
 
-def emit_lie_document(L: LieAlgebra, name: str, env: bolalg.EnvelopingLie | None = None) -> str:
+def emit_lie_document(L: bolalg.LieAlgebra, name: str, env: bolalg.EnvelopingLie | None = None) -> str:
     """Canonical serialization of a Lie algebra, optionally with envelope data; C must be antisymmetric."""
     pairs = [
         ("name", "plain", name),
@@ -223,14 +222,14 @@ def emit_lie_document(L: LieAlgebra, name: str, env: bolalg.EnvelopingLie | None
     return _render_document(pairs)
 
 
-def parse_lie_document(text: str) -> tuple[LieAlgebra, str, int | None, tuple[PairEndo, ...] | None]:
+def parse_lie_document(text: str) -> tuple[bolalg.LieAlgebra, str, int | None, tuple[PairEndo, ...] | None]:
     """Parse a Lie document; returns (algebra, name, b_dim, h_basis)."""
     doc, name, dim, basis = _read_header(text, ("brackets", "b_dim", "h_basis"), "f")
     C = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j, k), c in _sparse_entries(doc, "brackets", dim, 3):
         C[i][j][k] = c
         C[j][i][k] = -c
-    L = LieAlgebra.from_constants(dim, C, basis)
+    L = bolalg.LieAlgebra.from_constants(dim, C, basis)
     b_dim = doc.get("b_dim")
     if b_dim is not None and (isinstance(b_dim, bool) or not isinstance(b_dim, int) or not 0 <= b_dim <= dim):
         raise DocumentError(f"b_dim: must be an integer between 0 and {dim}", "b_dim")

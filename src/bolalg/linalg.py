@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
-from bolalg.errors import DimensionMismatch
+from bolalg.errors import DimensionMismatch, FatalInconsistency
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -583,11 +583,15 @@ def charpoly(m: Mat) -> tuple[Fraction, ...]:
 
 
 def rational_roots(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """All rational roots of the polynomial with the given coefficients.
+    """All rational roots of the polynomial with the given coefficients, sorted.
 
     Coefficients are ordered from the leading term down, as produced by
-    `charpoly`.  Uses the rational root theorem on the integer-cleared
-    polynomial; exact, no multiplicities.
+    `charpoly`.  Exact, no multiplicities.  The square-free part g of the
+    integer-cleared polynomial f has the same roots.  A root p/q of g has
+    q | g_0 and p | g_n, so |p|, |q| <= H = max(|g_0|, |g_n|), and at a prime l
+    not dividing g_0 it is a simple root of g mod l (`_good_prime`); its
+    lift mod l^k > 2H^2 (`_hensel_lift`) determines p/q (`_reconstruct`).
+    A candidate is kept only if f(p/q) = 0 exactly.
     """
     cs = list(coeffs)
     while cs and cs[0] == 0:
@@ -602,30 +606,117 @@ def rational_roots(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
             roots.append(ZERO)
         if not cs:
             return tuple(roots)
-    ints, _ = integral(cs)
-
-    def value(p: int, q: int) -> int:  # q^deg * f(p/q), by Horner in ints
-        acc, qk = 0, 1
-        for c in ints:
-            acc, qk = acc * p + c * qk, qk * q
-        return acc
-
-    qs = _divisors(ints[0])
-    for p in _divisors(ints[-1]):
-        for q in qs:
-            if gcd(p, q) == 1:
-                roots.extend(Fraction(x, q) for x in (p, -p) if value(x, q) == 0)
+    f, _ = integral(cs)
+    g = _square_free(f)
+    if len(g) > 1:
+        h = max(abs(g[0]), abs(g[-1]))
+        ell, simple = _good_prime(g)
+        for r in simple:
+            x = _reconstruct(*_hensel_lift(g, r, ell, 2 * h * h), h)
+            if x is not None and _value(f, x.numerator, x.denominator) == 0:
+                roots.append(x)
     return tuple(sorted(roots))
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+# The integer polynomials below are coefficient lists, leading term first.
+
+
+def _value(f: list[int], p: int, q: int) -> int:
+    """q^deg * f(p/q), by Horner in ints."""
+    acc, qk = 0, 1
+    for c in f:
+        acc, qk = acc * p + c * qk, qk * q
+    return acc
+
+
+def _derivative(f: list[int]) -> list[int]:
+    n = len(f) - 1
+    return [c * (n - i) for i, c in enumerate(f[:-1])]
+
+
+def _primitive_poly(f: list[int]) -> list[int]:
+    """f divided by the gcd of its coefficients, with a positive leading coefficient."""
+    c = gcd(*f) if f[0] > 0 else -gcd(*f)
+    return [x // c for x in f]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lc(b)^k * a on division by b, without leading zeros: [] when b divides a."""
+    while len(a) >= len(b):
+        c = a[0]
+        a = [b[0] * x - (c * b[i] if i < len(b) else 0) for i, x in enumerate(a)][1:]
+        while a and a[0] == 0:
+            a = a[1:]
+    return a
+
+
+def _square_free(f: list[int]) -> list[int]:
+    """The primitive square-free part f / gcd(f, f') of a nonzero f."""
+    f = _primitive_poly(f)
+    if len(f) < 3:
+        return f
+    a, b = f, _primitive_poly(_derivative(f))
+    while b:  # primitive remainder sequence: a ends as the primitive gcd(f, f')
+        a, b = b, _pseudo_remainder(a, b)
+        if b:
+            b = _primitive_poly(b)
+    # f is primitive, so by Gauss's lemma its quotient by the primitive gcd is integral
+    q = []
+    while len(f) >= len(a):
+        c = f[0] // a[0]
+        q.append(c)
+        f = [x - c * a[i] if i < len(a) else x for i, x in enumerate(f)][1:]
+    return q
+
+
+def _good_prime(g: list[int]) -> tuple[int, list[int]]:
+    """The first odd prime l not dividing g_0 at which every root of g mod l is simple, and those roots.
+
+    Only primes dividing g_0 * disc(g) can fail, and disc(g) != 0 since g is
+    square-free.  By Mahler's bound |disc(g)| <= n^n ||g||_2^(2n-2), so fewer
+    than `tries` odd primes fail; the search raises rather than go past them.
+    """
+    n = len(g) - 1
+    deriv = _derivative(g)
+    tries = (abs(g[0]) * n**n * sum(c * c for c in g) ** (n - 1)).bit_length() + 1
+    ell = 1
+    for _ in range(tries):
+        ell = _next_odd_prime(ell)
+        if g[0] % ell == 0:
+            continue
+        roots = [r for r in range(ell) if _value(g, r, 1) % ell == 0]
+        if all(_value(deriv, r, 1) % ell for r in roots):
+            return ell, roots
+    raise FatalInconsistency(f"none of the first {tries} odd primes is good for a square-free polynomial")
+
+
+def _next_odd_prime(m: int) -> int:
+    m += 2 if m % 2 else 1
+    while any(m % d == 0 for d in range(3, isqrt(m) + 1, 2)):
+        m += 2
+    return m
+
+
+def _hensel_lift(g: list[int], r: int, ell: int, bound: int) -> tuple[int, int]:
+    """(x, l^k) with x = r mod l, g(x) = 0 mod l^k and l^k the least power of l above `bound`.
+
+    r is a simple root of g mod l, so each step x -> x - g(x)/g'(r) gains one power of l.
+    """
+    inverse = pow(_value(_derivative(g), r, 1), -1, ell)
+    x, modulus = r, ell
+    while modulus <= bound:
+        modulus *= ell
+        x = (x - _value(g, x, 1) * inverse) % modulus
+    return x, modulus
+
+
+def _reconstruct(x: int, modulus: int, h: int) -> Fraction | None:
+    """The p/q = x mod `modulus` with |p|, |q| <= h, if the extended Euclidean algorithm finds one.
+
+    When modulus > 2h^2 there is at most one such fraction, and it is found.
+    """
+    r0, r1, t0, t1 = modulus, x, 0, 1
+    while r1 > h:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return Fraction(r1, t1) if 0 < abs(t1) <= h else None

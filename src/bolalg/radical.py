@@ -22,12 +22,9 @@ then find a proper ideal.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
-from itertools import chain
-from math import lcm
 
-from bolalg.core import DEFAULT_SEED, BolAlgebra, derived_space, ideal_closure, ideal_quotient, is_ideal, require_verified
+from bolalg.core import BolAlgebra, derived_space, ideal_closure, ideal_quotient, is_ideal, require_verified
 from bolalg.envelope import envelope
 from bolalg.errors import BolError, StrategyDisagreement
 from bolalg.forms import BilinearForm, envelope_form, left_perp, trace_form
@@ -43,15 +40,10 @@ from bolalg.linalg import (
     intersect,
     kernel,
     mat_vec,
-    nonzero_row,
     rational_roots,
-    scaled_rows,
     span,
     transpose,
-    unscaled,
 )
-
-N_RANDOM = 32  # seeded random combinations of the operator family tried by `is_simple`
 
 
 def _form_for(B: BolAlgebra, kind: str) -> BilinearForm:
@@ -162,85 +154,57 @@ def is_semisimple(B: BolAlgebra) -> bool:
 class SimplicityResult(Record):
     status: str  # "yes" | "no" | "undecided"
     witness: Subspace | None
-    seed: int
     note: str = ""
 
 
-def is_simple(B: BolAlgebra, seed: int = DEFAULT_SEED) -> SimplicityResult:
+def is_simple(B: BolAlgebra) -> SimplicityResult:
     """Three-valued simplicity test.
 
     Searches for proper nonzero def2-ideals through ideal closures of
     basis vectors and of rational eigenvectors of the natural operator
-    family (right multiplications and first-slot ternary operators,
-    plus `N_RANDOM` seeded random combinations).  A positive answer is only issued
-    through the dual-kernel criterion with one-dimensional kernels
-    (Norton's irreducibility test), which is sound, so the search
-    returns "yes" at its first certificate; otherwise the result is
-    "no" with a witness or "undecided".
+    family (right multiplications and first-slot ternary operators).
+    A positive answer is only issued through the dual-kernel criterion
+    with one-dimensional kernels (Norton's irreducibility test), which
+    is sound, so the search returns "yes" at its first certificate;
+    otherwise the result is "no" with a witness or "undecided".
 
-    The search runs once per (algebra, seed): equal algebras share one
-    result, however the seed is passed.  A seed that is not an int (or
-    is a bool) raises TypeError.
+    The search runs once per algebra: equal algebras share one result.
     """
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise TypeError(f"seed must be an int, not {type(seed).__name__}")
-    return _is_simple(B, seed)
-
-
-def _random_combinations(ops, n: int, n_random: int, seed: int):
-    """The nonzero ones of `n_random` seeded combinations sum(c_k * ops[k]), c_k drawn from -3..3, lazily in draw order.
-
-    Summed in integers: every operator is scaled by d, the lcm of all
-    their denominators, and cut to its nonzero (flat index, int) entries.
-    Nothing is drawn or summed before the first combination is asked for.
-    """
-    d = lcm(*(c.denominator for op in ops for row in op for c in row))
-    flat = scaled_rows([nonzero_row([c for row in op for c in row]) for op in ops], d)
-    rng = random.Random(seed)
-    for _ in range(n_random):
-        coeffs = [rng.randint(-3, 3) for _ in ops]
-        acc = [0] * (n * n)
-        for c, op in zip(coeffs, flat):
-            if c == 0:
-                continue
-            for idx, v in op:
-                acc[idx] += c * v
-        if any(acc):
-            yield tuple(unscaled(acc[a * n : (a + 1) * n], d) for a in range(n))
+    return _is_simple(B)
 
 
 @lru_cache(maxsize=None)
-def _is_simple(B: BolAlgebra, seed: int) -> SimplicityResult:
+def _is_simple(B: BolAlgebra) -> SimplicityResult:
     n = B.n
     if n == 0:
-        return SimplicityResult("no", None, seed, "zero algebra")
+        return SimplicityResult("no", None, "zero algebra")
     if B.is_abelian():
         witness = ideal_closure(B, span([basis_vec(0, n)], n)) if n >= 2 else None
-        return SimplicityResult("no", witness, seed, "abelian")
+        return SimplicityResult("no", witness, "abelian")
 
     ops = B.ideal_operators
     for i in range(n):
         cl = ideal_closure(B, span([basis_vec(i, n)], n))
         if 0 < cl.dim < n:
-            return SimplicityResult("no", cl, seed, f"closure of basis vector {i}")
+            return SimplicityResult("no", cl, f"closure of basis vector {i}")
 
     ops_t = [transpose(op) for op in ops]
-    for m in chain(ops, _random_combinations(ops, n, N_RANDOM, seed)):
+    for m in ops:
         for lam in rational_roots(charpoly(m)):
             shifted = tuple(tuple(x - lam if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m))
             ker = kernel(shifted, n)
             for v in ker.basis:
                 cl = ideal_closure(B, span([v], n))
                 if 0 < cl.dim < n:
-                    return SimplicityResult("no", cl, seed, f"eigenvector closure at eigenvalue {lam}")
+                    return SimplicityResult("no", cl, f"eigenvector closure at eigenvalue {lam}")
             if ker.dim == 1:
                 # the transposed kernel has the same dimension: one vector w
                 (w,) = kernel(transpose(shifted), n).basis
                 dual = closure(span([w], n), lambda s: (mat_vec(op, v) for v in s.basis for op in ops_t))
                 if dual.is_full():
-                    return SimplicityResult("yes", None, seed, "dual-kernel criterion")
+                    return SimplicityResult("yes", None, "dual-kernel criterion")
                 # annihilator of a proper dual-invariant subspace is a proper ideal
                 ann = kernel(dual.basis, n)
                 if 0 < ann.dim < n and is_ideal(B, ann, "def2"):
-                    return SimplicityResult("no", ann, seed, "annihilator of dual-invariant subspace")
-    return SimplicityResult("undecided", None, seed, "no witness found and no sound certificate available")
+                    return SimplicityResult("no", ann, "annihilator of dual-invariant subspace")
+    return SimplicityResult("undecided", None, "no witness found and no sound certificate available")

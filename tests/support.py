@@ -302,6 +302,24 @@ def transport(B: BolAlgebra, S) -> BolAlgebra:
     return BolAlgebra.from_tensors(n, T, R)
 
 
+def restrict_scalars(B: BolAlgebra, d: int) -> BolAlgebra:
+    """B over Q(sqrt d), d not a square, seen as a 2n-dimensional algebra over Q.
+
+    The basis is e_i, then sqrt(d) e_i.  A product of k factors sqrt(d)
+    carries d^(k // 2) and lands in slot k % 2.
+    """
+    n = B.n
+    slots = [(s, i) for s in (0, 1) for i in range(n)]
+
+    def lift(v, k):
+        scaled = [c * d ** (k // 2) for c in v]
+        return scaled + [0] * n if k % 2 == 0 else [0] * n + scaled
+
+    T = [[lift(B.T[i][j], s + t) for t, j in slots] for s, i in slots]
+    R = [[[lift(B.R[i][j][k], s + t + u) for u, k in slots] for t, j in slots] for s, i in slots]
+    return BolAlgebra.from_tensors(2 * n, T, R)
+
+
 def collect_ideals(B: BolAlgebra) -> list[Subspace]:
     """Certified def2-ideals reachable by the standard probes."""
     n = B.n
@@ -484,27 +502,9 @@ def unimodular_basis(rng, n):
     return [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
-# References for the simplicity and invariance layers, in Fractions entry
-# by entry, as `is_simple` and `invariance_check` computed them before
-# they summed in integers and read precomputed form tables.
-
-
-def reference_random_combinations(ops, n, n_random, seed) -> list:
-    """The nonzero ones of `n_random` seeded combinations of ops, coefficients drawn from -3..3."""
-    rng = random.Random(seed)
-    combos = []
-    for _ in range(n_random):
-        coeffs = [rng.randint(-3, 3) for _ in ops]
-        m = [[ZERO] * n for _ in range(n)]
-        for c, op in zip(coeffs, ops):
-            if c == 0:
-                continue
-            for a in range(n):
-                for b in range(n):
-                    if op[a][b] != 0:
-                        m[a][b] += c * op[a][b]
-        combos.append(tuple(tuple(row) for row in m))
-    return [m for m in combos if any(c != 0 for row in m for c in row)]
+# A reference for the invariance layer, in Fractions entry by entry, as
+# `invariance_check` computed it before it summed in integers and read
+# precomputed form tables.
 
 
 def reference_invariance_check(B: BolAlgebra, b, variant: str = "skew") -> InvarianceReport:

@@ -234,13 +234,6 @@ def test_radical_prop1_form_flag(tmp_path):
     assert json.loads(r.stdout)["radical"]["dim"] == 0
 
 
-def test_seed_flag_accepted(tmp_path):
-    f = tmp_path / "sl2bol.json"
-    run_bol("examples", "sl2bol", "--emit", str(f))
-    r = run_bol("decompose", str(f), "--seed", "99", "--json")
-    assert r.returncode == 0
-
-
 def test_usage_errors_exit_3_with_usage_on_stderr():
     # exit 2 means "undecided", so a mistyped command line must not produce it
     for args in (("check",), ("check", "--bogus", "x.json"), ("frobnicate",)):
@@ -260,8 +253,8 @@ ROWS = {
     "check": ("--json",),
     "info": ("--json", "--form", "--invariance"),
     "radical": ("--json", "--form"),
-    "envelope": ("--json", "--emit", "--seed"),
-    "decompose": ("--json", "--form", "--invariance", "--seed"),
+    "envelope": ("--json", "--emit"),
+    "decompose": ("--json", "--form", "--invariance"),
     "examples": ("--emit",),
 }
 FLAG_VALUES = {
@@ -312,3 +305,19 @@ def test_help_lists_exactly_the_flags_the_subcommand_reads(cmd, capsys):
     out = capsys.readouterr().out
     assert exc.value.code == 0
     assert re.findall(r"^  (?:-h, )?(--[a-z-]+)", out, re.M) == ["--help", *ROWS[cmd]]
+
+
+def test_decompose_reports_an_undecided_component(tmp_path):
+    # sl2bol over Q(sqrt 2) is simple, but the simplicity search cannot certify it
+    from support import restrict_scalars
+
+    from bolalg.catalog import catalog
+    from bolalg.fileio import emit_bol_document
+
+    f = tmp_path / "sl2bol_sqrt2.json"
+    f.write_text(emit_bol_document(restrict_scalars(catalog("sl2bol"), 2), "sl2bol_sqrt2"), encoding="utf-8")
+    r = run_bol("decompose", str(f), "--json")
+    assert r.returncode == 2, r.stderr
+    doc = json.loads(r.stdout)
+    assert not doc["certified"] and [c["dim"] for c in doc["components"]] == [6]
+    assert doc["notes"] == ["component of dimension 6: simplicity undecided"]

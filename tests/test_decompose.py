@@ -13,7 +13,7 @@ from bolalg.envelope import envelope
 from bolalg.errors import PreconditionViolation
 from bolalg.forms import BilinearForm, envelope_form
 from bolalg.linalg import basis_vec, full_space, intersect, span, zero_vec
-from bolalg.radical import DEFAULT_SEED, is_simple, radical
+from bolalg.radical import is_simple, radical
 
 RADICAL = importlib.import_module("bolalg.radical")
 DECOMPOSE = importlib.import_module("bolalg.decompose")
@@ -22,14 +22,6 @@ DECOMPOSE = importlib.import_module("bolalg.decompose")
 def test_find_proper_ideal_simple_algebra():
     ideal, res = find_proper_ideal(catalog("sl2bol"))
     assert ideal is None and res.status == "yes"
-
-
-@pytest.mark.parametrize("seed", [None, "1", 1.0, True])
-@pytest.mark.parametrize("search", [is_simple, find_proper_ideal, structure_report], ids=lambda f: f.__name__)
-def test_the_seed_must_be_an_int(search, seed):
-    # None would seed from OS entropy, so the cached search would differ from process to process
-    with pytest.raises(TypeError, match="seed must be an int"):
-        search(catalog("sl2bol"), seed)
 
 
 def test_find_proper_ideal_mixed():
@@ -254,6 +246,15 @@ def test_dense_decomposition_results_are_unchanged(key):
     assert record_fields(structure_report(B)) == STRUCTURE[key]
 
 
+def test_dense_twelve_dimensional_decomposition_is_certified():
+    # its charpolys carry 18-digit coefficients, so finding their rational roots must not factor them
+    s = direct_sum(catalog("sl2bol"), catalog("so3bol"))
+    B = transport(direct_sum(s, s), unimodular_basis(random.Random(5), 12))
+    dec = decompose_semisimple(B)
+    assert (dec.certified, [c.n for c in dec.components], dec.notes) == (True, [3, 3, 3, 3], ())
+    assert verify_reassembly(B, dec)
+
+
 def rebuilt(B):
     return BolAlgebra.from_tensors(B.n, B.T, B.R, B.labels)
 
@@ -266,17 +267,9 @@ def test_equal_algebras_share_one_decomposition():
 def test_default_form_shares_the_envelope_form_entry():
     B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
     dec = decompose_semisimple(B)
-    assert decompose_semisimple(B, envelope_form(B), "skew", DEFAULT_SEED) is dec
-    assert decompose_semisimple(B, b=None, variant="skew", seed=DEFAULT_SEED) is dec
+    assert decompose_semisimple(B, envelope_form(B), "skew") is dec
+    assert decompose_semisimple(B, b=None, variant="skew") is dec
     assert decompose_semisimple(B, envelope_form(rebuilt(B))) is dec
-
-
-def test_the_default_seed_shares_one_decomposition_entry(monkeypatch):
-    computed = spy_on_cache(monkeypatch, DECOMPOSE, "_decompose_semisimple")
-    B = catalog("so3bol")
-    dec = decompose_semisimple(B)
-    assert decompose_semisimple(B, seed=DEFAULT_SEED) is dec
-    assert computed == [(B, envelope_form(B), "skew", DEFAULT_SEED)]
 
 
 def test_a_form_built_from_the_envelope_gram_is_the_envelope_form(monkeypatch):
@@ -295,15 +288,13 @@ def test_other_arguments_get_their_own_decomposition(monkeypatch):
     beta = envelope_form(B)
     doubled = BilinearForm(tuple(tuple(2 * c for c in row) for row in beta.gram))
     decompose_semisimple(B)
-    decompose_semisimple(B, seed=7)
     decompose_semisimple(B, doubled)
     with pytest.raises(PreconditionViolation):
         decompose_semisimple(B, variant="paper")
     assert computed == [
-        (B, beta, "skew", DEFAULT_SEED),
-        (B, beta, "skew", 7),
-        (B, doubled, "skew", DEFAULT_SEED),
-        (B, beta, "paper", DEFAULT_SEED),
+        (B, beta, "skew"),
+        (B, doubled, "skew"),
+        (B, beta, "paper"),
     ]
 
 
@@ -325,7 +316,7 @@ def test_each_algebra_is_searched_once_per_session(monkeypatch):
     structure_report(B)
     assert [args[0] for args in searched] == [B, *dec.components]
     assert len(set(dec.components)) == 2
-    assert decomposed == [(B, envelope_form(B), "skew", DEFAULT_SEED)]
+    assert decomposed == [(B, envelope_form(B), "skew")]
 
 
 def test_public_searches_are_not_cache_objects():

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -426,3 +428,71 @@ def test_rational_roots_agree_with_sympy(case):
     assert got == _sympy_rational_roots(coeffs)
     assert set(roots) <= set(got)
     assert list(got) == sorted(set(got))
+
+
+def _expand(factors):
+    """The product of integer polynomials, each a coefficient list with the leading term first."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return tuple(F(c) for c in out)
+
+
+big = st.integers(-(10**15), 10**15)
+
+
+@st.composite
+def polynomials_with_large_roots(draw):
+    """Linear factors q x - p with p, q up to 10^15, some repeated, times a factor with up to 30-digit coefficients."""
+    roots = draw(st.lists(st.tuples(big, big.filter(lambda q: q != 0)), max_size=3))
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(roots), max_size=len(roots)))
+    rest = draw(st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=4).filter(lambda cs: cs[0] != 0))
+    factors = [[q, -p] for (p, q), k in zip(roots, repeats) for _ in range(k)]
+    return _expand([*factors, rest]), {F(p, q) for p, q in roots}
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials_with_large_roots())
+def test_rational_roots_with_large_coefficients_and_repeated_roots_agree_with_sympy(case):
+    coeffs, roots = case
+    got = rational_roots(coeffs)
+    assert got == _sympy_rational_roots(coeffs)
+    assert roots <= set(got)
+
+
+def test_a_forty_digit_constant_term_is_fast():
+    # trial division would list the divisors of a 40-digit number
+    a, b = 10**19 + 39, -(10**19 + 61)
+    coeffs = _expand([[1, -a], [1, -b], [7, 0, 2], [3, -5]])
+    assert len(str(abs(coeffs[-1].numerator))) == 40
+    start = time.perf_counter()
+    got = rational_roots(coeffs)
+    assert time.perf_counter() - start < 1
+    assert got == (F(b), F(5, 3), F(a))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 12, 20])
+def test_roots_whose_numerator_and_denominator_are_both_near_the_bound(k):
+    # p/q needs the lift past 2|p|q, and here |p|q is close to the bound 2H^2
+    for p in (10**k + 1, -(10**k) - 3, 3**k * 7 - 2):
+        for q in (abs(p) - 1, abs(p) + 2, abs(p) + 4):
+            if gcd(p, q) == 1:
+                assert rational_roots(_expand([[q, -p]])) == (F(p, q),)
+                assert rational_roots(_expand([[q, -p], [q, -p], [1, 0, -2]])) == (F(p, q),)
+
+
+def test_monic_quadratics_have_integer_roots_only_at_square_discriminants():
+    # a root of x^2 + bx + c mod a prime that is no rational root must not be reported
+    for b in range(-12, 13):
+        for c in range(-12, 13):
+            if c == 0:
+                want = tuple(sorted({F(0), F(-b)}))
+            else:
+                disc = b * b - 4 * c
+                s = isqrt(disc) if disc >= 0 else -1
+                want = tuple(sorted({F(-b + s, 2), F(-b - s, 2)})) if s * s == disc else ()
+            assert rational_roots((F(1), F(b), F(c))) == want, (b, c)

@@ -1,27 +1,24 @@
 import importlib
 import random
-from math import lcm
 from pathlib import Path
 
 import pytest
 from support import (
-    random_algebra,
-    rational_basis,
-    reference_random_combinations,
+    restrict_scalars,
     spy_on_cache,
     summand_embeddings,
     transport,
     unimodular_basis,
 )
 
-from bolalg.catalog import catalog, catalog_names
-from bolalg.core import BolAlgebra, direct_sum
+from bolalg.catalog import catalog
+from bolalg.core import BolAlgebra, check_axioms, direct_sum
 from bolalg.decompose import find_proper_ideal
 from bolalg.envelope import envelope
 from bolalg.fileio import parse_bol_document
 from bolalg.lie import lie_radical
 from bolalg.linalg import full_space, span, vec, zero_space
-from bolalg.radical import DEFAULT_SEED, N_RANDOM, _is_simple, _random_combinations, is_semisimple, is_simple, radical
+from bolalg.radical import _is_simple, is_semisimple, is_simple, radical
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # the package exports the function `radical` under the module's name
@@ -126,11 +123,6 @@ def test_is_simple_abelian():
     assert is_simple(catalog("abelian1")).status == "no"
 
 
-def test_is_simple_seed_is_recorded():
-    res = is_simple(catalog("sl2bol"), seed=7)
-    assert res.seed == 7
-
-
 def test_undecided_radical_fixture():
     # a verified two-dimensional algebra whose only ideals are 0 and itself,
     # not solvable, so its radical is 0; both strategy candidates overshoot
@@ -186,44 +178,17 @@ def test_argument_forms_share_one_simplicity_search(monkeypatch):
     computed = spy_on_cache(monkeypatch, RADICAL, "_is_simple")
     B = catalog("so3bol")
     first = is_simple(B)
-    assert is_simple(B, seed=DEFAULT_SEED) is first
-    assert is_simple(B, DEFAULT_SEED) is first
+    assert is_simple(B) is first
     assert find_proper_ideal(B)[1] is first
-    assert find_proper_ideal(B, DEFAULT_SEED)[1] is first
-    assert computed == [(B, DEFAULT_SEED)]
+    assert computed == [(B,)]
 
 
 def test_other_arguments_get_their_own_simplicity_search(monkeypatch):
     computed = spy_on_cache(monkeypatch, RADICAL, "_is_simple")
     B = catalog("so3bol")
-    results = [is_simple(B), is_simple(B, seed=7), is_simple(B, 8), is_simple(catalog("sl2bol"))]
-    assert computed == [(B, DEFAULT_SEED), (B, 7), (B, 8), (catalog("sl2bol"), DEFAULT_SEED)]
-    assert [res.seed for res in results] == [DEFAULT_SEED, 7, 8, DEFAULT_SEED]
-
-
-def assert_combinations_match(B, rng):
-    ops = list(B.ideal_operators)
-    for n_random in (0, 5, 32):
-        for seed in (DEFAULT_SEED, rng.randrange(10**6)):
-            got = list(_random_combinations(ops, B.n, n_random, seed))
-            assert got == reference_random_combinations(ops, B.n, n_random, seed)
-
-
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_integer_combinations_equal_fraction_sums(n, seed):
-    rng = random.Random(5000 * n + seed)
-    B = random_algebra(rng, n, (1, 2, 3), (1, 5, 4), density=0.6, idle_pairs=0.3)
-    assert lcm(*(c.denominator for op in B.ideal_operators for row in op for c in row)) > 1
-    assert_combinations_match(B, rng)
-
-
-@pytest.mark.parametrize("name", catalog_names())
-def test_integer_combinations_on_transported_catalog(name):
-    rng = random.Random(f"{name}-combinations")
-    B = catalog(name)
-    assert_combinations_match(B, rng)
-    assert_combinations_match(transport(B, rational_basis(rng, B.n)), rng)
+    is_simple(B)
+    is_simple(catalog("sl2bol"))
+    assert computed == [(B,), (catalog("sl2bol"),)]
 
 
 @pytest.mark.parametrize("basis", ["natural", "unimodular"])
@@ -245,32 +210,13 @@ def test_radical_builds_each_strategy_candidate_once(basis, monkeypatch):
 def test_simplicity_search_stops_at_its_first_certificate(name, monkeypatch):
     # by Norton's test a certificate rules out every proper ideal, so no later candidate is tried
     B = catalog(name)
-    ops = list(B.ideal_operators)
-    candidates = len(ops) + len(list(_random_combinations(ops, B.n, N_RANDOM, DEFAULT_SEED)))
+    candidates = len(B.ideal_operators)
     tried = []
     roots = RADICAL.rational_roots
     monkeypatch.setattr(RADICAL, "rational_roots", lambda p: tried.append(p) or roots(p))
-    res = _is_simple.__wrapped__(B, DEFAULT_SEED)
+    res = _is_simple.__wrapped__(B)
     assert (res.status, res.witness, res.note) == ("yes", None, "dual-kernel criterion")
     assert 0 < len(tried) < candidates
-
-
-@pytest.mark.parametrize("name", catalog_names())
-def test_the_simplicity_search_draws_random_combinations_only_when_it_needs_them(name, monkeypatch):
-    # every catalog entry is decided by a closure or by the operators themselves
-    pulled = []
-    draw = RADICAL._random_combinations
-
-    def counting(*args):
-        for combo in draw(*args):
-            pulled.append(combo)
-            yield combo
-
-    monkeypatch.setattr(RADICAL, "_random_combinations", counting)
-    B = catalog(name)
-    res = _is_simple.__wrapped__(B, DEFAULT_SEED)
-    assert res == is_simple(B)
-    assert pulled == []
 
 
 def test_each_radical_candidate_is_tested_for_an_ideal_once(monkeypatch):
@@ -301,3 +247,21 @@ def test_lie_radical_brackets_its_candidate_with_the_algebra_once(monkeypatch):
     rad = lie_radical(L)
     assert rad.dim > 0
     assert sum(1 for _, U, V in calls if U == rad and V.is_full()) == 1
+
+
+QUADRATIC = [(name, d) for name in ("sl2bol", "so3bol", "lts_sl2") for d in (2, -1, 3)]
+
+
+@pytest.mark.parametrize("name,d", QUADRATIC, ids=[f"{name}-sqrt{d}" for name, d in QUADRATIC])
+def test_a_simple_algebra_over_a_quadratic_field_is_undecided(name, d):
+    # simple over Q, but every operator's eigenvalues are irrational or have
+    # even-dimensional eigenspaces, so neither a witness nor a certificate is found
+    B = restrict_scalars(catalog(name), d)
+    assert check_axioms(B).ok
+    res = is_simple(B)
+    assert (res.status, res.witness, res.note) == ("undecided", None, "no witness found and no sound certificate available")
+
+
+def test_sl2_over_q_sqrt2_has_a_decided_zero_radical():
+    cert = radical(restrict_scalars(catalog("sl2bol"), 2))
+    assert cert.decided and cert.radical.is_zero()

@@ -188,6 +188,12 @@ def test_only_the_package_imports_importlib():
     assert found == []
 
 
+def test_no_module_imports_random():
+    # every search is deterministic: the same algebra gets the same answer in every process
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [p.stem for p in paths if "random" in _imported_modules(ast.parse(p.read_text(encoding="utf-8")))] == []
+
+
 def _in_a_fresh_interpreter(code: str, *argv: str):
     """The JSON value that `code` prints last, run in a new interpreter with `argv`."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
@@ -195,7 +201,7 @@ def _in_a_fresh_interpreter(code: str, *argv: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-ANALYSIS_LAYERS = ["bolalg.envelope", "bolalg.forms", "bolalg.series", "bolalg.radical", "bolalg.decompose"]
+ANALYSIS_LAYERS = ["bolalg.lie", "bolalg.envelope", "bolalg.forms", "bolalg.series", "bolalg.radical", "bolalg.decompose"]
 
 
 @pytest.mark.parametrize(
