@@ -24,6 +24,15 @@ def test_find_proper_ideal_simple_algebra():
     assert ideal is None and res.status == "yes"
 
 
+@pytest.mark.parametrize(
+    "search", [is_simple, find_proper_ideal, decompose_semisimple, structure_report], ids=lambda f: f.__name__
+)
+def test_the_searches_take_no_seed(search):
+    # the simplicity search draws nothing at random, so there is nothing to seed
+    with pytest.raises(TypeError, match="seed"):
+        search(catalog("sl2bol"), seed=0)
+
+
 def test_find_proper_ideal_mixed():
     ideal, res = find_proper_ideal(catalog("mixed"))
     assert ideal is not None and 0 < ideal.dim < 5

@@ -4,6 +4,10 @@ from pathlib import Path
 
 import pytest
 from support import (
+    random_algebra,
+    rational_basis,
+    reference_ideal_closure,
+    reference_is_ideal,
     restrict_scalars,
     spy_on_cache,
     summand_embeddings,
@@ -11,13 +15,13 @@ from support import (
     unimodular_basis,
 )
 
-from bolalg.catalog import catalog
+from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra, check_axioms, direct_sum
 from bolalg.decompose import find_proper_ideal
 from bolalg.envelope import envelope
 from bolalg.fileio import parse_bol_document
 from bolalg.lie import lie_radical
-from bolalg.linalg import full_space, span, vec, zero_space
+from bolalg.linalg import basis_vec, full_space, span, vec, zero_space
 from bolalg.radical import _is_simple, is_semisimple, is_simple, radical
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -217,6 +221,46 @@ def test_simplicity_search_stops_at_its_first_certificate(name, monkeypatch):
     res = _is_simple.__wrapped__(B)
     assert (res.status, res.witness, res.note) == ("yes", None, "dual-kernel criterion")
     assert 0 < len(tried) < candidates
+
+
+def assert_sound_verdict(B, res):
+    # "no" carries a proper def2-ideal (none exists when n = 1); "yes" leaves
+    # no proper closure of a basis vector under the dense reference
+    n = B.n
+    if res.status == "no" and n > 1:
+        assert res.witness is not None and 0 < res.witness.dim < n
+        assert reference_is_ideal(B, res.witness, "def2")
+    elif res.status == "yes":
+        assert res.witness is None
+        assert all(reference_ideal_closure(B, span([basis_vec(i, n)], n)).dim == n for i in range(n))
+    elif res.status == "undecided":
+        assert (res.witness, res.note) == (None, "no witness found and no sound certificate available")
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_unimodular_basis_change_keeps_every_catalog_verdict_decided(name):
+    # the closures and the operators decide every catalog entry in any integral basis,
+    # so no entry needs a search beyond them
+    B = catalog(name)
+    Bt = transport(B, unimodular_basis(random.Random(f"{name}-unimodular-simple"), B.n))
+    res = is_simple(Bt)
+    assert res.status == is_simple(B).status != "undecided"
+    assert_sound_verdict(Bt, res)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_simplicity_verdicts_on_random_algebras_are_sound(n, seed):
+    # random constants need not satisfy the Bol identities; the search may end
+    # undecided, but it never certifies a direct sum simple
+    rng = random.Random(5000 * n + seed)
+    B = random_algebra(rng, n, (1, 2, 3), (1, 5, 4), density=0.6, idle_pairs=0.3)
+    C = random_algebra(rng, 2, (1, 2, 3), (1, 5, 4), density=0.6, idle_pairs=0.3)
+    S = transport(direct_sum(B, C), rational_basis(rng, n + 2))
+    assert_sound_verdict(B, is_simple(B))
+    res = is_simple(S)
+    assert res.status != "yes"
+    assert_sound_verdict(S, res)
 
 
 def test_each_radical_candidate_is_tested_for_an_ideal_once(monkeypatch):
