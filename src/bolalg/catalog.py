@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import bolalg  # reaches `LieAlgebra` on first build, so listing the names loads no Lie layer
 from bolalg.core import BolAlgebra, check_axioms, direct_sum
 from bolalg.errors import FatalInconsistency, UnknownExample
-from bolalg.linalg import ONE, ZERO
 
 _SL2 = {  # [e,f]=h, [h,e]=2e, [h,f]=-2f
     (0, 1): ((0, 0, 1),),
@@ -31,36 +29,21 @@ _SO3 = {  # [x,y]=z, [y,z]=x, [z,x]=y
 _HEIS3 = {(0, 1): ((0, 0, 1),)}  # [x,y]=z
 
 
-def _bracket_table(n: int, sparse: dict) -> list[list[tuple]]:
-    C = [[(ZERO,) * n for _ in range(n)] for _ in range(n)]
-    for (i, j), (coords,) in sparse.items():
-        v = tuple(ONE * c for c in coords)
-        C[i][j] = v
-        C[j][i] = tuple(-c for c in v)
-    return C
-
-
 def _lie_to_bol(n: int, sparse: dict, labels, with_binary: bool, ternary: str) -> BolAlgebra:
     """Bol structure from Lie structure constants.
 
     ternary="zxy" gives (x,y,z) = [z,[x,y]]; ternary="xyz" gives
-    (x,y,z) = [[x,y],z].
+    (x,y,z) = [[x,y],z] = -[z,[x,y]].
     """
-    C = _bracket_table(n, sparse)
-    L = bolalg.LieAlgebra.from_constants(n, C)
-    basis = L.basis()
-    T = [[C[i][j] if with_binary else (ZERO,) * n for j in range(n)] for i in range(n)]
-    R = [
-        [
-            [
-                L.bracket(basis[k], C[i][j]) if ternary == "zxy" else L.bracket(C[i][j], basis[k])
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return BolAlgebra.from_tensors(n, T, R, labels)
+    r = range(n)
+    C = [[[0] * n for _ in r] for _ in r]
+    for (i, j), (coords,) in sparse.items():
+        C[i][j] = list(coords)
+        C[j][i] = [-c for c in coords]
+    sign = 1 if ternary == "zxy" else -1
+    # [e_k, [e_i, e_j]] = sum_p C[i][j][p] [e_k, e_p]
+    R = [[[[sign * sum(C[i][j][p] * C[k][p][l] for p in r) for l in r] for k in r] for j in r] for i in r]
+    return BolAlgebra.from_tensors(n, C if with_binary else [[[0] * n] * n] * n, R, labels)
 
 
 def _build(name: str) -> BolAlgebra:

@@ -27,6 +27,7 @@ from bolalg.linalg import (
     closure,
     combine,
     complement_constants,
+    dense_rows,
     dense_tensor,
     failures,
     full_space,
@@ -51,7 +52,7 @@ class BolAlgebra(Record):
     Immutable; all operations on it are pure functions.  The dimension 0
     case is allowed and behaves as the zero algebra.  The tensors are
     stored once, as the rows (d, T, R) of `linalg.integer_tensors`, which
-    products, sweeps, equality and the hash read; `T` and `R` are views.
+    the package reads; `T` and `R` are views for callers outside it.
     """
 
     n: int
@@ -62,11 +63,12 @@ class BolAlgebra(Record):
     def from_tensors(n: int, T, R, labels=None) -> BolAlgebra:
         if labels is None:
             labels = tuple(f"e{i}" for i in range(n))
-        return BolAlgebra(n, sized(labels, n, "labels"), integer_tensors(n, (T, 3, "T"), (R, 4, "R")))
+        labels = sized(labels, n, "labels")
+        return BolAlgebra(n, labels, integer_tensors(n, (dense_rows(T, 3, n, "T"), 3), (dense_rows(R, 4, n, "R"), 4)))
 
     @staticmethod
     def zero(n: int) -> BolAlgebra:
-        return BolAlgebra.from_tensors(n, [[[0] * n] * n] * n, [[[[0] * n] * n] * n] * n)
+        return BolAlgebra(n, tuple(f"e{i}" for i in range(n)), integer_tensors(n, ({}, 3), ({}, 4)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -99,10 +101,10 @@ class BolAlgebra(Record):
         closures and the def2 test take the same products from
         `linalg.products`.
         """
+        d, T, R = self.integer_rows
         r = range(self.n)
-        ops = [tuple(tuple(self.T[k][i][l] for k in r) for l in r) for i in r]
-        ops += [tuple(tuple(self.R[k][i][j][l] for k in r) for l in r) for i in r for j in r]
-        return tuple(op for op in ops if any(c != 0 for row in op for c in row))
+        ops = [([T[k][i] for k in r], d) for i in r] + [([R[k][i][j] for k in r], d * d) for i in r for j in r]
+        return tuple(transpose(dense_tensor(images, 2, s, self.n)) for images, s in ops if any(images))
 
     def basis_vec(self, i: int) -> Vec:
         return basis_vec(i, self.n)
@@ -411,12 +413,12 @@ def _images(B: BolAlgebra, V: Subspace):
 
 def center(B: BolAlgebra) -> Subspace:
     """{x : b*x = 0 and (b, b', x) = 0 for all basis b, b'}."""
+    _, T, R = B.integer_rows
     constraints = []
     for i in range(B.n):
-        # rows of the operators x -> e_i * x and x -> (e_i, e_j, x)
-        constraints.extend(transpose(B.T[i]))
-        for j in range(B.n):
-            constraints.extend(transpose(B.R[i][j]))
+        # rows of the operators x -> e_i * x and x -> (e_i, e_j, x), scaled
+        for images in (T[i], *R[i]):
+            constraints.extend(transpose(dense_tensor(images, 2, 1, B.n)))
     return kernel(constraints, B.n)
 
 
@@ -448,9 +450,10 @@ def ideal_quotient(B: BolAlgebra, I: Subspace) -> BolAlgebra:
         if not bad <= I:
             raise IllDefinedQuotient(f"coset products of type {name} leave the ideal", witness=(name, bad))
 
-    comp, T = complement_constants(I, B.T, 3)
-    _, R = complement_constants(I, B.R, 4)
-    return BolAlgebra.from_tensors(len(comp), T, R, tuple(B.labels[j] for j in comp))
+    d, T, R = B.integer_rows
+    comp, T = complement_constants(I, T, 3, d)
+    _, R = complement_constants(I, R, 4, d * d)
+    return BolAlgebra(len(comp), tuple(B.labels[j] for j in comp), integer_tensors(len(comp), (T, 3), (R, 4)))
 
 
 def restrict(B: BolAlgebra, I: Subspace) -> BolAlgebra:
@@ -467,26 +470,26 @@ def restrict(B: BolAlgebra, I: Subspace) -> BolAlgebra:
     d, T, R = B.integer_rows
     L, _ = I.integer_basis
 
-    def coords(table, order: int, scale: int):
-        # the I-coordinates of the products of I's basis vectors, in basis order
-        for w in products(table, (I,) * order, B.n):
+    def coords(table, order: int, scale: int) -> dict:
+        # the I-coordinates of the products of I's basis vectors, keyed by their indices in basis order
+        out = {}
+        for idx, w in zip(product(r, repeat=order), products(table, (I,) * order, B.n)):
             c = I.coords(unscaled(w, scale))
             if c is None:
                 raise NotASubsystem("restriction requires a subsystem")
-            yield c
+            out[idx] = enumerate(c)
+        return out
 
-    ts = coords(T, 2, d * L**2)
-    rs = coords(R, 3, d * d * L**3)
-    Tm = [[next(ts) for _ in r] for _ in r]
-    Rm = [[[next(rs) for _ in r] for _ in r] for _ in r]
-    return BolAlgebra.from_tensors(m, Tm, Rm, tuple(f"v{i}" for i in range(m)))
+    rows = integer_tensors(m, (coords(T, 2, d * L**2), 3), (coords(R, 3, d * d * L**3), 4))
+    return BolAlgebra(m, tuple(f"v{i}" for i in range(m)), rows)
 
 
 def direct_sum(B1: BolAlgebra, B2: BolAlgebra) -> BolAlgebra:
     """Block-diagonal sum; cross products of the summands vanish."""
-    T = block_sum(B1.T, B2.T, B1.n, B2.n, 3)
-    R = block_sum(B1.R, B2.R, B1.n, B2.n, 4)
-    return BolAlgebra.from_tensors(B1.n + B2.n, T, R, _dedupe_labels(B1.labels, B2.labels))
+    (d1, T1, R1), (d2, T2, R2) = B1.integer_rows, B2.integer_rows
+    T = block_sum((d1, T1), (d2, T2), B1.n, 3)
+    R = block_sum((d1 * d1, R1), (d2 * d2, R2), B1.n, 4)
+    return BolAlgebra(B1.n + B2.n, _dedupe_labels(B1.labels, B2.labels), integer_tensors(B1.n + B2.n, (T, 3), (R, 4)))
 
 
 def _dedupe_labels(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:

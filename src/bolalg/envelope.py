@@ -41,13 +41,14 @@ from bolalg.linalg import (
     Record,
     Subspace,
     Vec,
-    ZERO,
     basis_vec,
     closure,
     combine,
+    dense_tensor,
     derived_chain,
     failures,
     full_space,
+    integer_tensors,
     integral,
     nonzero_row,
     span,
@@ -246,20 +247,21 @@ def envelope(B: BolAlgebra) -> EnvelopingLie:
             raise FatalInconsistency("bracket left the pair closure")
         return c
 
-    Dtau = tuple(tuple(h_coords(PairEndo(transpose(B.R[i][j]), B.T[i][j])) for j in r) for i in r)
+    d, T, R = B.integer_rows
+    prod = [[dense_tensor(T[i][j], 1, d, n) for j in r] for i in r]  # e_i*e_j
+    Dtau = [[h_coords(PairEndo(transpose(dense_tensor(R[i][j], 2, d * d, n)), prod[i][j])) for j in r] for i in r]
     # The rest is summed in ints: T scaled by d, the Dtau coordinates by f, each h_t by e.
-    d, T, _ = B.integer_rows
     w, f = integral([c for row in Dtau for v in row for c in v])
     D = [[nonzero_row(w[(i * n + j) * N : (i * n + j + 1) * N]) for j in r] for i in r]
-    C = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+    C = {}  # the rows of G
 
     def put(i: int, j: int, row) -> None:
-        C[i][j] = list(row)
-        C[j][i] = [-c for c in row]
+        C[i, j] = list(enumerate(row))
+        C[j, i] = [(k, -c) for k, c in C[i, j]]
 
     for i in r:
         for j in range(i + 1, n):
-            put(i, j, B.T[i][j] + tuple(-c for c in Dtau[i][j]))
+            put(i, j, prod[i][j] + tuple(-c for c in Dtau[i][j]))
     for t, P in enumerate(h):
         (A, a), e = _integral_pair(P)
         for i in r:  # [e_i, (A, a)] = (e_i*a - A e_i) (+) -D(e_i, a)
@@ -270,7 +272,7 @@ def envelope(B: BolAlgebra) -> EnvelopingLie:
             put(n + s, n + t, zero_vec(n) + h_coords(induced_bracket(B, h[s], h[t])))
 
     labels = B.labels + tuple(f"D{t}" for t in range(N))
-    G = LieAlgebra.from_constants(m, C, labels)
+    G = LieAlgebra(m, labels, integer_tensors(m, (C, 3)))
     _verify_envelope(B, G)
     return EnvelopingLie(G, B, h)
 
@@ -370,13 +372,14 @@ def standard_embedding_check(E: EnvelopingLie) -> EmbeddingReport:
     G = E.lie
     m = G.m
     r = range(B.n)
+    d, _, R = B.integer_rows
     bas = [basis_vec(i, m) for i in r]
-    d = [[G.bracket(bas[i], bas[j]) for j in r] for i in r]
+    pairs = [[G.bracket(bas[i], bas[j]) for j in r] for i in r]
 
-    def relation_defect(i, j, u, v):
-        lhs = G.bracket(d[i][j], d[u][v])
-        lhs = vec_sub(lhs, G.bracket(E.lift(B.R[u][v][i]), bas[j]))
-        return vec_sub(lhs, G.bracket(bas[i], E.lift(B.R[u][v][j])))
+    def relation_defect(i, j, u, v):  # the ternary products (e_u, e_v, .) are read in G's coordinates
+        lhs = G.bracket(pairs[i][j], pairs[u][v])
+        lhs = vec_sub(lhs, G.bracket(dense_tensor(R[u][v][i], 1, d * d, m), bas[j]))
+        return vec_sub(lhs, G.bracket(bas[i], dense_tensor(R[u][v][j], 1, d * d, m)))
 
     witness = next((t for t, _ in failures(product(r, repeat=4), relation_defect)), None)
     if witness is not None:

@@ -31,7 +31,7 @@ from fractions import Fraction
 import bolalg  # reaches `LieAlgebra` and `EnvelopingLie` on use, so a Bol document loads neither layer
 from bolalg.core import BolAlgebra, PairEndo
 from bolalg.errors import DocumentError, PreconditionViolation
-from bolalg.linalg import ZERO
+from bolalg.linalg import indexed_rows, integer_tensors
 
 
 # The documented scalar grammar, "p" or "p/q": Fraction alone also reads
@@ -120,8 +120,8 @@ def _read_header(text: str, fields: tuple[str, ...], label: str) -> tuple[dict, 
     return doc, name, dim, tuple(basis)
 
 
-def _sparse_entries(doc: dict, key: str, dim: int, arity: int):
-    """Yield (indices, coeff) for each entry [i, j, ..., coeff] under `key`.
+def _sparse_rows(doc: dict, key: str, dim: int, arity: int) -> dict:
+    """The rows, for `integer_tensors`, of the entries [i, j, ..., coeff] under `key` and of t[j][i] = -t[i][j].
 
     Every index is checked against `dim`; i < j is required, since the
     antisymmetric completion in (i, j) is implied, and no index tuple
@@ -130,6 +130,7 @@ def _sparse_entries(doc: dict, key: str, dim: int, arity: int):
     entries = _require_list(doc.get(key, []), key, "entries")
     slots = ", ".join("ijkl"[:arity])
     seen: set[tuple] = set()
+    rows: dict[tuple, list] = {}
     for pos, entry in enumerate(entries):
         field = f"{key}[{pos}]"
         if not isinstance(entry, list) or len(entry) != arity + 1:
@@ -140,25 +141,21 @@ def _sparse_entries(doc: dict, key: str, dim: int, arity: int):
         if idx in seen:
             raise DocumentError(f"{field}: duplicate entry for ({','.join(map(str, idx))})", field)
         seen.add(idx)
-        yield idx, _parse_scalar(entry[arity], field)
+        (i, j, *rest, k), c = idx, _parse_scalar(entry[arity], field)
+        rows.setdefault((i, j, *rest), []).append((k, c))
+        rows.setdefault((j, i, *rest), []).append((k, -c))
+    return rows
 
 
 def parse_bol_document(text: str) -> tuple[BolAlgebra, str]:
     """Parse and validate a Bol document; returns (algebra, name)."""
     doc, name, dim, basis = _read_header(text, ("binary", "ternary"), "e")
-    T = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    R = [[[[ZERO] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k), c in _sparse_entries(doc, "binary", dim, 3):
-        T[i][j][k] = c
-        T[j][i][k] = -c
-    for (i, j, k, l), c in _sparse_entries(doc, "ternary", dim, 4):
-        R[i][j][k][l] = c
-        R[j][i][k][l] = -c
-    return BolAlgebra.from_tensors(dim, T, R, basis), name
+    T, R = _sparse_rows(doc, "binary", dim, 3), _sparse_rows(doc, "ternary", dim, 4)
+    return BolAlgebra(dim, basis, integer_tensors(dim, (T, 3), (R, 4))), name
 
 
-def _upper_entries(t, name: str) -> list:
-    """The entries [i, j, ..., coeff] of t's nonzero coefficients with i < j, in index order.
+def _upper_entries(t, order: int, s: int, name: str) -> list:
+    """The entries [i, j, ..., coeff] with i < j of stored rows t at scale s with `order` indices, in index order.
 
     A document holds only i < j and implies the rest, so this raises at
     the first i <= j where t[j][i] is not -t[i][j]; past that check a
@@ -167,31 +164,25 @@ def _upper_entries(t, name: str) -> list:
     entries = []
     for i in range(len(t)):
         for j in range(i, len(t)):
-            cells = _cells(t[i][j])
-            if _cells(t[j][i]) != [(idx, -c) for idx, c in cells]:
+            cells = [(*idx, k, c) for idx, row in indexed_rows(t[i][j], order - 3) for k, c in row]
+            if [(*idx, k, -c) for idx, row in indexed_rows(t[j][i], order - 3) for k, c in row] != cells:
                 raise PreconditionViolation(
                     f"{name}[{i}][{j}] is not -{name}[{j}][{i}]; a document holds only i < j and implies the rest"
                 )
-            entries += [[i, j, *idx, str(c)] for idx, c in cells if c != 0]
+            entries += [[i, j, *cell[:-1], str(Fraction(cell[-1], s))] for cell in cells]
     return entries
-
-
-def _cells(x, idx: tuple = ()) -> list:
-    """(index tuple, scalar) for every scalar of a nested tuple, in index order."""
-    if not isinstance(x, tuple):
-        return [(idx, x)]
-    return [cell for k, y in enumerate(x) for cell in _cells(y, (*idx, k))]
 
 
 def emit_bol_document(B: BolAlgebra, name: str) -> str:
     """Canonical serialization of a Bol algebra; T and R must be antisymmetric in their first two slots."""
+    d, T, R = B.integer_rows
     return _render_document(
         [
             ("name", "plain", name),
             ("dim", "plain", B.n),
             ("basis", "plain", list(B.labels)),
-            ("binary", "entries", _upper_entries(B.T, "T")),
-            ("ternary", "entries", _upper_entries(B.R, "R")),
+            ("binary", "entries", _upper_entries(T, 3, d, "T")),
+            ("ternary", "entries", _upper_entries(R, 4, d * d, "R")),
         ]
     )
 
@@ -202,7 +193,7 @@ def emit_lie_document(L: bolalg.LieAlgebra, name: str, env: bolalg.EnvelopingLie
         ("name", "plain", name),
         ("dim", "plain", L.m),
         ("basis", "plain", list(L.labels)),
-        ("brackets", "entries", _upper_entries(L.C, "C")),
+        ("brackets", "entries", _upper_entries(L.integer_rows[1], 3, L.integer_rows[0], "C")),
     ]
     if env is not None:
         pairs.append(("b_dim", "plain", env.b_dim))
@@ -225,11 +216,7 @@ def emit_lie_document(L: bolalg.LieAlgebra, name: str, env: bolalg.EnvelopingLie
 def parse_lie_document(text: str) -> tuple[bolalg.LieAlgebra, str, int | None, tuple[PairEndo, ...] | None]:
     """Parse a Lie document; returns (algebra, name, b_dim, h_basis)."""
     doc, name, dim, basis = _read_header(text, ("brackets", "b_dim", "h_basis"), "f")
-    C = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k), c in _sparse_entries(doc, "brackets", dim, 3):
-        C[i][j][k] = c
-        C[j][i][k] = -c
-    L = bolalg.LieAlgebra.from_constants(dim, C, basis)
+    L = bolalg.LieAlgebra(dim, basis, integer_tensors(dim, (_sparse_rows(doc, "brackets", dim, 3), 3)))
     b_dim = doc.get("b_dim")
     if b_dim is not None and (isinstance(b_dim, bool) or not isinstance(b_dim, int) or not 0 <= b_dim <= dim):
         raise DocumentError(f"b_dim: must be an integer between 0 and {dim}", "b_dim")

@@ -18,6 +18,7 @@ from bolalg.linalg import (
     Subspace,
     Vec,
     basis_vec,
+    dense_rows,
     dense_tensor,
     derived_chain,
     failures,
@@ -36,7 +37,7 @@ from bolalg.linalg import (
 class LieAlgebra(Record):
     """Lie algebra over Q presented by structure constants C[i][j][k].
 
-    They are stored once, as the rows (d, C) of `linalg.integer_tensors`; `C` is a Fraction view.
+    They are stored once, as the rows (d, C) of `linalg.integer_tensors`; `C` is a Fraction view for callers outside the package.
     """
 
     m: int
@@ -47,7 +48,7 @@ class LieAlgebra(Record):
     def from_constants(m: int, C, labels=None) -> LieAlgebra:
         if labels is None:
             labels = tuple(f"f{i}" for i in range(m))
-        return LieAlgebra(m, sized(labels, m, "labels"), integer_tensors(m, (C, 3, "C")))
+        return LieAlgebra(m, sized(labels, m, "labels"), integer_tensors(m, (dense_rows(C, 3, m, "C"), 3)))
 
     @cached_property
     def C(self) -> tuple:

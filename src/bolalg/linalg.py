@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from math import gcd, isqrt, lcm
 
 from bolalg.errors import DimensionMismatch, FatalInconsistency
@@ -42,31 +42,35 @@ def sized(items, n: int, name: str) -> tuple:
 
 
 def integer_tensors(n: int, *tensors) -> tuple:
-    """(d, t_1, t_2, ...): each (t, order, name) as canonical integer rows, the one stored form of a structure tensor.
+    """(d, t_1, t_2, ...): each (rows, order) as canonical integer rows, the one stored form of a structure tensor.
 
-    t has `order` indices over range(n), the last over coordinates, and
-    entries `frac` accepts; DimensionMismatch names the first mis-sized
-    index.  Each innermost vector is cut to its nonzero (index, int)
-    entries, d is the lcm of every denominator and t_k is scaled by d^k.
+    t has `order` indices over range(n), the last over coordinates.
+    `rows` maps a tuple of the other indices to its row: (k, c) pairs
+    with c any scalar `frac` accepts, in any order, each k at most once;
+    zeros are allowed and a missing tuple is a zero row.  Each row is
+    stored as its nonzero (k, int) entries in index order, d is the lcm
+    of every denominator and t_k is scaled by d^k.
     """
-    denominators = set()
+    cuts = []
+    for rows, order in tensors:
+        cut = {idx: sorted((k, c) for k, c in ((k, frac(c)) for k, c in row) if c) for idx, row in rows.items()}
+        cuts.append((cut, order))
+    d = lcm(*{c.denominator for cut, _ in cuts for row in cut.values() for _, c in row})
 
-    def cut(t, order: int, name: str):
-        t = sized(t, n, name)
-        if order > 1:
-            return [cut(x, order - 1, f"{name}[{i}]") for i, x in enumerate(t)]
-        row = [(k, frac(c)) for k, c in enumerate(t) if c is not ZERO]  # the parser pads with ZERO
-        if row:
-            row = [(k, c) for k, c in row if c]
-            denominators.update(c.denominator for _, c in row)
-        return row
+    def nest(cut: dict, idx: tuple, depth: int, s: int) -> tuple:
+        if depth:
+            return tuple(nest(cut, (*idx, i), depth - 1, s) for i in range(n))
+        return tuple((k, c.numerator * (s // c.denominator)) for k, c in cut.get(idx, ()))
 
-    def scale(t, order: int, s: int):
-        return scaled_rows(t, s) if order == 2 else tuple(scale(x, order - 1, s) for x in t)
+    return (d, *(nest(cut, (), order - 1, d**k) for k, (cut, order) in enumerate(cuts, start=1)))
 
-    cuts = [(cut(t, order, name), order) for t, order, name in tensors]
-    d = lcm(*denominators)
-    return (d, *(scale(t, order, d**k) for k, (t, order) in enumerate(cuts, start=1)))
+
+def dense_rows(t, order: int, n: int, name: str) -> dict:
+    """Rows for `integer_tensors` of a dense tensor, `order` indices over range(n); DimensionMismatch names a mis-sized index."""
+    t = sized(t, n, name)
+    if order == 1:
+        return {(): enumerate(t)}
+    return {(i, *idx): row for i, x in enumerate(t) for idx, row in dense_rows(x, order - 1, n, f"{name}[{i}]").items()}
 
 
 def dense_tensor(rows, order: int, s: int, n: int):
@@ -77,13 +81,15 @@ def dense_tensor(rows, order: int, s: int, n: int):
     return tuple(Fraction(v[k], s) if k in v else ZERO for k in range(n))
 
 
+def indexed_rows(t, depth: int) -> list:
+    """(index tuple, row) for each nonzero row of stored rows t, `depth` indices above the rows, in index order."""
+    if depth == 0:
+        return [((), t)] if t else []
+    return [((i, *idx), row) for i, x in enumerate(t) for idx, row in indexed_rows(x, depth - 1)]
+
+
 def nonzero_row(v) -> Row:
     return tuple((k, c) for k, c in enumerate(v) if c)
-
-
-def scaled_rows(rows, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The rows with every coefficient multiplied by s, as ints; s must clear every denominator."""
-    return tuple(tuple((k, c.numerator * (s // c.denominator)) for k, c in row) for row in rows)
 
 
 def unscaled(v, s: int) -> Vec:
@@ -92,7 +98,9 @@ def unscaled(v, s: int) -> Vec:
 
 
 def integral(v) -> tuple[list[int], int]:
-    """(w, e): e the lcm of the denominators of v and w = e*v, as ints."""
+    """(w, e): e the lcm of the denominators of v and w = e*v, as ints; a vector of ints is copied with e = 1."""
+    if all(type(c) is int for c in v):
+        return list(v), 1
     e = lcm(*(c.denominator for c in v))
     return [c.numerator * (e // c.denominator) for c in v], e
 
@@ -325,7 +333,7 @@ class Subspace(Record):
     def integer_basis(self) -> tuple[int, tuple[Row, ...]]:
         """(L, rows): L the lcm of the basis denominators, rows the nonzero entries of L times each basis row, as ints."""
         L = lcm(*(c.denominator for row in self.basis for c in row))
-        return L, scaled_rows(map(nonzero_row, self.basis), L)
+        return L, tuple(tuple((k, c.numerator * (L // c.denominator)) for k, c in nonzero_row(row)) for row in self.basis)
 
     def contains(self, v: Vec) -> bool:
         return self.coords(v) is not None
@@ -471,34 +479,39 @@ def kernel(m: Mat, ncols: int) -> Subspace:
     return span(vectors, ncols)
 
 
-def complement_constants(I: Subspace, t, order: int):
-    """(comp, t'): the standard basis vectors at I's non-pivot columns, and the constants of the quotient by I on them.
+def complement_constants(I: Subspace, t, order: int, s: int) -> tuple[list[int], dict]:
+    """(comp, rows): the standard basis vectors at I's non-pivot columns, and the rows of the quotient by I on them.
 
-    t has `order` indices, the last one over coordinates; t' keeps the
-    complement indices and reduces each coefficient vector by I.
+    t holds stored rows at scale s with `order` indices, the last one
+    over coordinates (a part of `integer_tensors`); `rows`, keyed by
+    positions in comp for `integer_tensors`, keeps the complement indices
+    and reduces each row by I.
     """
     comp = [j for j in range(I.ambient) if j not in I.pivots]
+    L, basis = I.integer_basis
+    rows = {}
+    for idx in product(range(len(comp)), repeat=order - 1):
+        v = t
+        for a in idx:
+            v = v[comp[a]]
+        if v:  # L*s times the residue of v is L*v - sum_k v[p_k] L*row_k, as row_k is 1 at p_k
+            v = dict(v)
+            drop = combine([v.get(p, 0) for p in I.pivots], basis, I.ambient)
+            rows[idx] = [(a, Fraction(L * v.get(j, 0) - drop[j], L * s)) for a, j in enumerate(comp)]
+    return comp, rows
 
-    def part(x, level: int):
-        if level == 1:
-            reduced = I.reduce(x)
-            return tuple(reduced[j] for j in comp)
-        return tuple(part(x[i], level - 1) for i in comp)
 
-    return comp, part(t, order)
+def block_sum(a, b, n1: int, order: int) -> dict:
+    """The rows of the tensor of `order` indices that is a on the first n1 coordinates, b on the rest and zero elsewhere.
 
-
-def block_sum(a, b, n1: int, n2: int, order: int):
-    """The tensor of `order` indices on Q^(n1+n2) that is a on the first n1 coordinates, b on the last n2, zero elsewhere."""
-
-    def part(x, y, level: int):
-        if level == 1:
-            return (x if x is not None else (ZERO,) * n1) + (y if y is not None else (ZERO,) * n2)
-        return tuple(part(None if x is None else x[i], None, level - 1) for i in range(n1)) + tuple(
-            part(None, None if y is None else y[i], level - 1) for i in range(n2)
-        )
-
-    return part(a, b, order)
+    a and b are (s, t): stored rows t at scale s (a part of
+    `integer_tensors`); the result is keyed for `integer_tensors`.
+    """
+    rows = {}
+    for shift, (s, t) in ((0, a), (n1, b)):
+        for idx, row in indexed_rows(t, order - 1):
+            rows[tuple(i + shift for i in idx)] = [(k + shift, Fraction(c, s)) for k, c in row]
+    return rows
 
 
 def closure(start: Subspace, grow) -> Subspace:

@@ -98,21 +98,27 @@ class RadicalCertificate(Record):
     solvable_ok = quotient_semisimple_ok = is_ideal_ok
 
 
-def _certify(B: BolAlgebra, name: str, cand: Subspace, recheck) -> StrategyCertificate:
-    # The def2 test runs once: the series and the quotient below are those
-    # of `is_solvable` and `quotient`, without their own def2 test.
-    ideal_ok = is_ideal(B, cand, "def2")
-    solv_ok = ideal_ok and derived_chain(cand, lambda s: derived_space(B, s)).solvable
-    quot_ok = False
-    if ideal_ok and solv_ok:
-        try:
-            # B/B is the zero algebra and B/0 is B, whose candidate is cand itself
-            quot_ok = cand.is_zero() or cand.is_full() or recheck(ideal_quotient(B, cand)).is_zero()
-        except BolError as exc:
-            return StrategyCertificate(
-                name, cand, ideal_ok, solv_ok, False, error=f"quotient re-check: {type(exc).__name__}: {exc}"
-            )
-    return StrategyCertificate(name, cand, ideal_ok, solv_ok, quot_ok)
+def _certify(B: BolAlgebra, name: str, cand: Subspace, recheck, checked: dict) -> StrategyCertificate:
+    # The def2 test, the solvability chain and B/cand run once per distinct
+    # candidate, kept in `checked`; the series and the quotient are those of
+    # `is_solvable` and `quotient`, without their own def2 test.
+    if cand not in checked:
+        ideal_ok = is_ideal(B, cand, "def2")
+        solv_ok = ideal_ok and derived_chain(cand, lambda s: derived_space(B, s)).solvable
+        quotient = None  # not needed: B/B is the zero algebra and B/0 is B, whose candidate is cand itself
+        if solv_ok and not (cand.is_zero() or cand.is_full()):
+            try:
+                quotient = ideal_quotient(B, cand)
+            except BolError as exc:
+                quotient = exc
+        checked[cand] = ideal_ok, solv_ok, quotient
+    ideal_ok, solv_ok, quotient = checked[cand]
+    try:
+        if isinstance(quotient, BolError):
+            raise quotient
+        return StrategyCertificate(name, cand, ideal_ok, solv_ok, solv_ok and (quotient is None or recheck(quotient).is_zero()))
+    except BolError as exc:
+        return StrategyCertificate(name, cand, ideal_ok, solv_ok, False, error=f"quotient re-check: {type(exc).__name__}: {exc}")
 
 
 def radical(B: BolAlgebra, form_kind: str = "env") -> RadicalCertificate:
@@ -123,13 +129,14 @@ def radical(B: BolAlgebra, form_kind: str = "env") -> RadicalCertificate:
     form); quotient re-checks recompute it on the quotient.
     """
     require_verified(B)
+    checked = {}  # candidate -> (def2 ideal, solvable, B/candidate), shared by the strategies
 
     def run(name, cand_fn) -> StrategyCertificate:
         try:
             cand = cand_fn(B)
         except BolError as exc:
             return StrategyCertificate(name, None, error=f"{type(exc).__name__}: {exc}")
-        return _certify(B, name, cand, cand_fn)
+        return _certify(B, name, cand, cand_fn, checked)
 
     s1 = run("form-orthogonal", lambda A: _candidate_form_orthogonal(A, form_kind))
     s2 = run("envelope-intersection", _candidate_envelope_intersection)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +23,7 @@ from bolalg.linalg import (
     complement_constants,
     failures,
     full_space,
+    integer_tensors,
     mat_vec,
     span,
     transpose,
@@ -49,13 +51,15 @@ def lie_quotient(L: LieAlgebra, I: Subspace) -> LieAlgebra:
     """Quotient Lie algebra on the complement of an ideal."""
     if not lie_is_ideal(L, I):
         raise NotAnIdeal("quotient requires a Lie ideal")
-    comp, C = complement_constants(I, L.C, 3)
-    return LieAlgebra.from_constants(len(comp), C, tuple(L.labels[j] for j in comp))
+    d, C = L.integer_rows
+    comp, C = complement_constants(I, C, 3, d)
+    return LieAlgebra(len(comp), tuple(L.labels[j] for j in comp), integer_tensors(len(comp), (C, 3)))
 
 
 def lie_direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
     labels = tuple(f"l.{x}" for x in L1.labels) + tuple(f"r.{x}" for x in L2.labels)
-    return LieAlgebra.from_constants(L1.m + L2.m, block_sum(L1.C, L2.C, L1.m, L2.m, 3), labels)
+    rows = block_sum(L1.integer_rows, L2.integer_rows, L1.m, 3)
+    return LieAlgebra(L1.m + L2.m, labels, integer_tensors(L1.m + L2.m, (rows, 3)))
 
 
 def pair_bracket(B: BolAlgebra, P: PairEndo, Q: PairEndo) -> PairEndo:
@@ -256,6 +260,110 @@ def reference_envelope(B: BolAlgebra):
         for t in range(s + 1, N):
             put(n + s, n + t, (ZERO,) * n + coords(reference_induced_bracket(B, h[s], h[t])))
     return h, tuple(tuple(tuple(row) for row in plane) for plane in C)
+
+
+# Dense references for the constructors that build structure rows directly:
+# each forms the full Fraction tensor entry by entry, as the constructors did
+# before, and hands it to `from_tensors` or `from_constants`.
+
+
+def reference_complement_constants(I: Subspace, t, order: int):
+    """(comp, t'): t' keeps the indices at I's non-pivot columns and reduces each coefficient vector of t by I."""
+    comp = [j for j in range(I.ambient) if j not in I.pivots]
+
+    def part(x, level):
+        if level == 1:
+            reduced = I.reduce(x)
+            return tuple(reduced[j] for j in comp)
+        return tuple(part(x[i], level - 1) for i in comp)
+
+    return comp, part(t, order)
+
+
+def reference_block_sum(a, b, n1: int, n2: int, order: int):
+    """The tensor that is a on the first n1 coordinates, b on the last n2, zero elsewhere."""
+
+    def part(x, y, level):
+        if level == 1:
+            return (x if x is not None else (ZERO,) * n1) + (y if y is not None else (ZERO,) * n2)
+        return tuple(part(None if x is None else x[i], None, level - 1) for i in range(n1)) + tuple(
+            part(None, None if y is None else y[i], level - 1) for i in range(n2)
+        )
+
+    return part(a, b, order)
+
+
+def reference_quotient(B: BolAlgebra, I: Subspace) -> BolAlgebra:
+    comp, T = reference_complement_constants(I, B.T, 3)
+    _, R = reference_complement_constants(I, B.R, 4)
+    return BolAlgebra.from_tensors(len(comp), T, R, tuple(B.labels[j] for j in comp))
+
+
+def reference_direct_sum(B1: BolAlgebra, B2: BolAlgebra) -> BolAlgebra:
+    T = reference_block_sum(B1.T, B2.T, B1.n, B2.n, 3)
+    R = reference_block_sum(B1.R, B2.R, B1.n, B2.n, 4)
+    labels = B1.labels + B2.labels
+    if set(B1.labels) & set(B2.labels):
+        labels = tuple(f"l.{x}" for x in B1.labels) + tuple(f"r.{x}" for x in B2.labels)
+    return BolAlgebra.from_tensors(B1.n + B2.n, T, R, labels)
+
+
+def reference_restrict(B: BolAlgebra, I: Subspace) -> BolAlgebra:
+    """The products of I's canonical basis vectors in I-coordinates, by elimination."""
+    bas = I.basis
+    T = [[reference_coords(I, dense_binary(B, p, q)) for q in bas] for p in bas]
+    R = [[[reference_coords(I, dense_ternary(B, p, q, r)) for r in bas] for q in bas] for p in bas]
+    return BolAlgebra.from_tensors(I.dim, T, R, tuple(f"v{i}" for i in range(I.dim)))
+
+
+def reference_lie_quotient(L: LieAlgebra, I: Subspace) -> LieAlgebra:
+    comp, C = reference_complement_constants(I, L.C, 3)
+    return LieAlgebra.from_constants(len(comp), C, tuple(L.labels[j] for j in comp))
+
+
+def reference_lie_direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
+    labels = tuple(f"l.{x}" for x in L1.labels) + tuple(f"r.{x}" for x in L2.labels)
+    return LieAlgebra.from_constants(L1.m + L2.m, reference_block_sum(L1.C, L2.C, L1.m, L2.m, 3), labels)
+
+
+def reference_parse(text: str) -> BolAlgebra:
+    """A valid Bol document read into zero-padded dense tensors, each entry [i, j, ..., c] also setting t[j][i] = -c."""
+    doc = json.loads(text)
+    n = doc["dim"]
+    T = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    R = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i, j, k, c in doc.get("binary", []):
+        T[i][j][k], T[j][i][k] = F(c), -F(c)
+    for i, j, k, l, c in doc.get("ternary", []):
+        R[i][j][k][l], R[j][i][k][l] = F(c), -F(c)
+    return BolAlgebra.from_tensors(n, T, R, doc.get("basis"))
+
+
+def _reference_entries(t, order: int) -> list:
+    """[i, j, ..., "c"] for each nonzero coefficient of the dense tensor t with i < j, in index order."""
+    out = []
+    for idx in product(range(len(t)), repeat=order):
+        c = t
+        for i in idx:
+            c = c[i]
+        if idx[0] < idx[1] and c != 0:
+            out.append([*idx, str(c)])
+    return out
+
+
+def reference_emit(name: str, labels, sections) -> str:
+    """The canonical document: one key per line, and one line for each entry of each (key, dense tensor, order) section."""
+    lines = ["{", f'  "name": {json.dumps(name)},', f'  "dim": {len(labels)},', f'  "basis": {json.dumps(list(labels))},']
+    for pos, (key, t, order) in enumerate(sections):
+        entries = _reference_entries(t, order)
+        comma = "," if pos < len(sections) - 1 else ""
+        if not entries:
+            lines.append(f'  "{key}": []{comma}')
+            continue
+        lines.append(f'  "{key}": [')
+        lines += [f"    {json.dumps(e)}{',' if k < len(entries) - 1 else ''}" for k, e in enumerate(entries)]
+        lines.append(f"  ]{comma}")
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def symmetric_lts(m: int) -> BolAlgebra:

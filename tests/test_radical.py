@@ -19,6 +19,7 @@ from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra, check_axioms, direct_sum
 from bolalg.decompose import find_proper_ideal
 from bolalg.envelope import envelope
+from bolalg.errors import IllDefinedQuotient
 from bolalg.fileio import parse_bol_document
 from bolalg.lie import lie_radical
 from bolalg.linalg import basis_vec, full_space, span, vec, zero_space
@@ -265,7 +266,7 @@ def test_simplicity_verdicts_on_random_algebras_are_sound(n, seed):
 
 def test_each_radical_candidate_is_tested_for_an_ideal_once(monkeypatch):
     # mixed = sl2bol + solv2: both strategies find the 2-dimensional solv2
-    # summand, and each runs the def2 test on it once (not again in its
+    # summand, and the def2 test runs on it once for both (not again in its
     # derived series or its quotient)
     B = catalog("mixed")
     is_ideal = CORE.is_ideal
@@ -280,7 +281,32 @@ def test_each_radical_candidate_is_tested_for_an_ideal_once(monkeypatch):
         monkeypatch.setattr(module, "is_ideal", spy)
     cert = radical(B)
     assert cert.decided and cert.strategy == "agreement" and cert.radical.dim == 2
-    assert tested == ["def2", "def2"]
+    assert tested == ["def2"]
+
+
+def test_both_strategies_share_one_quotient_and_recheck_it_each(monkeypatch):
+    # mixed: the two strategies agree on the solv2 summand; B/R is built once
+    # and each strategy runs its own candidate construction on it
+    B = catalog("mixed")
+    ideal_quotient = RADICAL.ideal_quotient
+    built = []
+    monkeypatch.setattr(RADICAL, "ideal_quotient", lambda A, I: built.append(I) or ideal_quotient(A, I))
+    cert = radical(B)
+    assert cert.decided and cert.strategy == "agreement"
+    assert built == [cert.radical]
+    assert [s.quotient_semisimple_ok for s in cert.details] == [True, True]
+
+
+def test_a_failed_quotient_is_reported_by_both_strategies(monkeypatch):
+    def fail(A, I):
+        raise IllDefinedQuotient("coset products of type x*v leave the ideal")
+
+    monkeypatch.setattr(RADICAL, "ideal_quotient", fail)
+    cert = radical(catalog("mixed"))
+    assert not cert.decided and cert.strategy == "none"
+    for s in cert.details:
+        assert (s.is_ideal_ok, s.solvable_ok, s.quotient_semisimple_ok) == (True, True, False)
+        assert s.error == "quotient re-check: IllDefinedQuotient: coset products of type x*v leave the ideal"
 
 
 def test_lie_radical_brackets_its_candidate_with_the_algebra_once(monkeypatch):

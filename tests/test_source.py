@@ -108,6 +108,18 @@ def test_the_module_level_caches_are_the_known_ones():
     }
 
 
+def test_no_module_reads_a_dense_view():
+    # the package reads `integer_rows`; `T`, `R` and `C` are Fraction views
+    # for callers outside it, so a new dense reader is a decision, not a detail
+    found = [
+        (path.stem, node.lineno, node.attr)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("T", "R", "C")
+    ]
+    assert found == []
+
+
 def _record_fields(tree: ast.Module) -> dict[str, tuple[str, ...]]:
     """The annotated fields, in order, of each class in the module that derives from `Record` by name."""
     return {
