@@ -23,7 +23,6 @@ from support import (
     lie_quotient,
     random_algebra,
     rational_basis,
-    reference_complement_constants,
     reference_direct_sum,
     reference_emit,
     reference_envelope,
@@ -177,7 +176,6 @@ def test_complement_constants_match_the_dense_reference_on_random_constants(seed
     _, Rq = complement_constants(I, R, 4, d * d)
     got = BolAlgebra(len(comp), tuple(B.labels[j] for j in comp), integer_tensors(len(comp), (Tq, 3), (Rq, 4)))
     assert_same(got, reference_quotient(B, I))
-    assert reference_complement_constants(I, B.T, 3)[0] == comp
 
 
 @pytest.mark.parametrize("names", [("sl2bol", "so3bol"), ("lts_sl2", "sl2bol", "so3bol"), ("so3bol", "so3bol")], ids="+".join)
