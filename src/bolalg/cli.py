@@ -314,8 +314,17 @@ COMMANDS = {
     "radical": (cmd_radical, "radical with certificates", _FILE, ("--json", "--form")),
     "envelope": (cmd_envelope, "construct and verify the enveloping Lie algebra", _FILE, ("--json", "--emit")),
     "decompose": (cmd_decompose, "split into orthogonal simple ideals", _FILE, ("--json", "--form", "--invariance")),
-    "examples": (cmd_examples, "emit a catalog algebra", ("name", f"one of: {', '.join(bolalg.catalog_names())}"), ("--emit",)),
+    "examples": (cmd_examples, "emit a catalog algebra", ("name", "the catalog names"), ("--emit",)),
 }
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Spells out the catalog names in the help of `bol examples`, loading the catalog only when that help is shown."""
+
+    def _get_help_string(self, action):
+        if action.help == COMMANDS["examples"][2][1]:
+            return f"one of: {', '.join(bolalg.catalog_names())}"
+        return super()._get_help_string(action)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -325,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (handler, help_text, (arg, arg_help), flags) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, formatter_class=_HelpFormatter)
         p.add_argument(arg, help=arg_help)
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])

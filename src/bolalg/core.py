@@ -25,10 +25,10 @@ from bolalg.linalg import (
     basis_vec,
     block_sum,
     closure,
-    combine,
     complement_constants,
     dense_rows,
     dense_tensor,
+    digits,
     failures,
     full_space,
     independent,
@@ -36,8 +36,11 @@ from bolalg.linalg import (
     is_zero_vec,
     kernel,
     multilinear,
+    packed,
     products,
+    row_bounds,
     sized,
+    slot_width,
     span,
     transpose,
     unscaled,
@@ -106,6 +109,22 @@ class BolAlgebra(Record):
         ops = [([T[k][i] for k in r], d) for i in r] + [([R[k][i][j] for k in r], d * d) for i in r for j in r]
         return tuple(transpose(dense_tensor(images, 2, s, self.n)) for images, s in ops if any(images))
 
+    @cached_property
+    def derived(self) -> Subspace:
+        """B*B + (B,B,B), the first step of the derived series (`derived_space`), formed once per algebra."""
+        return _derived_space(self, full_space(self.n))
+
+    def basis_closure(self, i: int) -> Subspace:
+        """The least def2-ideal containing e_i (`ideal_closure`), formed once per algebra, on first use."""
+        closures = self._basis_closures
+        if closures[i] is None:
+            closures[i] = ideal_closure(self, span([basis_vec(i, self.n)], self.n))
+        return closures[i]
+
+    @cached_property
+    def _basis_closures(self) -> list:
+        return [None] * self.n
+
     def basis_vec(self, i: int) -> Vec:
         return basis_vec(i, self.n)
 
@@ -125,8 +144,8 @@ class BolAlgebra(Record):
         return multilinear(R, (x, y, z), d * d, self.n)
 
     def left_op(self, x: Vec, y: Vec) -> Mat:
-        """Matrix of z -> (x, y, z) in the chosen basis."""
-        cols = [self.ternary(x, y, self.basis_vec(k)) for k in range(self.n)]
+        """Matrix of z -> (x, y, z) in the chosen basis; z runs over the basis as int unit vectors."""
+        cols = [self.ternary(x, y, tuple(int(j == k) for j in range(self.n))) for k in range(self.n)]
         return tuple(tuple(cols[k][l] for k in range(self.n)) for l in range(self.n))
 
     def is_abelian(self) -> bool:
@@ -218,11 +237,20 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
     scaled by d and R by d^2.  Every term of A1 has weight 1 in this
     grading, of A2 and A3 weight 2, of A4 weight 3 and of A5 weight 4,
     so the integer defect is d^weight times the rational one and is zero
-    exactly when it is.
+    exactly when it is.  Every sweep, decision and failure sweep alike, is
+    the packed zero test: each row of T and R is packed into one integer
+    with slots of `linalg.slot_width` bits, derived once from the largest
+    entry and row length, and a failing tuple's defect vector is read back
+    as the digits of its packed value.
     """
     n = B.n
     d, T, R = B.integer_rows
     r = range(n)
+    entry, length = row_bounds((T, 2), (R, 3))
+    # the A4 shape bounds every identity: A5 has four of its terms' shape,
+    # and A1-A3 at most three terms of one factor
+    W = slot_width((2, 2, 2, 2, 3), entry, length)
+    PT, PR = packed(T, 2, W), packed(R, 3, W)
 
     def first_failure(name, weight, tuples, defect_fn, decide=None, orbit=1):
         # With `decide`, the identity holds when no tuple of it fails, and
@@ -235,36 +263,27 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
         for t, v in failures(tuples, defect_fn):
             count += orbit
             if witness is None:
-                witness, defect = t, unscaled(v, d**weight)
+                witness, defect = t, unscaled(digits(v, W, n), d**weight)
         return IdentityCheck(name, count == 0, witness, defect, count)
 
-    def dense(*rows):
-        return combine((1,) * len(rows), rows, n)
-
-    a1 = first_failure(
-        "A1",
-        1,
-        ((i, j) for i in r for j in range(i, n)),
-        lambda i, j: dense(T[i][j], T[j][i]),
-    )
+    a1 = first_failure("A1", 1, ((i, j) for i in r for j in range(i, n)), lambda i, j: PT[i][j] + PT[j][i])
     a2 = first_failure(
         "A2",
         2,
         ((i, j, k) for i in r for j in range(i, n) for k in r),
-        lambda i, j, k: dense(R[i][j][k], R[j][i][k]),
+        lambda i, j, k: PR[i][j][k] + PR[j][i][k],
     )
-    a3 = first_failure(
-        "A3",
-        2,
-        product(r, repeat=3),
-        lambda i, j, k: dense(R[i][j][k], R[j][k][i], R[k][i][j]),
-    )
+    a3 = first_failure("A3", 2, product(r, repeat=3), lambda i, j, k: PR[i][j][k] + PR[j][k][i] + PR[k][i][j])
+
+    around = {}  # (i, j) -> D e_p + c*e_p packed, for each p, with (D, c) = (R[i][j], T[i][j])
 
     def a4_defect(i, j, k, l):
-        return binary_rule_defect(T, R, R[i][j], T[i][j], k, l, n)
+        if (i, j) not in around:
+            around[i, j] = [PR[i][j][p] + sum(x * PT[q][p] for q, x in T[i][j]) for p in r]
+        return binary_rule_defect(PT, PR, T, R[i][j], T[i][j], around[i, j], k, l)
 
     def a5_defect(i, j, k, l, m):
-        return ternary_rule_defect(R, R[i][j], k, l, m, n)
+        return ternary_rule_defect(PR, R, R[i][j], PR[i][j], k, l, m)
 
     def flat(i, j):  # the pair (R[i][j], T[i][j]) as one integer vector; its scaling keeps independence
         v = [0] * (n * n + n)
@@ -294,57 +313,47 @@ def check_axioms(B: BolAlgebra) -> AxiomReport:
     return AxiomReport((a1, a2, a3, a4, a5))
 
 
-def binary_rule_defect(T, R, D, c, k: int, l: int, n: int) -> list[int]:
-    """(Dz)*w - (Dw)*z + (z,w,c) - D(z*w) - c*(z*w) at (z, w) = (e_k, e_l), summed in ints.
+def binary_rule_defect(PT, PR, T, D, c, around, k: int, l: int) -> int:
+    """(Dz)*w - (Dw)*z + (z,w,c) - D(z*w) - c*(z*w) at (z, w) = (e_k, e_l), packed.
 
-    T and R are the parts of `BolAlgebra.integer_rows`, D[p] the nonzero
-    (index, int) entries of D e_p and c the nonzero entries of the
-    component.  This is A4 for (D, c) = (D_{x,y}, x*y); a term has weight
-    3 when D is scaled by d^2 and c by d.
+    T is the binary part of `BolAlgebra.integer_rows`, PT and PR its
+    binary and ternary parts packed (`linalg.packed`), D[p] the nonzero
+    (index, int) entries of D e_p, c the nonzero entries of the component,
+    and around[p] the packed D e_p + c*e_p.  This is A4 for
+    (D, c) = (D_{x,y}, x*y); a term has weight 3 when D is scaled by d^2
+    and c by d.
     """
-    out = [0] * n
-    Tkl = T[k][l]
+    s = 0
     for p, x in D[k]:  # (Dz)*w
-        for q, v in T[p][l]:
-            out[q] += x * v
+        s += x * PT[p][l]
     for p, x in D[l]:  # -(Dw)*z
-        for q, v in T[p][k]:
-            out[q] -= x * v
+        s -= x * PT[p][k]
     for p, x in c:  # (z,w,c)
-        for q, v in R[k][l][p]:
-            out[q] += x * v
-    for p, x in Tkl:  # -D(z*w)
-        for q, v in D[p]:
-            out[q] -= x * v
-    for p, x in c:  # -c*(z*w)
-        for s, e in Tkl:
-            for q, v in T[p][s]:
-                out[q] -= x * e * v
-    return out
+        s += x * PR[k][l][p]
+    for p, x in T[k][l]:  # -D(z*w) - c*(z*w)
+        s -= x * around[p]
+    return s
 
 
-def ternary_rule_defect(R, D, k: int, l: int, m: int, n: int) -> list[int]:
-    """D(z,w,u) - (Dz,w,u) - (z,Dw,u) - (z,w,Du) at (z, w, u) = (e_k, e_l, e_m), summed in ints.
+def ternary_rule_defect(PR, R, D, PD, k: int, l: int, m: int) -> int:
+    """D(z,w,u) - (Dz,w,u) - (z,Dw,u) - (z,w,Du) at (z, w, u) = (e_k, e_l, e_m), packed.
 
-    R is the ternary part of `BolAlgebra.integer_rows` and D[p] the
-    nonzero (index, int) entries of D e_p.  The defect is zero exactly
-    when D derives the ternary product on that triple; a term has the
-    weight of R times that of D.
+    R is the ternary part of `BolAlgebra.integer_rows` and PR its packed
+    rows (`linalg.packed`), D[p] the nonzero (index, int) entries of D e_p
+    and PD[p] that row packed.  The defect is zero exactly when D derives
+    the ternary product on that triple; a term has the weight of R times
+    that of D.
     """
-    out = [0] * n
+    s = 0
     for p, c in R[k][l][m]:  # D(z,w,u)
-        for q, v in D[p]:
-            out[q] += c * v
+        s += c * PD[p]
     for p, c in D[k]:  # -(Dz,w,u)
-        for q, v in R[p][l][m]:
-            out[q] -= c * v
+        s -= c * PR[p][l][m]
     for p, c in D[l]:  # -(z,Dw,u)
-        for q, v in R[k][p][m]:
-            out[q] -= c * v
+        s -= c * PR[k][p][m]
     for p, c in D[m]:  # -(z,w,Du)
-        for q, v in R[k][l][p]:
-            out[q] -= c * v
-    return out
+        s -= c * PR[k][l][p]
+    return s
 
 
 def require_verified(B: BolAlgebra) -> None:
@@ -367,7 +376,13 @@ def tri_span(B: BolAlgebra, U: Subspace, V: Subspace, W: Subspace) -> Subspace:
 
 
 def derived_space(B: BolAlgebra, V: Subspace) -> Subspace:
-    """V*V + (V,V,B): one step of the derived series, as one span of both kinds of product."""
+    """V*V + (V,V,B): one step of the derived series, as one span of both kinds of product; for V = B it is `BolAlgebra.derived`."""
+    if V.is_full():
+        return B.derived
+    return _derived_space(B, V)
+
+
+def _derived_space(B: BolAlgebra, V: Subspace) -> Subspace:
     _, T, R = B.integer_rows
     return span(chain(products(T, (V, V), B.n), products(R, (V, V, full_space(B.n)), B.n)), B.n)
 
@@ -412,14 +427,19 @@ def _images(B: BolAlgebra, V: Subspace):
 
 
 def center(B: BolAlgebra) -> Subspace:
-    """{x : b*x = 0 and (b, b', x) = 0 for all basis b, b'}."""
+    """{x : b*x = 0 and (b, b', x) = 0 for all basis b, b'}, one kernel of int constraint rows."""
+    n = B.n
     _, T, R = B.integer_rows
     constraints = []
-    for i in range(B.n):
-        # rows of the operators x -> e_i * x and x -> (e_i, e_j, x), scaled
+    for i in range(n):
+        # the rows of the operators x -> e_i * x and x -> (e_i, e_j, x), scaled
         for images in (T[i], *R[i]):
-            constraints.extend(transpose(dense_tensor(images, 2, 1, B.n)))
-    return kernel(constraints, B.n)
+            rows = [[0] * n for _ in range(n)]
+            for k, image in enumerate(images):
+                for q, c in image:
+                    rows[q][k] = c
+            constraints += rows
+    return kernel(constraints, n)
 
 
 def quotient(B: BolAlgebra, I: Subspace) -> BolAlgebra:
@@ -451,9 +471,9 @@ def ideal_quotient(B: BolAlgebra, I: Subspace) -> BolAlgebra:
             raise IllDefinedQuotient(f"coset products of type {name} leave the ideal", witness=(name, bad))
 
     d, T, R = B.integer_rows
-    comp, T = complement_constants(I, T, 3, d)
-    _, R = complement_constants(I, R, 4, d * d)
-    return BolAlgebra(len(comp), tuple(B.labels[j] for j in comp), integer_tensors(len(comp), (T, 3), (R, 4)))
+    comp, T, s = complement_constants(I, T, 3, d)
+    _, R, s2 = complement_constants(I, R, 4, d * d)
+    return BolAlgebra(len(comp), tuple(B.labels[j] for j in comp), integer_tensors(len(comp), (T, 3, s), (R, 4, s2)))
 
 
 def restrict(B: BolAlgebra, I: Subspace) -> BolAlgebra:
@@ -470,17 +490,17 @@ def restrict(B: BolAlgebra, I: Subspace) -> BolAlgebra:
     d, T, R = B.integer_rows
     L, _ = I.integer_basis
 
-    def coords(table, order: int, scale: int) -> dict:
-        # the I-coordinates of the products of I's basis vectors, keyed by their indices in basis order
+    def coords(table, order: int) -> dict:
+        # the I-coordinates, in ints at the products' scale, of the products of I's basis vectors, keyed by their indices in basis order
         out = {}
         for idx, w in zip(product(r, repeat=order), products(table, (I,) * order, B.n)):
-            c = I.coords(unscaled(w, scale))
+            c = I.pivot_coords(w)
             if c is None:
                 raise NotASubsystem("restriction requires a subsystem")
             out[idx] = enumerate(c)
         return out
 
-    rows = integer_tensors(m, (coords(T, 2, d * L**2), 3), (coords(R, 3, d * d * L**3), 4))
+    rows = integer_tensors(m, (coords(T, 2), 3, d * L**2), (coords(R, 3), 4, d * d * L**3))
     return BolAlgebra(m, tuple(f"v{i}" for i in range(m)), rows)
 
 

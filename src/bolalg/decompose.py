@@ -10,6 +10,7 @@ flagged uncertified instead of failing.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from bolalg.core import BolAlgebra, center, derived_space, ideal_closure, is_ideal, prod_span, restrict, tri_span
@@ -20,7 +21,7 @@ from bolalg.lie import lie_is_semisimple, lie_is_solvable
 from bolalg.linalg import (
     Record,
     Subspace,
-    basis_vec,
+    combine,
     full_space,
     intersect,
     span,
@@ -41,6 +42,10 @@ def find_proper_ideal(B: BolAlgebra) -> tuple[Subspace | None, SimplicityResult]
     return None, res
 
 
+class _NotInvariant(PreconditionViolation):
+    """The decomposition form is not invariant: `structure_report` skips the decomposition rather than report it unavailable."""
+
+
 class Decomposition(Record):
     components: tuple[BolAlgebra, ...]
     embeddings: tuple[Subspace, ...]  # in the coordinates of the original algebra
@@ -56,20 +61,26 @@ def _trivial_derived_ideal_probe(B: BolAlgebra) -> Subspace | None:
     c = center(B)
     if not c.is_zero():
         probes.append(ideal_closure(B, c))
-    for i in range(B.n):
-        probes.append(ideal_closure(B, span([basis_vec(i, B.n)], B.n)))
+    probes += [B.basis_closure(i) for i in range(B.n)]
     found, _ = find_proper_ideal(B)
     if found is not None:
         probes.append(found)
-    for I in probes:  # each is an ideal as built: the full space, a closure, or the search's witness
+    for I in dict.fromkeys(probes):  # each is an ideal as built: the full space, a closure, or the search's witness; each tested once
         if not I.is_zero() and derived_space(B, I).is_zero():
             return I
     return None
 
 
+def _pairing(b: BilinearForm, U: Subspace, V: Subspace) -> list[list[int]]:
+    """b(u, v) for u, v the canonical basis vectors of U and V, in ints at the scale e*L_U*L_V (`BilinearForm.integer_gram`)."""
+    _, gram = b.integer_gram
+    left = [[sum(c * gram[p][q] for p, c in u) for q in range(b.n)] for u in U.integer_basis[1]]
+    return [[sum(row[q] * c for q, c in v) for v in V.integer_basis[1]] for row in left]
+
+
 def _restrict_form(b: BilinearForm, S: Subspace) -> BilinearForm:
-    rows = tuple(tuple(b.value(u, v) for v in S.basis) for u in S.basis)
-    return BilinearForm(rows)
+    s = b.integer_gram[0] * S.integer_basis[0] ** 2
+    return BilinearForm(tuple(tuple(Fraction(x, s) for x in row) for row in _pairing(b, S, S)))
 
 
 def decompose_semisimple(B: BolAlgebra, b: BilinearForm | None = None, variant: str = "skew") -> Decomposition:
@@ -93,9 +104,8 @@ def _decompose_semisimple(B: BolAlgebra, b: BilinearForm, variant: str) -> Decom
         raise PreconditionViolation("decomposition form must be symmetric")
     if not is_nondegenerate(b):
         raise PreconditionViolation("decomposition form must be nondegenerate")
-    inv = invariance_check(B, b, variant)
-    if not inv.ok:
-        raise PreconditionViolation(f"decomposition form is not invariant (variant {variant})")
+    if not invariance_check(B, b, variant).ok:
+        raise _NotInvariant(f"decomposition form is not invariant (variant {variant})")
     bad = _trivial_derived_ideal_probe(B)
     if bad is not None:
         raise PreconditionViolation(
@@ -126,8 +136,9 @@ def _decompose_semisimple(B: BolAlgebra, b: BilinearForm, variant: str) -> Decom
             and is_ideal(algebra, complement, "def2")
         ):
             raise FatalInconsistency("orthogonal complement of an ideal failed to split the algebra")
+        _, rows = frame.integer_basis
         for part in (ideal, complement):
-            embedded = span([frame.element(v) for v in part.basis], frame.ambient)
+            embedded = span([combine([c for _, c in v], [rows[k] for k, _ in v], frame.ambient) for v in part.integer_basis[1]], frame.ambient)
             recurse(restrict(algebra, part), _restrict_form(form, part), embedded)
 
     recurse(B, b, full_space(B.n))
@@ -138,9 +149,7 @@ def _decompose_semisimple(B: BolAlgebra, b: BilinearForm, variant: str) -> Decom
         for j in range(k):
             if i == j:
                 continue
-            orth[i][j] = all(
-                b.value(u, v) == 0 for u in embeddings[i].basis for v in embeddings[j].basis
-            )
+            orth[i][j] = not any(map(any, _pairing(b, embeddings[i], embeddings[j])))
             if not orth[i][j]:
                 certified = False
     return Decomposition(tuple(components), tuple(embeddings), b, tuple(tuple(r) for r in orth), certified, tuple(notes))
@@ -193,7 +202,7 @@ def structure_report(B: BolAlgebra) -> StructureReport:
     beta = envelope_form(B)
     full = full_space(B.n)
     triple = tri_span(B, full, full, full)
-    orth = all(beta.value(basis_vec(i, B.n), t) == 0 for i in range(B.n) for t in triple.basis)
+    orth = not any(map(any, _pairing(beta, full, triple)))
     lie_solv = lie_is_solvable(E.lie)
     lie_ss = lie_is_semisimple(E.lie)
     beta_nd = is_nondegenerate(beta)
@@ -202,9 +211,12 @@ def structure_report(B: BolAlgebra) -> StructureReport:
     dims: tuple[int, ...] = ()
     cert = False
     note = ""
-    if beta_nd and invariance_check(B, beta, "skew").ok:
+    skipped = "form degenerate or not invariant; decomposition skipped"
+    if beta_nd:  # the decomposition tests invariance first, once per form
         try:
             dec = decompose_semisimple(B, beta, "skew")
+        except _NotInvariant:
+            note = skipped
         except (PreconditionViolation, FatalInconsistency) as exc:
             note = f"decomposition unavailable: {exc}"
         else:
@@ -212,7 +224,7 @@ def structure_report(B: BolAlgebra) -> StructureReport:
             dims = tuple(c.n for c in dec.components)
             cert = dec.certified
     else:
-        note = "form degenerate or not invariant; decomposition skipped"
+        note = skipped
     return StructureReport(
         lie_solvable=lie_solv,
         beta_orthogonal_to_triple_span=orth,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from bolalg.core import BolAlgebra, PairEndo, check_axioms, derived_space, is_ideal, require_verified, ternary_rule_defect
 from bolalg.errors import DimensionMismatch, FatalInconsistency, NotAnIdeal, PreconditionViolation
@@ -44,16 +45,19 @@ from bolalg.linalg import (
     basis_vec,
     closure,
     combine,
-    dense_tensor,
+    dense_row,
     derived_chain,
+    digits,
     failures,
     full_space,
     integer_tensors,
     integral,
     nonzero_row,
+    packed,
+    row_bounds,
+    slot_width,
     span,
     subspace_sum,
-    transpose,
     unscaled,
     vec_sub,
     zero_vec,
@@ -82,7 +86,7 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
     by e*d and a by e, so every product-rule term has weight e*d^2 and
     every ternary-rule term e*d^3, and a reported defect is the integer
     one divided by its weight.  The ternary rule is A5's, through
-    `core.ternary_rule_defect`.
+    `core.ternary_rule_defect` and the packed zero test.
     """
     n = B.n
     if len(P.pi) != n or any(len(row) != n for row in P.pi) or len(P.comp) != n:
@@ -117,9 +121,11 @@ def is_pseudo_derivation(B: BolAlgebra, P: PairEndo) -> PseudoDerivationReport:
     first = next(failures(product(r, repeat=2), product_defect), None)
     if first is not None:
         return PseudoDerivationReport(False, False, True, first[0], unscaled(first[1], e * d * d))
-    first = next(failures(product(r, repeat=3), lambda i, j, k: ternary_rule_defect(R, pb, i, j, k, n)), None)
+    W = slot_width((2, 2, 2, 2), *row_bounds((R, 3), (pb, 1)))
+    PR, PD = packed(R, 3, W), packed(pb, 1, W)
+    first = next(failures(product(r, repeat=3), lambda i, j, k: ternary_rule_defect(PR, R, pb, PD, i, j, k)), None)
     if first is not None:
-        return PseudoDerivationReport(False, True, False, first[0], unscaled(first[1], e * d**3))
+        return PseudoDerivationReport(False, True, False, first[0], unscaled(digits(first[1], W, n), e * d**3))
     return PseudoDerivationReport(True, True, True)
 
 
@@ -140,14 +146,12 @@ def induced_bracket(B: BolAlgebra, P: PairEndo, Q: PairEndo) -> PairEndo:
     s = d * d
     (A, a), e = _integral_pair(P)
     (A2, a2), e2 = _integral_pair(Q)
-    cols = list(zip(zip(*A), zip(*A2)))
-    pi = [[s * sum(x * y - u * v for x, y, u, v in zip(A[l], c2, A2[l], c)) for c, c2 in cols] for l in range(n)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(a2):
-            if x and y:
-                for k, row in enumerate(R[i][j]):  # -(a, a', e_k)
-                    for l, v in row:
-                        pi[l][k] -= x * y * v
+    rows, rows2 = [nonzero_row(row) for row in A], [nonzero_row(row) for row in A2]
+    pi = [[s * (x - y) for x, y in zip(combine(A[l], rows2, n), combine(A2[l], rows, n))] for l in range(n)]  # row l of AA' - A'A
+    ij = [(i, j, x * y) for i, x in enumerate(a) if x for j, y in enumerate(a2) if y]
+    for k in range(n):  # -(a, a', e_k), in column k
+        for l, v in enumerate(combine([c for _, _, c in ij], [R[i][j][k] for i, j, _ in ij], n)):
+            pi[l][k] -= v
     comp = [s * sum(x * y - u * v for x, y, u, v in zip(A[l], a2, A2[l], a)) for l in range(n)]
     return PairEndo.unflatten(unscaled([c for row in pi for c in row] + comp, s * e * e2), n)
 
@@ -187,7 +191,8 @@ def h_closure(B: BolAlgebra) -> tuple[PairEndo, ...]:
             raise FatalInconsistency(f"inner pairs do not span h ({name} fails at {w})")
         raise FatalInconsistency(f"inner pair {w[:2]} is not a pseudo-derivation ({name} fails at {w})")
     n = B.n
-    gens = [inner_pair(B, B.basis_vec(i), B.basis_vec(j)).flatten() for i in range(n) for j in range(i + 1, n)]
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    gens = [inner_pair(B, units[i], units[j]).flatten() for i in range(n) for j in range(i + 1, n)]
     return tuple(PairEndo.unflatten(v, n) for v in span(gens, n * n + n).basis)
 
 
@@ -227,11 +232,14 @@ class EnvelopingLie(Record):
 def envelope(B: BolAlgebra) -> EnvelopingLie:
     """Construct and verify the enveloping Lie algebra of a Bol algebra.
 
-    D(e_i, e_j) is read from R[i][j] and T[i][j], and D(e_i, a) is
-    sum_j a_j D(e_i, e_j).  Raises FatalInconsistency if a pair leaves h
-    or if Jacobi, the projection or the recovery identity fails; for
-    axiom-verified input this does not happen, and the check is itself
-    part of the contract.
+    G's rows are formed in ints.  D(e_i, e_j) is read from R[i][j] and
+    T[i][j] at scale d^2, and its h-coordinates are its entries at h's
+    pivots, once it is checked to lie in h; D(e_i, a) is
+    sum_j a_j D(e_i, e_j), for a pair (A, a) of h's integer basis; the
+    h-h brackets are `induced_bracket` on that basis, each checked to lie
+    in h.  Raises FatalInconsistency if a pair leaves h or if Jacobi, the
+    projection or the recovery identity fails; for axiom-verified input
+    this does not happen, and the check is itself part of the contract.
     """
     require_verified(B)
     n = B.n
@@ -239,40 +247,52 @@ def envelope(B: BolAlgebra) -> EnvelopingLie:
     h = h_closure(B)
     N = len(h)
     m = n + N
-    h_space = Subspace(n * n + n, tuple(P.flatten() for P in h))  # h_closure's basis is canonical
+    nn = n * n
+    h_space = Subspace(nn + n, tuple(P.flatten() for P in h))  # h_closure's basis is canonical
+    L, h_rows = h_space.integer_basis
 
-    def h_coords(P: PairEndo) -> Vec:
-        c = h_space.coords(P.flatten())
+    def h_coords(w: list[int]) -> list[int]:
+        c = h_space.pivot_coords(w)
         if c is None:
             raise FatalInconsistency("bracket left the pair closure")
         return c
 
     d, T, R = B.integer_rows
-    prod = [[dense_tensor(T[i][j], 1, d, n) for j in r] for i in r]  # e_i*e_j
-    Dtau = [[h_coords(PairEndo(transpose(dense_tensor(R[i][j], 2, d * d, n)), prod[i][j])) for j in r] for i in r]
-    # The rest is summed in ints: T scaled by d, the Dtau coordinates by f, each h_t by e.
-    w, f = integral([c for row in Dtau for v in row for c in v])
-    D = [[nonzero_row(w[(i * n + j) * N : (i * n + j + 1) * N]) for j in r] for i in r]
-    C = {}  # the rows of G
-
-    def put(i: int, j: int, row) -> None:
-        C[i, j] = list(enumerate(row))
-        C[j, i] = [(k, -c) for k, c in C[i, j]]
-
+    D = {}  # (i, j) -> the nonzero h-coordinates of D(e_i, e_j), at scale d^2
     for i in r:
         for j in range(i + 1, n):
-            put(i, j, prod[i][j] + tuple(-c for c in Dtau[i][j]))
-    for t, P in enumerate(h):
-        (A, a), e = _integral_pair(P)
-        for i in r:  # [e_i, (A, a)] = (e_i*a - A e_i) (+) -D(e_i, a)
-            b_part = [x - d * A[l][i] for l, x in enumerate(combine(a, T[i], n))]
-            put(i, n + t, unscaled(b_part, e * d) + unscaled([-x for x in combine(a, D[i], N)], e * f))
+            w = [0] * (nn + n)  # D(e_i, e_j) = (L(e_i, e_j), e_i*e_j) flattened; column k of L(e_i, e_j) is (e_i, e_j, e_k)
+            for k, row in enumerate(R[i][j]):
+                for l, v in row:
+                    w[l * n + k] = v
+            for q, v in T[i][j]:
+                w[nn + q] = d * v
+            D[i, j] = nonzero_row(h_coords(w))
+            D[j, i] = tuple((t, -c) for t, c in D[i, j])
+    C = {}  # (i, j) -> (row of [f_i, f_j] in ints, its scale), for i < j
+    for i in r:
+        for j in range(i + 1, n):  # [e_i, e_j] = e_i*e_j (+) -D(e_i, e_j)
+            C[i, j] = [(q, L * d * v) for q, v in T[i][j]] + [(n + t, -L * c) for t, c in D[i, j]], L * d * d
+    for t, row in enumerate(h_rows):  # h_t = (A, a) is row/L
+        A = dense_row(row, nn + n)
+        a = A[nn:]
+        for i in r:  # [e_i, (A, a)] = (e_i*a - A e_i) (+) -D(e_i, a), at scale L*d^2
+            b_part = [d * (x - d * A[l * n + i]) for l, x in enumerate(combine(a, T[i], n))]
+            h_part = combine(a, [D.get((i, j), ()) for j in r], N)
+            C[i, n + t] = [(q, x) for q, x in enumerate(b_part + [-x for x in h_part]) if x], L * d * d
+    basis = [PairEndo.unflatten(dense_row(row, nn + n), n) for row in h_rows]
     for s in range(N):
-        for t in range(s + 1, N):
-            put(n + s, n + t, zero_vec(n) + h_coords(induced_bracket(B, h[s], h[t])))
-
+        for t in range(s + 1, N):  # [h_s, h_t] = L^-2 [[L h_s, L h_t]], read in ints at the scale e of the bracket
+            w, e = integral(induced_bracket(B, basis[s], basis[t]).flatten())
+            C[n + s, n + t] = [(n + k, c) for k, c in enumerate(h_coords(w)) if c], e * L * L
+    S = lcm(*(scale for _, scale in C.values()))
+    rows = {}
+    for (i, j), (row, scale) in C.items():
+        f = S // scale
+        rows[i, j] = [(k, f * c) for k, c in row]
+        rows[j, i] = [(k, -f * c) for k, c in row]
     labels = B.labels + tuple(f"D{t}" for t in range(N))
-    G = LieAlgebra(m, labels, integer_tensors(m, (C, 3)))
+    G = LieAlgebra(m, labels, integer_tensors(m, (rows, 3, S)))
     _verify_envelope(B, G)
     return EnvelopingLie(G, B, h)
 
@@ -292,8 +312,10 @@ def _contract_failure(B: BolAlgebra, G: LieAlgebra) -> tuple[int, ...] | None:
     """The first failure of projection or recovery on B's basis, read from the rows of B and G.
 
     That is the first (i, j) with proj_B [e_i, e_j] != e_i*e_j, else the
-    first (i, j, k) with [e_k, [e_i, e_j]] != (e_i, e_j, e_k), else None;
-    each side is multiplied by the other's scale (d or d^2 for B, g for G).
+    first (i, j, k) with [e_k, [e_i, e_j]] != (e_i, e_j, e_k); each side
+    is multiplied by the other's scale (d or d^2 for B, g for G).  The
+    recovery sweep is the packed zero test of
+    sum_p C_ij^p (d^2 C_kp) - g^2 R_ijk, whose h-slots must vanish too.
     """
     n = B.n
     d, T, R = B.integer_rows
@@ -301,13 +323,15 @@ def _contract_failure(B: BolAlgebra, G: LieAlgebra) -> tuple[int, ...] | None:
     for i, j in product(range(n), repeat=2):
         if tuple((q, c * d) for q, c in C[i][j] if q < n) != tuple((q, c * g) for q, c in T[i][j]):
             return i, j
+    (c_max, c_len), (r_max, r_len) = row_bounds((C, 2)), row_bounds((R, 3))
+    W = slot_width((2, 1), max(d * d * c_max, g * g * r_max), max(c_len, r_len))  # the factors are C, d^2 C and g^2 R
+    PC = [[d * d * x for x in row] for row in packed(C[:n], 2, W)]
+    PR = [[[g * g * x for x in row] for row in plane] for plane in packed(R, 3, W)]
     for i, j, k in product(range(n), repeat=3):
-        rec = [0] * G.m  # [e_k, [e_i, e_j]] at weight g^2
+        rec = 0  # [e_k, [e_i, e_j]] at weight d^2 g^2
         for p, c in C[i][j]:
-            for q, v in C[k][p]:
-                rec[q] += c * v
-        got = nonzero_row(x * d * d for x in rec[:n])
-        if got != tuple((q, v * g * g) for q, v in R[i][j][k]) or any(rec[n:]):
+            rec += c * PC[k][p]
+        if rec != PR[i][j][k]:
             return i, j, k
     return None
 
@@ -372,14 +396,15 @@ def standard_embedding_check(E: EnvelopingLie) -> EmbeddingReport:
     G = E.lie
     m = G.m
     r = range(B.n)
-    d, _, R = B.integer_rows
     bas = [basis_vec(i, m) for i in r]
     pairs = [[G.bracket(bas[i], bas[j]) for j in r] for i in r]
+    e = B.basis()
+    tern = [[[E.lift(B.ternary(e[u], e[v], e[i])) for i in r] for v in r] for u in r]  # (e_u, e_v, e_i) in G's coordinates
 
-    def relation_defect(i, j, u, v):  # the ternary products (e_u, e_v, .) are read in G's coordinates
+    def relation_defect(i, j, u, v):
         lhs = G.bracket(pairs[i][j], pairs[u][v])
-        lhs = vec_sub(lhs, G.bracket(dense_tensor(R[u][v][i], 1, d * d, m), bas[j]))
-        return vec_sub(lhs, G.bracket(bas[i], dense_tensor(R[u][v][j], 1, d * d, m)))
+        lhs = vec_sub(lhs, G.bracket(tern[u][v][i], bas[j]))
+        return vec_sub(lhs, G.bracket(bas[i], tern[u][v][j]))
 
     witness = next((t for t, _ in failures(product(r, repeat=4), relation_defect)), None)
     if witness is not None:

@@ -39,19 +39,19 @@ from bolalg.linalg import indexed_rows, integer_tensors
 _SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _parse_scalar(x, field: str) -> Fraction:
+def _parse_scalar(x, field: str) -> int | Fraction:
+    """An int for an integer or a "p" string, a Fraction only for "p/q"."""
     if isinstance(x, bool) or isinstance(x, float):
         raise DocumentError(f"{field}: scalars must be integers or fraction strings, got {x!r}", field)
     if isinstance(x, int):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
         try:
             if not _SCALAR.fullmatch(x):  # the text Fraction gives a literal it cannot read
                 raise ValueError(f"Invalid literal for Fraction: {x!r}")
-            f = Fraction(x)
+            return Fraction(x) if "/" in x else int(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{field}: cannot parse scalar {x!r} ({exc})", field) from None
-        return f
     raise DocumentError(f"{field}: scalars must be integers or fraction strings, got {type(x).__name__}", field)
 
 
@@ -130,18 +130,32 @@ def _sparse_rows(doc: dict, key: str, dim: int, arity: int) -> dict:
     entries = _require_list(doc.get(key, []), key, "entries")
     slots = ", ".join("ijkl"[:arity])
     seen: set[tuple] = set()
+    scalars: dict[str, int | Fraction] = {}
     rows: dict[tuple, list] = {}
     for pos, entry in enumerate(entries):
-        field = f"{key}[{pos}]"
-        if not isinstance(entry, list) or len(entry) != arity + 1:
+        if type(entry) is not list or len(entry) != arity + 1:
+            field = f"{key}[{pos}]"
             raise DocumentError(f"{field}: expected [{slots}, coeff]", field)
-        idx = tuple(_check_index(x, dim, field) for x in entry[:arity])
+        *idx, c = entry
+        idx = tuple(idx)
+        for x in idx:
+            if type(x) is not int or not 0 <= x < dim:
+                _check_index(x, dim, f"{key}[{pos}]")
         if idx[0] >= idx[1]:
+            field = f"{key}[{pos}]"
             raise DocumentError(f"{field}: requires i < j (antisymmetric completion is implied)", field)
         if idx in seen:
+            field = f"{key}[{pos}]"
             raise DocumentError(f"{field}: duplicate entry for ({','.join(map(str, idx))})", field)
         seen.add(idx)
-        (i, j, *rest, k), c = idx, _parse_scalar(entry[arity], field)
+        if type(c) is not int:  # a repeated scalar string is read once per section
+            text = c
+            c = scalars.get(text) if type(text) is str else None
+            if c is None:
+                c = _parse_scalar(text, f"{key}[{pos}]")
+                if type(text) is str:
+                    scalars[text] = c
+        (i, j, *rest, k) = idx
         rows.setdefault((i, j, *rest), []).append((k, c))
         rows.setdefault((j, i, *rest), []).append((k, -c))
     return rows

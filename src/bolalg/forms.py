@@ -19,13 +19,31 @@ claimed equality that does not hold in general.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from bolalg.core import BolAlgebra, center, prod_span, tri_span
 from bolalg.envelope import envelope
 from bolalg.errors import DimensionMismatch
 from bolalg.lie import LieAlgebra, killing_gram
-from bolalg.linalg import Mat, Record, Subspace, ZERO, failures, full_space, identity, integral, kernel, mat_vec, rank, transpose
+from bolalg.linalg import (
+    Mat,
+    Record,
+    Subspace,
+    ZERO,
+    digits,
+    failures,
+    full_space,
+    identity,
+    integral,
+    kernel,
+    nonzero_row,
+    packed,
+    rank,
+    row_bounds,
+    slot_width,
+    transpose,
+)
 
 
 class BilinearForm(Record):
@@ -53,6 +71,12 @@ class BilinearForm(Record):
                 if yj != 0 and row[j] != 0:
                     acc += xi * row[j] * yj
         return acc
+
+    @cached_property
+    def integer_gram(self) -> tuple[int, tuple[list[int], ...]]:
+        """(e, rows): e the lcm of the gram's denominators and rows the gram times e, as int lists."""
+        w, e = integral([c for row in self.gram for c in row])
+        return e, tuple(w[i * self.n : (i + 1) * self.n] for i in range(self.n))
 
     @staticmethod
     def identity_gram(n: int) -> BilinearForm:
@@ -85,33 +109,45 @@ def invariance_check(B: BolAlgebra, b: BilinearForm, variant: str = "skew") -> I
         raise DimensionMismatch("vector length does not match the form")
     r = range(B.n)
     sign = 1 if variant == "paper" else -1
-    # b(v, e_l) for every l, and b(e_k, v) for every k, once per structure
-    # row v; the form need not be symmetric, so both tables are kept.  They
-    # are summed in ints: the Gram matrix scaled by the lcm of its
-    # denominators, T by d and R by d^2, so both sides of an identity
-    # carry the same weight and a defect is zero exactly when it is.
+    # Both identities are swept with the last index packed (`linalg.slot_width`):
+    # for each (i, j), b(e_i*e_j, e_k) - b(e_i, e_j*e_k) over every k is one
+    # integer, and a failure's k is the first nonzero digit.  They are summed
+    # in ints: the Gram matrix scaled by the lcm of its denominators, T by d
+    # and R by d^2, so both sides of an identity carry the same weight and a
+    # defect is zero exactly when it is.  The form need not be symmetric.
+    n = B.n
     _, T, R = B.integer_rows
-    w, _ = integral([c for row in b.gram for c in row])
-    gram = [w[k * B.n : (k + 1) * B.n] for k in r]
-    gram_t = list(zip(*gram))
+    _, gram = b.integer_gram
+    g = [nonzero_row(row) for row in gram]
+    W = slot_width((2, 2), *row_bounds((T, 2), (R, 3), (g, 1)))
+    right = packed(g, 1, W)  # b(e_p, e_l) over l
+    T_out = [[0] * n for _ in r]  # T_out[j][p]: e_j*e_k at e_p, over k
+    R_out = [[[0] * n for _ in r] for _ in r]  # R_out[i][j][p]: (e_i,e_j,e_l) at e_p, over l
+    for j, k in product(r, repeat=2):
+        for p, c in T[j][k]:
+            T_out[j][p] += c << W * k
+    for i, j, l in product(r, repeat=3):
+        for p, c in R[i][j][l]:
+            R_out[i][j][p] += c << W * l
 
-    def through(M, v):  # M v for a row v given by its nonzero entries
-        return [sum(c * row[k] for k, c in v) for row in M]
+    def binary_defect(i, j):  # b(e_i*e_j, e_k) - b(e_i, e_j*e_k), over k
+        return sum(c * right[p] for p, c in T[i][j]) - sum(c * T_out[j][p] for p, c in g[i])
 
-    T_left = [[through(gram_t, v) for v in plane] for plane in T]
-    T_right = [[through(gram, v) for v in plane] for plane in T]
-    R_left = [[[through(gram_t, v) for v in plane] for plane in cube] for cube in R]
-    R_right = [[[through(gram, v) for v in plane] for plane in cube] for cube in R]
+    def ternary_defect(i, j, k):  # b((e_i,e_j,e_k), e_l) - sign * b(e_k, (e_i,e_j,e_l)), over l
+        return sum(c * right[p] for p, c in R[i][j][k]) - sign * sum(c * R_out[i][j][p] for p, c in g[k])
 
-    def binary_defect(i, j, k):  # b(e_i*e_j, e_k) - b(e_i, e_j*e_k)
-        return (T_left[i][j][k] - T_right[j][k][i],)
-
-    def ternary_defect(i, j, k, l):  # b((e_i,e_j,e_k), e_l) - sign * b(e_k, (e_i,e_j,e_l))
-        return (R_left[i][j][k][l] - sign * R_right[i][j][l][k],)
-
-    b_wit = next((t for t, _ in failures(product(r, repeat=3), binary_defect)), None)
-    t_wit = next((t for t, _ in failures(product(r, repeat=4), ternary_defect)), None)
+    b_wit = _first_slot(product(r, repeat=2), binary_defect, W, n)
+    t_wit = _first_slot(product(r, repeat=3), ternary_defect, W, n)
     return InvarianceReport(b_wit is None, t_wit is None, b_wit, t_wit)
+
+
+def _first_slot(tuples, defect, W: int, n: int) -> tuple[int, ...] | None:
+    """The first tuple t whose packed defect has a nonzero digit, extended by the slot of its first one, or None."""
+    first = next(failures(tuples, defect), None)
+    if first is None:
+        return None
+    t, P = first
+    return (*t, next(q for q, x in enumerate(digits(P, W, n)) if x))
 
 
 def trace_form(B: BolAlgebra) -> BilinearForm:
@@ -150,15 +186,19 @@ def compare_trace_vs_envelope(B: BolAlgebra) -> FormComparison:
 
 
 def left_perp(b: BilinearForm, S: Subspace) -> Subspace:
-    """{x : b(x, s) = 0 for all s in S}."""
+    """{x : b(x, s) = 0 for all s in S}: the kernel of the int rows g s, for s in S's integer basis."""
     if b.n != S.ambient:
         raise DimensionMismatch("form and subspace ambient dimensions disagree")
-    return kernel([mat_vec(b.gram, s) for s in S.basis], b.n)
+    _, gram = b.integer_gram
+    return kernel([[sum(row[q] * c for q, c in s) for row in gram] for s in S.integer_basis[1]], b.n)
 
 
 def right_perp(b: BilinearForm, S: Subspace) -> Subspace:
-    """{x : b(s, x) = 0 for all s in S}: the left orthogonal under the transposed form."""
-    return left_perp(BilinearForm(transpose(b.gram)), S)
+    """{x : b(s, x) = 0 for all s in S}: the kernel of the int rows s^T g."""
+    if b.n != S.ambient:
+        raise DimensionMismatch("form and subspace ambient dimensions disagree")
+    _, gram = b.integer_gram
+    return kernel([[sum(c * gram[p][q] for p, c in s) for q in range(b.n)] for s in S.integer_basis[1]], b.n)
 
 
 def is_nondegenerate(b: BilinearForm) -> bool:

@@ -18,17 +18,24 @@ from bolalg.linalg import (
     Subspace,
     Vec,
     basis_vec,
+    combine,
+    dense_row,
     dense_rows,
     dense_tensor,
     derived_chain,
+    digits,
     failures,
     full_space,
     integer_tensors,
+    integral,
     kernel,
-    mat_vec,
     multilinear,
+    nonzero_row,
+    packed,
     rank,
+    row_bounds,
     sized,
+    slot_width,
     span,
     unscaled,
 )
@@ -66,6 +73,12 @@ class LieAlgebra(Record):
     def basis(self) -> tuple[Vec, ...]:
         return tuple(basis_vec(i, self.m) for i in range(self.m))
 
+    @cached_property
+    def derived(self) -> Subspace:
+        """[L, L], the span of the rows [f_i, f_j] (i < j), formed once per algebra."""
+        _, C = self.integer_rows
+        return span([dense_row(C[i][j], self.m) for i in range(self.m) for j in range(i + 1, self.m)], self.m)
+
 
 class JacobiReport(Record):
     ok: bool
@@ -78,24 +91,27 @@ def jacobi_check(L: LieAlgebra) -> JacobiReport:
     """Verify antisymmetry and the Jacobi identity on all basis triples.
 
     The Jacobi defect sum_p C_ij^p C_pk + cyclic is summed in ints from
-    the integer rows, at weight d^2, and a reported defect is divided back.
+    the integer rows, at weight d^2, by the packed zero test
+    (`linalg.slot_width`), and a reported defect is read back from its
+    digits and divided by the weight.
     """
     d, C = L.integer_rows
     r = range(L.m)
     antisym = all(C[i][j] == tuple((k, -c) for k, c in C[j][i]) for i in r for j in range(i, L.m))
+    W = slot_width((2, 2, 2), *row_bounds((C, 2)))
+    PC = packed(C, 2, W)
 
     def defect(i, j, k):
-        out = [0] * L.m
+        s = 0
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):  # [[e_a, e_b], e_c]
             for p, v in C[a][b]:
-                for q, w in C[p][c]:
-                    out[q] += v * w
-        return out
+                s += v * PC[p][c]
+        return s
 
     triples = ((i, j, k) for i in r for j in range(i + 1, L.m) for k in range(j + 1, L.m))
     first = next(failures(triples, defect), None)
     if first is not None:
-        return JacobiReport(False, antisym, first[0], unscaled(first[1], d * d))
+        return JacobiReport(False, antisym, first[0], unscaled(digits(first[1], W, L.m), d * d))
     return JacobiReport(antisym, antisym, None, None)
 
 
@@ -104,17 +120,19 @@ def killing_gram(L: LieAlgebra) -> Mat:
     """tr(ad e_i ad e_j) from the integer rows: ad e_i has entry C_ib^a at (a, b), summed at weight d^2."""
     d, C = L.integer_rows
     r = range(L.m)
-    ads = [{(a, b): v for b in r for a, v in C[i][b]} for i in r]
+    dense = [[dense_row(row, L.m) for row in plane] for plane in C]  # dense[j][a][b] = C_ja^b, the entry (b, a) of ad e_j
     g = [[None] * L.m for _ in r]
     for i in r:
         for j in range(i, L.m):
-            s = sum(v * ads[j].get((b, a), 0) for (a, b), v in ads[i].items())
+            ad = dense[j]
+            s = sum(v * ad[a][b] for b in r for a, v in C[i][b])
             g[i][j] = g[j][i] = Fraction(s, d * d)
     return tuple(tuple(row) for row in g)
 
 
 def derived_subspace(L: LieAlgebra, S: Subspace) -> Subspace:
-    return bracket_span(L, S, S)
+    """[S, S]; for S = L it is `LieAlgebra.derived`, read from the rows."""
+    return L.derived if S.is_full() else bracket_span(L, S, S)
 
 
 def bracket_span(L: LieAlgebra, U: Subspace, V: Subspace) -> Subspace:
@@ -143,9 +161,9 @@ def lie_radical(L: LieAlgebra) -> Subspace:
     Classical criterion, valid in characteristic zero.  Certification
     failure indicates an inconsistency and raises.
     """
-    g = killing_gram(L)
-    derived = derived_subspace(L, full_space(L.m))
-    rad = kernel([mat_vec(g, d) for d in derived.basis], L.m)
+    g, _ = integral([c for row in killing_gram(L) for c in row])
+    g = [nonzero_row(g[i * L.m : (i + 1) * L.m]) for i in range(L.m)]
+    rad = kernel([combine([c for _, c in u], [g[p] for p, _ in u], L.m) for u in L.derived.integer_basis[1]], L.m)
     if not lie_is_ideal(L, rad):
         raise FatalInconsistency("radical candidate is not an ideal")
     if not derived_chain(rad, lambda s: derived_subspace(L, s)).solvable:  # lie_derived_series, past its ideal test

@@ -42,27 +42,38 @@ def sized(items, n: int, name: str) -> tuple:
 
 
 def integer_tensors(n: int, *tensors) -> tuple:
-    """(d, t_1, t_2, ...): each (rows, order) as canonical integer rows, the one stored form of a structure tensor.
+    """(d, t_1, t_2, ...): each (rows, order) or (rows, order, s) as canonical integer rows, the one stored form of a structure tensor.
 
     t has `order` indices over range(n), the last over coordinates.
     `rows` maps a tuple of the other indices to its row: (k, c) pairs
-    with c any scalar `frac` accepts, in any order, each k at most once;
-    zeros are allowed and a missing tuple is a zero row.  Each row is
-    stored as its nonzero (k, int) entries in index order, d is the lcm
-    of every denominator and t_k is scaled by d^k.
+    with c an int or any scalar `frac` accepts, standing for c/s (s = 1
+    when it is left out), in any order, each k at most once; zeros are
+    allowed and a missing tuple is a zero row.  Each row is stored as its
+    nonzero (k, int) entries in index order, d is the lcm of the
+    denominators of every c/s and t_k is scaled by d^k.  An int c/s is
+    read in ints: rows of ints build no Fraction.
     """
-    cuts = []
-    for rows, order in tensors:
-        cut = {idx: sorted((k, c) for k, c in ((k, frac(c)) for k, c in row) if c) for idx, row in rows.items()}
-        cuts.append((cut, order))
-    d = lcm(*{c.denominator for cut, _ in cuts for row in cut.values() for _, c in row})
+    cuts, dens = [], set()
+    for rows, order, *s in tensors:
+        s = s[0] if s else 1
+        cut = {idx: sorted((k, c) for k, c in ((k, c if type(c) is int else frac(c)) for k, c in row) if c) for idx, row in rows.items()}
+        entries = [c for row in cut.values() for _, c in row]
+        ints = all(type(c) is int for c in entries)
+        cuts.append((cut, order, s, ints))
+        if ints:  # the lcm of the s / gcd(c, s) is s / gcd(s, every c)
+            dens.add(s // gcd(s, *entries))
+        else:  # c/s = p/(q*s) has denominator q*s / gcd(p, q*s)
+            dens.update(c.denominator * s // gcd(c.numerator, c.denominator * s) for c in entries)
+    d = lcm(*dens)
 
-    def nest(cut: dict, idx: tuple, depth: int, s: int) -> tuple:
+    def nest(cut: dict, idx: tuple, depth: int, w: int, s: int, same: bool) -> tuple:
         if depth:
-            return tuple(nest(cut, (*idx, i), depth - 1, s) for i in range(n))
-        return tuple((k, c.numerator * (s // c.denominator)) for k, c in cut.get(idx, ()))
+            return tuple(nest(cut, (*idx, i), depth - 1, w, s, same) for i in range(n))
+        if same:  # ints at the stored scale
+            return tuple(cut.get(idx, ()))
+        return tuple((k, c.numerator * w // (c.denominator * s)) for k, c in cut.get(idx, ()))
 
-    return (d, *(nest(cut, (), order - 1, d**k) for k, (cut, order) in enumerate(cuts, start=1)))
+    return (d, *(nest(cut, (), order - 1, d**k, s, ints and d**k == s) for k, (cut, order, s, ints) in enumerate(cuts, start=1)))
 
 
 def dense_rows(t, order: int, n: int, name: str) -> dict:
@@ -92,6 +103,14 @@ def nonzero_row(v) -> Row:
     return tuple((k, c) for k, c in enumerate(v) if c)
 
 
+def dense_row(row, n: int) -> list[int]:
+    """The row given by its nonzero (index, value) entries, as a list of length n."""
+    out = [0] * n
+    for k, c in row:
+        out[k] = c
+    return out
+
+
 def unscaled(v, s: int) -> Vec:
     """The integer vector v divided by s, as Fractions."""
     return tuple(Fraction(c, s) for c in v)
@@ -99,10 +118,11 @@ def unscaled(v, s: int) -> Vec:
 
 def integral(v) -> tuple[list[int], int]:
     """(w, e): e the lcm of the denominators of v and w = e*v, as ints; a vector of ints is copied with e = 1."""
-    if all(type(c) is int for c in v):
-        return list(v), 1
-    e = lcm(*(c.denominator for c in v))
-    return [c.numerator * (e // c.denominator) for c in v], e
+    for c in v:
+        if type(c) is not int:
+            e = lcm(*(c.denominator for c in v))
+            return [c.numerator * (e // c.denominator) for c in v], e
+    return list(v), 1
 
 
 def combine(x, rows, n: int) -> list:
@@ -161,6 +181,62 @@ def products(table, spaces, n: int):
     return walk(table, 0)
 
 
+def slot_width(terms, entry: int, length: int) -> int:
+    """The slot width W of the packed zero test for an identity, from the shape of its defect.
+
+    A vector x of ints is packed into the one integer P = sum_q x_q 2^(Wq)
+    (Kronecker substitution, `packed`).  Packing is linear, so an
+    identity's defect at a tuple is packed by summing small multiples of
+    packed rows, one big-int multiply-add in place of a loop over q;
+    partial sums may carry between slots, only the final P matters.
+
+    Bound: `terms` gives, for each term of a defect entry, its number f of
+    factors.  Such a term is a sum over f - 1 indices, each running over
+    the nonzero entries of one row (at most `length` of them), of a
+    product of f integer entries of absolute value at most `entry`.  So
+    every defect entry satisfies |x_q| <= b = sum_f length^(f-1) entry^f,
+    and W = b.bit_length() + 1 gives |x_q| < 2^(W-1).
+
+    Claim: if -2^(W-1) <= x_q < 2^(W-1) for every q, then x is the balanced
+    base-2^W digit vector of P (`digits`); in particular P = 0 exactly
+    when x = 0.  Proof: P = x_0 (mod 2^W), and x_0 is the one residue of P
+    mod 2^W in [-2^(W-1), 2^(W-1)); (P - x_0) / 2^W = sum_q x_(q+1) 2^(Wq)
+    is the packed rest of x, so induction on its length fixes every
+    digit, and the digits of 0 are all 0.  One bit less is not enough:
+    an entry 2^(W-2) <= x_q <= b is then read as x_q - 2^(W-1), and the
+    carry it leaves cancels a digit -1 in the slot above.
+    """
+    return sum(length ** (f - 1) * entry**f for f in terms).bit_length() + 1
+
+
+def packed(t, depth: int, W: int):
+    """Stored rows t, `depth` indices above the rows, with each row of (q, c) packed into sum c 2^(Wq)."""
+    if depth:
+        return [packed(x, depth - 1, W) for x in t]
+    return sum(c << W * q for q, c in t)
+
+
+def digits(P: int, W: int, n: int) -> list[int]:
+    """The n balanced base-2^W digits of P, lowest slot first: the inverse of `packed` (see `slot_width`)."""
+    half, mask, out = 1 << (W - 1), (1 << W) - 1, []
+    for _ in range(n):
+        x = ((P + half) & mask) - half
+        out.append(x)
+        P = (P - x) >> W
+    return out
+
+
+def row_bounds(*tables) -> tuple[int, int]:
+    """(entry, length) for `slot_width`: the largest absolute entry and row length of the stored rows (t, depth) given."""
+    entry = length = 0
+    for rows, depth in tables:
+        for _ in range(depth - 1):
+            rows = [row for node in rows for row in node]
+        length = max([length, *map(len, rows)])
+        entry = max([entry, *(abs(c) for row in rows for _, c in row)])
+    return entry, length
+
+
 def vec(coords) -> Vec:
     return tuple(frac(c) for c in coords)
 
@@ -214,13 +290,28 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
 def rref(m: Mat) -> Mat:
     """Reduced row-echelon form, with as many rows as m (zero rows last); preserves the row space.
 
-    Fraction-free: the rows are reduced to an echelon form in ints
-    (`_echelon`), cleared above their pivots by cross-multiplication,
-    sorted by pivot, and each is divided once by its pivot.  A ragged
-    matrix raises DimensionMismatch.
+    Fraction-free up to the end: `_reduced` gives the reduced rows in
+    ints, and each is divided once by its pivot.  A ragged matrix raises
+    DimensionMismatch.
     """
     ncols = len(m[0]) if m else 0
+    reduced = _reduced(m, ncols)
+    if len(reduced) == ncols:  # full rank: the identity, which needs no new Fraction
+        return identity(ncols) + zero_mat(len(m) - ncols, ncols)
+    reduced = tuple(tuple(Fraction(x, row[p]) for x in row) for p, row in reduced)
+    return reduced + zero_mat(len(m) - len(reduced), ncols)
+
+
+def _reduced(m, ncols: int) -> list[tuple[int, list[int]]]:
+    """(pivot, row) for each row of the reduced echelon form of m's row space, in pivot order, as primitive int rows.
+
+    The rows are reduced to an echelon form in ints (`_echelon`), then
+    cleared above their pivots by cross-multiplication; a row divided by
+    its pivot entry is the row of the RREF.
+    """
     rows, pivots, _ = _echelon(m, ncols)
+    if len(rows) == ncols:  # full rank: the unit rows
+        return [(p, [int(j == p) for j in range(ncols)]) for p in range(ncols)]
     for k in range(len(rows) - 1, 0, -1):  # row k is 0 at every other pivot once the rows after it are done
         p, row = pivots[k], rows[k]
         a = row[p]
@@ -228,12 +319,12 @@ def rref(m: Mat) -> Mat:
             c = rows[i][p]
             if c:
                 rows[i] = _primitive([a * x - c * y for x, y in zip(rows[i], row)])
-    reduced = tuple(tuple(Fraction(x, row[p]) for x in row) for p, row in sorted(zip(pivots, rows)))
-    return reduced + zero_mat(len(m) - len(rows), ncols)
+    return sorted(zip(pivots, rows))
 
 
-def rank(m: Mat) -> int:
-    return span(m, len(m[0]) if m else 0).dim
+def rank(m) -> int:
+    """The rank of a matrix of Fractions or ints, from its echelon form in ints."""
+    return len(_echelon(m, len(m[0]) if m else 0)[0])
 
 
 class Record:
@@ -335,8 +426,10 @@ class Subspace(Record):
         L = lcm(*(c.denominator for row in self.basis for c in row))
         return L, tuple(tuple((k, c.numerator * (L // c.denominator)) for k, c in nonzero_row(row)) for row in self.basis)
 
-    def contains(self, v: Vec) -> bool:
-        return self.coords(v) is not None
+    def contains(self, v) -> bool:
+        """Whether v, a vector of Fractions or of ints at any scale, lies in the subspace; tested in ints."""
+        self._check(v)
+        return self.pivot_coords(integral(v)[0]) is not None
 
     def reduce(self, v: Vec) -> Vec:
         """Residue of v after elimination against the canonical basis."""
@@ -344,18 +437,23 @@ class Subspace(Record):
         return vec_sub(v, self.element([v[p] for p in self.pivots]))
 
     def coords(self, v: Vec) -> Vec | None:
-        """Coordinates of v in the canonical basis, or None if v is outside.
-
-        They are the entries of v at the pivots; v is then checked to be
-        their combination, in ints: L*e*v == sum_k (e*v)[p_k] * L*row_k.
-        """
+        """Coordinates of v in the canonical basis, or None if v is outside (see `pivot_coords`)."""
         self._check(v)
         w, e = integral(v)
+        c = self.pivot_coords(w)
+        return None if c is None else unscaled(c, e)
+
+    def pivot_coords(self, w: list[int]) -> list[int] | None:
+        """The coordinates of an int vector w in the canonical basis, as ints at w's scale, or None if w is outside.
+
+        They are the entries of w at the pivots; w is then checked to be
+        their combination, in ints: L*w == sum_k w[p_k] * L*row_k.
+        """
         L, rows = self.integer_basis
         c = [w[p] for p in self.pivots]
         if any(L * x != y for x, y in zip(w, combine(c, rows, self.ambient))):
             return None
-        return unscaled(c, e)
+        return c
 
     def element(self, coords) -> Vec:
         """The vector with the given coordinates in the canonical basis; inverse of `coords`."""
@@ -410,7 +508,8 @@ def _echelon(vectors, ambient: int) -> tuple[list[list[int]], list[int], list[in
 
     Each vector is scaled to ints and reduced against the rows so far by
     cross-multiplication; what is left, if nonzero, is kept as a primitive
-    row, which is 0 at the pivots of the rows before it.  `kept` holds the
+    row, which is 0 at the pivots of the rows before it; a vector equal to
+    one read before, or to its negative, is skipped.  `kept` holds the
     positions of the vectors that gave the rows.  Every length is checked
     in a list or tuple; any other iterable is not read past a full basis.
     """
@@ -418,12 +517,18 @@ def _echelon(vectors, ambient: int) -> tuple[list[list[int]], list[int], list[in
     rows: list[list[int]] = []
     pivots: list[int] = []
     kept: list[int] = []
+    seen = set()  # the scaled vectors read so far and their negatives: a product table antisymmetric in two slots repeats each one
     for pos, v in enumerate(vectors):
         if len(v) != ambient:
             raise DimensionMismatch(f"vector of length {len(v)} in ambient {ambient}")
         if len(rows) == ambient:
             continue
         w, _ = integral(v)
+        key = tuple(w)
+        if key in seen:
+            continue
+        seen.add(key)
+        seen.add(tuple([-x for x in w]))
         for p, row in zip(pivots, rows):
             c = w[p]
             if c:
@@ -456,36 +561,46 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise DimensionMismatch("ambient dimensions disagree")
     if a.is_zero() or b.is_zero():
         return zero_space(a.ambient)
-    # Solve sum_i x_i a_i - sum_j y_j b_j = 0; columns are the basis vectors.
-    sols = kernel(transpose(a.basis + tuple(vec_scale(-ONE, row) for row in b.basis)), a.dim + b.dim)
-    return span([a.element(s[: a.dim]) for s in sols.basis], a.ambient)
+    # Solve sum_i x_i a_i - sum_j y_j b_j = 0 in ints; columns are the integer basis vectors.
+    n = a.ambient
+    (_, ra), (_, rb) = a.integer_basis, b.integer_basis
+    cols = [dense_row(row, n) for row in ra] + [dense_row(((k, -c) for k, c in row), n) for row in rb]
+    sols = kernel([list(r) for r in zip(*cols)], a.dim + b.dim)
+    xs = [[(k, c) for k, c in s if k < a.dim] for s in sols.integer_basis[1]]  # the a-parts of the solutions
+    return span([combine([c for _, c in x], [ra[k] for k, _ in x], n) for x in xs], n)
 
 
-def kernel(m: Mat, ncols: int) -> Subspace:
-    """Canonical basis of the right null space {v : m v = 0} of a matrix with ncols columns.
+def kernel(m, ncols: int) -> Subspace:
+    """Canonical basis of the right null space {v : m v = 0} of a matrix of Fractions or ints with ncols columns.
 
-    A matrix with no rows, or with only zero rows, has the full space as
-    its kernel; a row of another length raises DimensionMismatch.
+    From the reduced rows of m in ints (`_reduced`): each free column j
+    gives the kernel vector A e_j - sum_k (A / a_k) row_k[j] e_(p_k), with
+    a_k the pivot entry of row k and A the lcm of the a_k.  A matrix
+    with no rows, or with only zero rows, has the full space as its
+    kernel; a row of another length raises DimensionMismatch.
     """
-    r = span(m, ncols)
+    reduced = _reduced(m, ncols)
+    pivots = {p for p, _ in reduced}
+    A = lcm(*(row[p] for p, row in reduced))
     vectors = []
-    free = [j for j in range(ncols) if j not in r.pivots]
-    for j in free:
-        v = [ZERO] * ncols
-        v[j] = ONE
-        for row, p in zip(r.basis, r.pivots):
-            v[p] = -row[j]
-        vectors.append(tuple(v))
+    for j in range(ncols):
+        if j not in pivots:
+            v = [0] * ncols
+            v[j] = A
+            for p, row in reduced:
+                v[p] = -row[j] * (A // row[p])
+            vectors.append(v)
     return span(vectors, ncols)
 
 
-def complement_constants(I: Subspace, t, order: int, s: int) -> tuple[list[int], dict]:
-    """(comp, rows): the standard basis vectors at I's non-pivot columns, and the rows of the quotient by I on them.
+def complement_constants(I: Subspace, t, order: int, s: int) -> tuple[list[int], dict, int]:
+    """(comp, rows, scale): the standard basis vectors at I's non-pivot columns, and the rows of the quotient by I on them.
 
     t holds stored rows at scale s with `order` indices, the last one
     over coordinates (a part of `integer_tensors`); `rows`, keyed by
     positions in comp for `integer_tensors`, keeps the complement indices
-    and reduces each row by I.
+    and reduces each row by I, in ints at `scale` = L*s, L from
+    `I.integer_basis`: `(rows, order, scale)` is a tensor for `integer_tensors`.
     """
     comp = [j for j in range(I.ambient) if j not in I.pivots]
     L, basis = I.integer_basis
@@ -497,8 +612,8 @@ def complement_constants(I: Subspace, t, order: int, s: int) -> tuple[list[int],
         if v:  # L*s times the residue of v is L*v - sum_k v[p_k] L*row_k, as row_k is 1 at p_k
             v = dict(v)
             drop = combine([v.get(p, 0) for p in I.pivots], basis, I.ambient)
-            rows[idx] = [(a, Fraction(L * v.get(j, 0) - drop[j], L * s)) for a, j in enumerate(comp)]
-    return comp, rows
+            rows[idx] = [(a, L * v.get(j, 0) - drop[j]) for a, j in enumerate(comp)]
+    return comp, rows, L * s
 
 
 def block_sum(a, b, n1: int, order: int) -> dict:
@@ -564,12 +679,12 @@ def derived_chain(start: Subspace, step) -> SeriesResult:
 def failures(tuples, defect):
     """Yield (t, defect(*t)) for each tuple t whose defect is nonzero, in sweep order.
 
-    A defect is a vector; the sweep is lazy, so `next(failures(...), None)`
-    stops at the first witness.
+    A defect is a vector or a packed int (`packed`); the sweep is lazy, so
+    `next(failures(...), None)` stops at the first witness.
     """
     for t in tuples:
         d = defect(*t)
-        if not is_zero_vec(d):
+        if d if type(d) is int else any(d):
             yield t, d
 
 

@@ -22,6 +22,7 @@ then find a proper ideal.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from bolalg.core import BolAlgebra, derived_space, ideal_closure, ideal_quotient, is_ideal, require_verified
@@ -35,14 +36,14 @@ from bolalg.linalg import (
     basis_vec,
     charpoly,
     closure,
+    combine,
     derived_chain,
     full_space,
     intersect,
     kernel,
-    mat_vec,
+    nonzero_row,
     rational_roots,
     span,
-    transpose,
 )
 
 
@@ -189,25 +190,40 @@ def _is_simple(B: BolAlgebra) -> SimplicityResult:
         witness = ideal_closure(B, span([basis_vec(0, n)], n)) if n >= 2 else None
         return SimplicityResult("no", witness, "abelian")
 
-    ops = B.ideal_operators
     for i in range(n):
-        cl = ideal_closure(B, span([basis_vec(i, n)], n))
+        cl = B.basis_closure(i)
         if 0 < cl.dim < n:
             return SimplicityResult("no", cl, f"closure of basis vector {i}")
 
-    ops_t = [transpose(op) for op in ops]
-    for m in ops:
-        for lam in rational_roots(charpoly(m)):
-            shifted = tuple(tuple(x - lam if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m))
+    # The matrices of `BolAlgebra.ideal_operators`, in ints at scale s: a
+    # charpoly of an int matrix is monic and integral, so its rational
+    # roots are ints, and each eigenvalue is a root divided by s.
+    d, T, R = B.integer_rows
+    r = range(n)
+    ops = []
+    for images, s in [([T[k][i] for k in r], d) for i in r] + [([R[k][i][j] for k in r], d * d) for i in r for j in r]:
+        if any(images):
+            m = [[0] * n for _ in r]
+            for k, image in enumerate(images):
+                for q, c in image:
+                    m[q][k] = c
+            ops.append((m, s))
+    ops_t = [[nonzero_row(row) for row in m] for m, _ in ops]  # row q of m is column q of its transpose
+    for m, s in ops:
+        for root in rational_roots(charpoly(m)):
+            shifted = [[x - root.numerator if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
             ker = kernel(shifted, n)
             for v in ker.basis:
                 cl = ideal_closure(B, span([v], n))
                 if 0 < cl.dim < n:
-                    return SimplicityResult("no", cl, f"eigenvector closure at eigenvalue {lam}")
+                    return SimplicityResult("no", cl, f"eigenvector closure at eigenvalue {Fraction(root.numerator, s)}")
             if ker.dim == 1:
                 # the transposed kernel has the same dimension: one vector w
-                (w,) = kernel(transpose(shifted), n).basis
-                dual = closure(span([w], n), lambda s: (mat_vec(op, v) for v in s.basis for op in ops_t))
+                (w,) = kernel([list(col) for col in zip(*shifted)], n).basis
+                dual = closure(
+                    span([w], n),
+                    lambda sp: (combine([c for _, c in v], [op[q] for q, _ in v], n) for v in sp.integer_basis[1] for op in ops_t),
+                )
                 if dual.is_full():
                     return SimplicityResult("yes", None, "dual-kernel criterion")
                 # annihilator of a proper dual-invariant subspace is a proper ideal

@@ -52,8 +52,8 @@ def lie_quotient(L: LieAlgebra, I: Subspace) -> LieAlgebra:
     if not lie_is_ideal(L, I):
         raise NotAnIdeal("quotient requires a Lie ideal")
     d, C = L.integer_rows
-    comp, C = complement_constants(I, C, 3, d)
-    return LieAlgebra(len(comp), tuple(L.labels[j] for j in comp), integer_tensors(len(comp), (C, 3)))
+    comp, C, s = complement_constants(I, C, 3, d)
+    return LieAlgebra(len(comp), tuple(L.labels[j] for j in comp), integer_tensors(len(comp), (C, 3, s)))
 
 
 def lie_direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:

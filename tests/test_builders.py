@@ -172,9 +172,9 @@ def test_complement_constants_match_the_dense_reference_on_random_constants(seed
     gens = [[F(rng.randint(-2, 2), rng.choice([1, 2, 3])) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
     I = span(gens, n)
     d, T, R = B.integer_rows
-    comp, Tq = complement_constants(I, T, 3, d)
-    _, Rq = complement_constants(I, R, 4, d * d)
-    got = BolAlgebra(len(comp), tuple(B.labels[j] for j in comp), integer_tensors(len(comp), (Tq, 3), (Rq, 4)))
+    comp, Tq, s = complement_constants(I, T, 3, d)
+    _, Rq, s2 = complement_constants(I, R, 4, d * d)
+    got = BolAlgebra(len(comp), tuple(B.labels[j] for j in comp), integer_tensors(len(comp), (Tq, 3, s), (Rq, 4, s2)))
     assert_same(got, reference_quotient(B, I))
 
 

@@ -4,16 +4,17 @@ from functools import reduce
 from itertools import combinations_with_replacement
 
 import pytest
-from support import record_fields, replaced, spy_on_cache, transport, unimodular_basis
+from support import rational_basis, record_fields, replaced, spy_on_cache, transport, unimodular_basis
 
 from bolalg.catalog import catalog, catalog_names
-from bolalg.core import BolAlgebra, direct_sum, prod_span, tri_span
+from bolalg.core import BolAlgebra, center, check_axioms, direct_sum, prod_span, tri_span
 from bolalg.decompose import Decomposition, decompose_semisimple, find_proper_ideal, structure_report, verify_reassembly
 from bolalg.envelope import envelope
 from bolalg.errors import PreconditionViolation
 from bolalg.forms import BilinearForm, envelope_form
 from bolalg.linalg import basis_vec, full_space, intersect, span, zero_vec
 from bolalg.radical import is_simple, radical
+from bolalg.series import bol_derived_series, lts_derived_series
 
 RADICAL = importlib.import_module("bolalg.radical")
 DECOMPOSE = importlib.import_module("bolalg.decompose")
@@ -364,3 +365,40 @@ def test_verify_reassembly_rejects_dimensions_that_do_not_sum_to_n():
 def test_verify_reassembly_rejects_a_component_of_the_wrong_dimension():
     B, dec = _sl2_so3_decomposition()
     assert not verify_reassembly(B, replaced(dec, components=(dec.components[0], catalog("solv2"))))
+
+
+# A change of basis moves every answer of a session to an isomorphic one,
+# so the basis-free parts must equal the natural basis's (ROADMAP item 5).
+
+
+def _session_answers(B: BolAlgebra) -> dict:
+    full = full_space(B.n)
+    cert = radical(B)
+    try:
+        components = sorted(c.n for c in decompose_semisimple(B).components)
+    except PreconditionViolation:
+        components = None
+    report = record_fields(structure_report(B))
+    return {
+        "pass": check_axioms(B).ok,
+        "center": center(B).dim,
+        "bol_series": [s.dim for s in bol_derived_series(B, full).chain],
+        "lts_series": [s.dim for s in lts_derived_series(B, full).chain],
+        "envelope": envelope(B).total_dim,
+        "radical": (cert.radical.dim if cert.radical is not None else None, cert.decided),
+        "simple": is_simple(B).status,
+        "components": components,
+        "report": dict(report, component_dims=sorted(report["component_dims"])),
+    }
+
+
+ENTRIES_AND_SUMS = [(name,) for name in catalog_names()] + list(combinations_with_replacement(catalog_names(), 2))
+
+
+@pytest.mark.parametrize("names", ENTRIES_AND_SUMS, ids="+".join)
+@pytest.mark.parametrize("basis", ["unimodular", "rational"])
+def test_a_session_answers_the_same_in_any_basis(names, basis):
+    B = reduce(direct_sum, (catalog(name) for name in names))
+    rng = random.Random(f"{'+'.join(names)}-{basis}-session")
+    moved = transport(B, (unimodular_basis if basis == "unimodular" else rational_basis)(rng, B.n))
+    assert _session_answers(moved) == _session_answers(B)

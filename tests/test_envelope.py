@@ -372,6 +372,31 @@ def test_envelope_rejects_a_bracket_outside_h(monkeypatch):
         envelope.__wrapped__(B)
 
 
+@pytest.mark.parametrize("name", ["sl2bol", "lts_sl2", "mixed"])
+def test_envelope_rejects_its_rows_with_any_one_coefficient_changed(name, monkeypatch):
+    # G's rows are formed in ints and handed to integer_tensors at one scale;
+    # raising any one bracket coefficient [f_i, f_j] at f_k by 1 (and
+    # lowering [f_j, f_i] with it) must fail Jacobi, projection or recovery
+    B = catalog(name)
+    m = envelope(B).lie.m
+    build = ENVELOPE.integer_tensors
+    for i, j, k in product(range(m), repeat=3):
+        if i >= j:
+            continue
+
+        def bumped(n, tensor, i=i, j=j, k=k):
+            rows, order, s = tensor
+            rows = {key: dict(row) for key, row in rows.items()}
+            for key, sign in (((i, j), 1), ((j, i), -1)):
+                row = rows.setdefault(key, {})
+                row[k] = row.get(k, 0) + sign * s
+            return build(n, ({key: row.items() for key, row in rows.items()}, order, s))
+
+        monkeypatch.setattr(ENVELOPE, "integer_tensors", bumped)
+        with pytest.raises(FatalInconsistency, match="fails Jacobi|identity fails"):
+            envelope.__wrapped__(B)
+
+
 def test_envelope_rejects_an_inner_pair_outside_h(monkeypatch):
     B = catalog("sl2bol")
     monkeypatch.setattr(ENVELOPE, "h_closure", lambda B: h_closure(B)[1:])

@@ -7,6 +7,7 @@ Here both are compared with the same identities written with
 and failure count must be equal.
 """
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from support import (
     random_algebra,
     rational_basis,
     reference_axioms,
+    reference_jacobi_check,
     transport,
     unimodular_basis,
 )
@@ -25,7 +27,10 @@ from bolalg import core
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra, check_axioms, direct_sum
 from bolalg.envelope import PairEndo, PseudoDerivationReport, inner_pair, is_pseudo_derivation
+from bolalg.lie import LieAlgebra, jacobi_check
 from bolalg.linalg import failures, mat_vec, vec_sub
+
+LIE = importlib.import_module("bolalg.lie")
 
 F = Fraction
 SMALL = [name for name in catalog_names() if catalog(name).n <= 4]
@@ -259,9 +264,9 @@ def test_each_identity_falls_back_on_its_own():
 
 def test_a_passing_dense_algebra_is_decided_on_the_pair_basis(monkeypatch):
     # sl2bol + so3bol: the pairs (ad c, c) for c in [B, B] = B span a space
-    # of rank 6, and A1, A2 hold, so A4 takes 6 * 15 rule evaluations (one
-    # per (k, l) with k < l) and A5 6 * 15 * 6, where the full sweeps take
-    # 6^4 and 30 * 6^3
+    # of rank 6, and A1, A2 hold, so A4 takes 6 * 15 packed rule evaluations
+    # (one per (k, l) with k < l) and A5 6 * 15 * 6, where the full sweeps
+    # take 6^4 and 30 * 6^3; each evaluation is one packed zero test
     B = direct_sum(catalog("sl2bol"), catalog("so3bol"))
     B = transport(B, unimodular_basis(random.Random("sl2bol+so3bol-pairs"), B.n))
     calls = {"binary_rule_defect": 0, "ternary_rule_defect": 0}
@@ -275,3 +280,59 @@ def test_a_passing_dense_algebra_is_decided_on_the_pair_basis(monkeypatch):
         monkeypatch.setattr(core, name, counted)
     assert check_axioms.__wrapped__(B).ok
     assert calls == {"binary_rule_defect": 6 * 15, "ternary_rule_defect": 6 * 15 * 6}
+
+
+# The A4 and A5 sweeps decide on packed rows (`linalg.slot_width`): a failing
+# tuple's defect is read back as the balanced digits of its packed value.
+
+
+def _one_bit_short(monkeypatch, module):
+    width = module.slot_width
+    monkeypatch.setattr(module, "slot_width", lambda *args: width(*args) - 1)
+
+
+def test_the_a4_defect_needs_its_full_slot_width(monkeypatch):
+    # e0*e0 = -8 e0 fails A1 and A4 at (0, 0, 0, 0), whose A4 defect is
+    # -c*(z*w) = 512 e0 with c = z*w = -8 e0.  With entries of at most 8 in
+    # rows of length 1 the A4 bound is 4*8^2 + 8^3 = 768, so W = 11 and
+    # 512 is a digit; one bit less reads it as -512 and carries into e1.
+    B = BolAlgebra.from_tensors(2, [[[-8, 0], [0, 0]], [[0, 0], [0, 0]]], [[[[0] * 2] * 2] * 2] * 2)
+    a4 = check_axioms.__wrapped__(B).identity("A4")
+    assert a4 == reference_axioms(B).identity("A4")
+    assert (a4.witness, a4.defect) == ((0, 0, 0, 0), (512, 0))
+    _one_bit_short(monkeypatch, core)
+    assert check_axioms.__wrapped__(B).identity("A4").defect == (-512, 1)
+
+
+def test_the_jacobi_defect_needs_its_full_slot_width(monkeypatch):
+    # [f0,f1] = [f0,f2] = f3, [f0,f3] = -f1, [f1,f2] = f1, [f1,f3] = f2 and
+    # [f2,f3] = -f2: the Jacobi defect at (0, 1, 2) is 2 f2 - f3.  Entries
+    # are at most 1 in rows of length 1, so the bound is 3 and W = 3; with
+    # one bit less the digit 2 is read as -2 and its carry cancels the -1
+    # in the slot above.
+    C = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for (i, j), k, v in (((0, 1), 3, 1), ((0, 2), 3, 1), ((0, 3), 1, -1), ((1, 2), 1, 1), ((1, 3), 2, 1), ((2, 3), 2, -1)):
+        C[i][j][k], C[j][i][k] = v, -v
+    L = LieAlgebra.from_constants(4, C)
+    rep = jacobi_check(L)
+    assert rep == reference_jacobi_check(L)
+    assert (rep.witness, rep.defect) == ((0, 1, 2), (0, 0, 2, -1))
+    _one_bit_short(monkeypatch, LIE)
+    assert jacobi_check(L).defect == (0, 0, -2, 0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_packed_defects_read_back_as_the_reference_defects(seed):
+    # dense entries with a bumped structure constant: larger entries,
+    # several failing identities, and the first failure's digits against
+    # the defect summed entry by entry from the dense tensors
+    rng = random.Random(f"packed-{seed}")
+    B = direct_sum(catalog(rng.choice(["sl2bol", "so3bol", "lts_sl2", "heis3bol"])), catalog("abelian1"))
+    B = transport(B, unimodular_basis(rng, 4))
+    i, j, k, l = (rng.randrange(B.n) for _ in range(4))
+    A = mutate_ternary(B, i, j, k, l, F(rng.choice((1, -2, 3)), rng.choice((1, 2))))
+    if seed % 2:
+        A = mutate_binary(A, i, j, l, F(rng.choice((-1, 5))))
+    report = check_axioms(A)
+    assert {"A4", "A5"} & {c.name for c in report.identities if not c.ok}
+    assert report == reference_axioms(A)

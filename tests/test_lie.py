@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from support import lie_direct_sum, lie_quotient
+from support import lie_direct_sum, lie_quotient, reference_bracket, reference_span
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.envelope import envelope
@@ -180,10 +180,16 @@ def test_direct_sum_and_quotient_invert_each_other():
 
 
 def test_solvability_brackets_the_full_space_once(monkeypatch):
-    # L is an ideal of itself without a bracket; the derived series forms [L, L] once
+    # L is an ideal of itself without a bracket; [L, L] is the span of the
+    # rows [f_i, f_j], formed once per algebra and shared by the radical
     L = envelope(catalog("sl2bol")).lie
-    calls = []
+    calls, spans = [], []
     monkeypatch.setattr(LIE, "bracket_span", lambda *args: calls.append(args) or bracket_span(*args))
+    monkeypatch.setattr(LIE, "span", lambda *args: spans.append(args) or span(*args))
+    L = LieAlgebra(L.m, L.labels, L.integer_rows)  # a fresh instance, with nothing cached
     assert lie_is_ideal(L, full_space(L.m)) and calls == []
     assert not lie_is_solvable(L)
-    assert len(calls) == 1
+    assert lie_radical(L).is_zero() and not lie_is_solvable(L)
+    assert [args for args in calls if args[1].is_full()] == []
+    assert [len(vectors) for vectors, _ in spans].count(L.m * (L.m - 1) // 2) == 1
+    assert L.derived == reference_span([reference_bracket(L, x, y) for x in L.basis() for y in L.basis()], L.m)

@@ -120,6 +120,54 @@ def test_no_module_reads_a_dense_view():
     assert found == []
 
 
+ANALYSIS_MODULES = ("core", "envelope", "lie", "forms", "series", "radical", "decompose")
+# The functions that hand a Fraction value to a caller: a dense view, a
+# product of the public API, a witness defect, a gram, or a note.
+API_EDGE = {
+    "core": {"BolAlgebra.T", "BolAlgebra.R", "BolAlgebra.ideal_operators", "BolAlgebra.binary", "BolAlgebra.ternary", "check_axioms"},
+    "envelope": {"is_pseudo_derivation", "induced_bracket"},
+    "lie": {"LieAlgebra.C", "LieAlgebra.bracket", "jacobi_check", "killing_gram"},
+    "forms": {"trace_form"},
+    "radical": {"_is_simple"},
+    "decompose": {"_restrict_form"},
+}
+FRACTION_BUILDERS = {"Fraction", "unscaled", "dense_tensor", "multilinear", "mat_vec"}
+
+
+def _calls_by_scope(tree: ast.Module, names: set[str]) -> list[tuple[str, str, int]]:
+    """(enclosing top-level function or Class.method, called name, line) for each call of one of `names` by its bare name."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and (not scope or isinstance(node, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id in names:
+                found.append((".".join(scope), child.func.id, child.lineno))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+@pytest.mark.parametrize("module", ANALYSIS_MODULES)
+def test_analysis_modules_build_fractions_only_at_the_api_edge(module):
+    # the analysis runs on integer rows from the parser to the result; a
+    # Fraction is built only for a value the API hands out
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = [call for call in _calls_by_scope(tree, FRACTION_BUILDERS) if call[0] not in API_EDGE.get(module, ())]
+    assert found == []
+
+
+def test_the_fraction_guard_sees_a_call_outside_the_edge():
+    tree = ast.parse(
+        "class A:\n    def f(self):\n        def g():\n            return unscaled(v, 1)\n        return g\n"
+        "def h():\n    return Fraction(1, 2)\n"
+    )
+    assert _calls_by_scope(tree, FRACTION_BUILDERS) == [("A.f", "unscaled", 4), ("h", "Fraction", 7)]
+
+
 def _record_fields(tree: ast.Module) -> dict[str, tuple[str, ...]]:
     """The annotated fields, in order, of each class in the module that derives from `Record` by name."""
     return {
@@ -213,7 +261,15 @@ def _in_a_fresh_interpreter(code: str, *argv: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-ANALYSIS_LAYERS = ["bolalg.lie", "bolalg.envelope", "bolalg.forms", "bolalg.series", "bolalg.radical", "bolalg.decompose"]
+ANALYSIS_LAYERS = [
+    "bolalg.catalog",
+    "bolalg.lie",
+    "bolalg.envelope",
+    "bolalg.forms",
+    "bolalg.series",
+    "bolalg.radical",
+    "bolalg.decompose",
+]
 
 
 @pytest.mark.parametrize(
