@@ -23,13 +23,11 @@ import json
 import sys
 from pathlib import Path
 
-# The analysis layers are reached through the package, which imports each
-# on first use: `bol check` and a rejected document load none of them.
+# Every other layer is reached through the package, which imports each on first
+# use: `bol check` loads no analysis layer, and a rejected document not even core.
 import bolalg
-from bolalg.core import center, check_axioms, ideal_closure
 from bolalg.errors import BolError, DocumentError, FatalInconsistency, NotASubsystem, PreconditionViolation
 from bolalg.fileio import emit_bol_document, emit_lie_document, parse_bol_document
-from bolalg.linalg import basis_vec, full_space, rank, span
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -82,7 +80,7 @@ def _print(data: dict, as_json: bool, lines) -> None:
 
 def cmd_check(args) -> int:
     B, name = _load(args.file)
-    report = check_axioms(B)
+    report = bolalg.check_axioms(B)
     data = {
         "name": name,
         "dim": B.n,
@@ -113,7 +111,7 @@ def cmd_check(args) -> int:
 
 def _require_bol(args):
     B, name = _load(args.file)
-    report = check_axioms(B)
+    report = bolalg.check_axioms(B)
     if not report.ok:
         bad = ", ".join(c.name for c in report.identities if not c.ok)
         raise NotASubsystem(f"{name}: not a Bol algebra (identities {bad} fail); run `bol check` for witnesses")
@@ -122,16 +120,14 @@ def _require_bol(args):
 
 def cmd_info(args) -> int:
     B, name = _require_bol(args)
-    full = full_space(B.n)
-    c = center(B)
+    full = bolalg.full_space(B.n)
+    c = bolalg.center(B)
     lts = bolalg.lts_derived_series(B, full)
     bol = bolalg.bol_derived_series(B, full)
     tf = bolalg.trace_form(B)
     ef = bolalg.envelope_form(B)
     inv = bolalg.invariance_check(B, ef if args.form == "env" else tf, args.invariance)
-    closures = [
-        {"generator": label, "dim": ideal_closure(B, span([basis_vec(i, B.n)], B.n)).dim} for i, label in enumerate(B.labels)
-    ]
+    closures = [{"generator": label, "dim": B.basis_closure(i).dim} for i, label in enumerate(B.labels)]
     data = {
         "name": name,
         "dim": B.n,
@@ -144,7 +140,7 @@ def cmd_info(args) -> int:
         "form_trace": _gram_strs(tf.gram),
         "form_envelope": _gram_strs(ef.gram),
         "forms_equal": tf.gram == ef.gram,
-        "form_ranks": {"trace": rank(tf.gram), "envelope": rank(ef.gram)},
+        "form_ranks": {"trace": bolalg.linalg.rank(tf.gram), "envelope": bolalg.linalg.rank(ef.gram)},
         "invariance": {"form": args.form, "variant": args.invariance, "ok": inv.ok},
         "ideal_closures": closures,
     }

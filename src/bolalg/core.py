@@ -22,10 +22,13 @@ from bolalg.linalg import (
     Record,
     Subspace,
     Vec,
+    _null_space,
+    _units,
     basis_vec,
     block_sum,
     closure,
     complement_constants,
+    dense_row,
     dense_rows,
     dense_tensor,
     digits,
@@ -34,7 +37,6 @@ from bolalg.linalg import (
     independent,
     integer_tensors,
     is_zero_vec,
-    kernel,
     multilinear,
     packed,
     products,
@@ -100,14 +102,17 @@ class BolAlgebra(Record):
         """The nonzero matrices of x -> x*e_i (i = 0..n-1), then of x -> (x, e_i, e_j) (i, j row-major).
 
         A subspace is a def2-ideal exactly when it is invariant under all
-        of them.  Only the simplicity search reads these matrices; ideal
-        closures and the def2 test take the same products from
-        `linalg.products`.
+        of them.  This is a Fraction view of `_operators`.
         """
+        return tuple(tuple(unscaled(row, s) for row in m) for m, s in self._operators)
+
+    @cached_property
+    def _operators(self) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+        """(m, s) for each matrix of `ideal_operators`, in its order: the matrix is m/s, m in ints; the simplicity search reads these."""
         d, T, R = self.integer_rows
         r = range(self.n)
         ops = [([T[k][i] for k in r], d) for i in r] + [([R[k][i][j] for k in r], d * d) for i in r for j in r]
-        return tuple(transpose(dense_tensor(images, 2, s, self.n)) for images, s in ops if any(images))
+        return tuple((transpose([dense_row(image, self.n) for image in images]), s) for images, s in ops if any(images))
 
     @cached_property
     def derived(self) -> Subspace:
@@ -427,19 +432,15 @@ def _images(B: BolAlgebra, V: Subspace):
 
 
 def center(B: BolAlgebra) -> Subspace:
-    """{x : b*x = 0 and (b, b', x) = 0 for all basis b, b'}, one kernel of int constraint rows."""
+    """{x : b*x = 0 and (b, b', x) = 0 for all basis b, b'}: the null space of the int rows of x -> e_i * x and x -> (e_i, e_j, x).
+
+    The rows are formed as the null-space update reads them, and none past the first that leaves it zero.
+    """
     n = B.n
     _, T, R = B.integer_rows
-    constraints = []
-    for i in range(n):
-        # the rows of the operators x -> e_i * x and x -> (e_i, e_j, x), scaled
-        for images in (T[i], *R[i]):
-            rows = [[0] * n for _ in range(n)]
-            for k, image in enumerate(images):
-                for q, c in image:
-                    rows[q][k] = c
-            constraints += rows
-    return kernel(constraints, n)
+    operators = (images for i in range(n) for images in (T[i], *R[i]))  # column k of each is the image of e_k
+    rows = (row for images in operators for row in transpose([dense_row(image, n) for image in images]))
+    return span(_null_space(rows, _units(n)), n)
 
 
 def quotient(B: BolAlgebra, I: Subspace) -> BolAlgebra:

@@ -23,7 +23,6 @@ from bolalg.linalg import (
     Subspace,
     combine,
     full_space,
-    intersect,
     span,
     subspace_sum,
 )
@@ -130,11 +129,9 @@ def _decompose_semisimple(B: BolAlgebra, b: BilinearForm, variant: str) -> Decom
                 notes.append(f"component of dimension {algebra.n}: simplicity {search.status}")
             return
         complement = right_perp(form, ideal)
-        if not (
-            intersect(ideal, complement).is_zero()
-            and subspace_sum(ideal, complement).dim == algebra.n
-            and is_ideal(algebra, complement, "def2")
-        ):
+        # I + C is direct and all of B exactly when dim I + dim C = n = dim(I + C)
+        split = ideal.dim + complement.dim == algebra.n == subspace_sum(ideal, complement).dim
+        if not (split and is_ideal(algebra, complement, "def2")):
             raise FatalInconsistency("orthogonal complement of an ideal failed to split the algebra")
         _, rows = frame.integer_basis
         for part in (ideal, complement):

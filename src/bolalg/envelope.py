@@ -11,11 +11,12 @@ and for a Bol algebra the span is closed under it (see `h_closure`):
 
     [[D(x,y), D(u,v)]] = D((x,y,u),v) + D(u,(x,y,v)) - D(x*y, u*v).
 
-The brackets of G are fixed by three identities, which are verified
+The brackets of G are fixed by four identities, which are verified
 exhaustively after construction and are the normative contract:
 
     proj_B [x, y]  = x * y            (projection)
     [z, [x, y]]    = (x, y, z)        (recovery)
+    proj_h [x, y]  = -D(x, y)         (inner pair)
     Jacobi on all basis triples.
 
 Concretely, writing D(x,y) for the inner pair expressed in h:
@@ -32,7 +33,7 @@ unchecked input.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 from bolalg.core import BolAlgebra, PairEndo, check_axioms, derived_space, is_ideal, require_verified, ternary_rule_defect
@@ -261,13 +262,7 @@ def envelope(B: BolAlgebra) -> EnvelopingLie:
     D = {}  # (i, j) -> the nonzero h-coordinates of D(e_i, e_j), at scale d^2
     for i in r:
         for j in range(i + 1, n):
-            w = [0] * (nn + n)  # D(e_i, e_j) = (L(e_i, e_j), e_i*e_j) flattened; column k of L(e_i, e_j) is (e_i, e_j, e_k)
-            for k, row in enumerate(R[i][j]):
-                for l, v in row:
-                    w[l * n + k] = v
-            for q, v in T[i][j]:
-                w[nn + q] = d * v
-            D[i, j] = nonzero_row(h_coords(w))
+            D[i, j] = nonzero_row(h_coords(_scaled_inner_pair(B, i, j)))
             D[j, i] = tuple((t, -c) for t, c in D[i, j])
     C = {}  # (i, j) -> (row of [f_i, f_j] in ints, its scale), for i < j
     for i in r:
@@ -293,12 +288,19 @@ def envelope(B: BolAlgebra) -> EnvelopingLie:
         rows[j, i] = [(k, -f * c) for k, c in row]
     labels = B.labels + tuple(f"D{t}" for t in range(N))
     G = LieAlgebra(m, labels, integer_tensors(m, (rows, 3, S)))
-    _verify_envelope(B, G)
+    _verify_envelope(B, G, h)
     return EnvelopingLie(G, B, h)
 
 
-def _verify_envelope(B: BolAlgebra, G: LieAlgebra) -> None:
-    """Jacobi on all basis triples of G, then projection and recovery on B's basis."""
+def _verify_envelope(B: BolAlgebra, G: LieAlgebra, h: tuple[PairEndo, ...]) -> None:
+    """Jacobi on all basis triples of G, then projection, recovery and the inner-pair identity on B's basis.
+
+    h is the canonical basis of G's h-part.  Recovery does not see an h
+    element that acts as zero on B; the inner-pair identity does.  The
+    h-part of [e_i, e_j], a combination of h's integer basis, is compared
+    as a pair with D(e_i, e_j) formed from B's rows, each side multiplied
+    by the other's scale (g*L for G and h, d^2 for B).
+    """
     jac = jacobi_check(G)
     if not jac.ok:
         raise FatalInconsistency(f"envelope fails Jacobi at basis triple {jac.witness}")
@@ -306,6 +308,26 @@ def _verify_envelope(B: BolAlgebra, G: LieAlgebra) -> None:
     if bad is not None:
         name = "projection" if len(bad) == 2 else "recovery"
         raise FatalInconsistency(f"{name} identity fails at ({','.join(map(str, bad))})")
+    n, (d, _, _), (g, C) = B.n, B.integer_rows, G.integer_rows
+    L, rows = Subspace(n * n + n, tuple(P.flatten() for P in h)).integer_basis
+    for i, j in combinations(range(n), 2):
+        part = [(q - n, y) for q, y in C[i][j] if q >= n]
+        part = combine([y for _, y in part], [rows[t] for t, _ in part], n * n + n)
+        if any(d * d * x + g * L * y for x, y in zip(part, _scaled_inner_pair(B, i, j))):
+            raise FatalInconsistency(f"inner-pair identity fails at ({i},{j})")
+
+
+def _scaled_inner_pair(B: BolAlgebra, i: int, j: int) -> list[int]:
+    """d^2 D(e_i, e_j) = d^2 (L(e_i, e_j), e_i*e_j), flattened as `PairEndo.flatten`, in ints from B's rows."""
+    n = B.n
+    d, T, R = B.integer_rows
+    w = [0] * (n * n + n)
+    for k, row in enumerate(R[i][j]):  # column k of L(e_i, e_j) is (e_i, e_j, e_k)
+        for l, v in row:
+            w[l * n + k] = v
+    for q, v in T[i][j]:
+        w[n * n + q] = d * v
+    return w
 
 
 def _contract_failure(B: BolAlgebra, G: LieAlgebra) -> tuple[int, ...] | None:

@@ -28,10 +28,10 @@ import json
 import re
 from fractions import Fraction
 
-import bolalg  # reaches `LieAlgebra` and `EnvelopingLie` on use, so a Bol document loads neither layer
-from bolalg.core import BolAlgebra, PairEndo
+# The algebra layers are reached through the package on use, so a document
+# the parser rejects loads none of them, and a Bol document no Lie layer.
+import bolalg
 from bolalg.errors import DocumentError, PreconditionViolation
-from bolalg.linalg import indexed_rows, integer_tensors
 
 
 # The documented scalar grammar, "p" or "p/q": Fraction alone also reads
@@ -161,11 +161,11 @@ def _sparse_rows(doc: dict, key: str, dim: int, arity: int) -> dict:
     return rows
 
 
-def parse_bol_document(text: str) -> tuple[BolAlgebra, str]:
+def parse_bol_document(text: str) -> tuple[bolalg.BolAlgebra, str]:
     """Parse and validate a Bol document; returns (algebra, name)."""
     doc, name, dim, basis = _read_header(text, ("binary", "ternary"), "e")
     T, R = _sparse_rows(doc, "binary", dim, 3), _sparse_rows(doc, "ternary", dim, 4)
-    return BolAlgebra(dim, basis, integer_tensors(dim, (T, 3), (R, 4))), name
+    return bolalg.BolAlgebra(dim, basis, bolalg.linalg.integer_tensors(dim, (T, 3), (R, 4))), name
 
 
 def _upper_entries(t, order: int, s: int, name: str) -> list:
@@ -178,8 +178,8 @@ def _upper_entries(t, order: int, s: int, name: str) -> list:
     entries = []
     for i in range(len(t)):
         for j in range(i, len(t)):
-            cells = [(*idx, k, c) for idx, row in indexed_rows(t[i][j], order - 3) for k, c in row]
-            if [(*idx, k, -c) for idx, row in indexed_rows(t[j][i], order - 3) for k, c in row] != cells:
+            cells = [(*idx, k, c) for idx, row in bolalg.linalg.indexed_rows(t[i][j], order - 3) for k, c in row]
+            if [(*idx, k, -c) for idx, row in bolalg.linalg.indexed_rows(t[j][i], order - 3) for k, c in row] != cells:
                 raise PreconditionViolation(
                     f"{name}[{i}][{j}] is not -{name}[{j}][{i}]; a document holds only i < j and implies the rest"
                 )
@@ -187,7 +187,7 @@ def _upper_entries(t, order: int, s: int, name: str) -> list:
     return entries
 
 
-def emit_bol_document(B: BolAlgebra, name: str) -> str:
+def emit_bol_document(B: bolalg.BolAlgebra, name: str) -> str:
     """Canonical serialization of a Bol algebra; T and R must be antisymmetric in their first two slots."""
     d, T, R = B.integer_rows
     return _render_document(
@@ -227,10 +227,10 @@ def emit_lie_document(L: bolalg.LieAlgebra, name: str, env: bolalg.EnvelopingLie
     return _render_document(pairs)
 
 
-def parse_lie_document(text: str) -> tuple[bolalg.LieAlgebra, str, int | None, tuple[PairEndo, ...] | None]:
+def parse_lie_document(text: str) -> tuple[bolalg.LieAlgebra, str, int | None, tuple[bolalg.PairEndo, ...] | None]:
     """Parse a Lie document; returns (algebra, name, b_dim, h_basis)."""
     doc, name, dim, basis = _read_header(text, ("brackets", "b_dim", "h_basis"), "f")
-    L = bolalg.LieAlgebra(dim, basis, integer_tensors(dim, (_sparse_rows(doc, "brackets", dim, 3), 3)))
+    L = bolalg.LieAlgebra(dim, basis, bolalg.linalg.integer_tensors(dim, (_sparse_rows(doc, "brackets", dim, 3), 3)))
     b_dim = doc.get("b_dim")
     if b_dim is not None and (isinstance(b_dim, bool) or not isinstance(b_dim, int) or not 0 <= b_dim <= dim):
         raise DocumentError(f"b_dim: must be an integer between 0 and {dim}", "b_dim")
@@ -251,6 +251,6 @@ def parse_lie_document(text: str) -> tuple[bolalg.LieAlgebra, str, int | None, t
             comp = tuple(_parse_scalar(c, f"{field}.comp") for c in comp)
             if len(pi) != n or any(len(r) != n for r in pi) or len(comp) != n:
                 raise DocumentError(f"{field}: pi must be {n}x{n} and comp length {n}", field)
-            pairs.append(PairEndo(pi, comp))
+            pairs.append(bolalg.PairEndo(pi, comp))
         h_basis = tuple(pairs)
     return L, name, b_dim, h_basis

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from bolalg.errors import DimensionMismatch, FatalInconsistency
 
@@ -237,10 +238,6 @@ def row_bounds(*tables) -> tuple[int, int]:
     return entry, length
 
 
-def vec(coords) -> Vec:
-    return tuple(frac(c) for c in coords)
-
-
 def zero_vec(n: int) -> Vec:
     return (ZERO,) * n
 
@@ -257,17 +254,6 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vec_scale(c: Fraction, v: Vec) -> Vec:
-    return tuple(c * x for x in v)
-
-
-def mat(rows) -> Mat:
-    m = tuple(tuple(frac(c) for c in row) for row in rows)
-    if m and any(len(row) != len(m[0]) for row in m):
-        raise DimensionMismatch("ragged matrix")
-    return m
-
-
 def zero_mat(rows: int, cols: int) -> Mat:
     return ((ZERO,) * cols,) * rows
 
@@ -280,38 +266,18 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    """Apply m to a column vector: (m @ v)."""
-    if m and len(m[0]) != len(v):
-        raise DimensionMismatch(f"matrix has {len(m[0])} columns, vector has {len(v)}")
-    return tuple(sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), ZERO) for row in m)
-
-
 def rref(m: Mat) -> Mat:
     """Reduced row-echelon form, with as many rows as m (zero rows last); preserves the row space.
 
-    Fraction-free up to the end: `_reduced` gives the reduced rows in
-    ints, and each is divided once by its pivot.  A ragged matrix raises
-    DimensionMismatch.
+    Fraction-free up to the end: the rows are reduced to an echelon form
+    in ints (`_echelon`) and cleared above their pivots by
+    cross-multiplication, and each is divided once by its pivot entry.
+    A ragged matrix raises DimensionMismatch.
     """
     ncols = len(m[0]) if m else 0
-    reduced = _reduced(m, ncols)
-    if len(reduced) == ncols:  # full rank: the identity, which needs no new Fraction
-        return identity(ncols) + zero_mat(len(m) - ncols, ncols)
-    reduced = tuple(tuple(Fraction(x, row[p]) for x in row) for p, row in reduced)
-    return reduced + zero_mat(len(m) - len(reduced), ncols)
-
-
-def _reduced(m, ncols: int) -> list[tuple[int, list[int]]]:
-    """(pivot, row) for each row of the reduced echelon form of m's row space, in pivot order, as primitive int rows.
-
-    The rows are reduced to an echelon form in ints (`_echelon`), then
-    cleared above their pivots by cross-multiplication; a row divided by
-    its pivot entry is the row of the RREF.
-    """
     rows, pivots, _ = _echelon(m, ncols)
-    if len(rows) == ncols:  # full rank: the unit rows
-        return [(p, [int(j == p) for j in range(ncols)]) for p in range(ncols)]
+    if len(rows) == ncols:  # full rank: the identity, which needs no new Fraction
+        return identity(ncols) + zero_mat(len(m) - ncols, ncols)
     for k in range(len(rows) - 1, 0, -1):  # row k is 0 at every other pivot once the rows after it are done
         p, row = pivots[k], rows[k]
         a = row[p]
@@ -319,7 +285,8 @@ def _reduced(m, ncols: int) -> list[tuple[int, list[int]]]:
             c = rows[i][p]
             if c:
                 rows[i] = _primitive([a * x - c * y for x, y in zip(rows[i], row)])
-    return sorted(zip(pivots, rows))
+    reduced = tuple(tuple(Fraction(x, row[p]) for x in row) for p, row in sorted(zip(pivots, rows)))
+    return reduced + zero_mat(len(m) - len(reduced), ncols)
 
 
 def rank(m) -> int:
@@ -518,9 +485,7 @@ def _echelon(vectors, ambient: int) -> tuple[list[list[int]], list[int], list[in
     pivots: list[int] = []
     kept: list[int] = []
     seen = set()  # the scaled vectors read so far and their negatives: a product table antisymmetric in two slots repeats each one
-    for pos, v in enumerate(vectors):
-        if len(v) != ambient:
-            raise DimensionMismatch(f"vector of length {len(v)} in ambient {ambient}")
+    for pos, v in enumerate(_length_checked(vectors, ambient)):
         if len(rows) == ambient:
             continue
         w, _ = integral(v)
@@ -556,41 +521,66 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, computed from the kernel of the stacked coefficient system."""
+    """Intersection: the vectors of a killed by b's annihilator, by the null-space update started from a's basis."""
     if a.ambient != b.ambient:
         raise DimensionMismatch("ambient dimensions disagree")
-    if a.is_zero() or b.is_zero():
-        return zero_space(a.ambient)
-    # Solve sum_i x_i a_i - sum_j y_j b_j = 0 in ints; columns are the integer basis vectors.
     n = a.ambient
-    (_, ra), (_, rb) = a.integer_basis, b.integer_basis
-    cols = [dense_row(row, n) for row in ra] + [dense_row(((k, -c) for k, c in row), n) for row in rb]
-    sols = kernel([list(r) for r in zip(*cols)], a.dim + b.dim)
-    xs = [[(k, c) for k, c in s if k < a.dim] for s in sols.integer_basis[1]]  # the a-parts of the solutions
-    return span([combine([c for _, c in x], [ra[k] for k, _ in x], n) for x in xs], n)
+    ann = _null_space([dense_row(row, n) for row in b.integer_basis[1]], _units(n))
+    return span(_null_space(ann, [dense_row(row, n) for row in a.integer_basis[1]]), n)
 
 
 def kernel(m, ncols: int) -> Subspace:
     """Canonical basis of the right null space {v : m v = 0} of a matrix of Fractions or ints with ncols columns.
 
-    From the reduced rows of m in ints (`_reduced`): each free column j
-    gives the kernel vector A e_j - sum_k (A / a_k) row_k[j] e_(p_k), with
-    a_k the pivot entry of row k and A the lcm of the a_k.  A matrix
-    with no rows, or with only zero rows, has the full space as its
-    kernel; a row of another length raises DimensionMismatch.
+    The rows are scaled to ints and read by the null-space update
+    (`_null_space`), none past the one that leaves the kernel zero; a row
+    of another length raises DimensionMismatch, and in a list or tuple
+    every row is checked.  No rows, or only zero rows, give the full space.
     """
-    reduced = _reduced(m, ncols)
-    pivots = {p for p, _ in reduced}
-    A = lcm(*(row[p] for p, row in reduced))
-    vectors = []
-    for j in range(ncols):
-        if j not in pivots:
-            v = [0] * ncols
-            v[j] = A
-            for p, row in reduced:
-                v[p] = -row[j] * (A // row[p])
-            vectors.append(v)
-    return span(vectors, ncols)
+    rows = _length_checked(m, ncols)
+    K = _null_space((integral(row)[0] for row in rows), _units(ncols))
+    if isinstance(m, (list, tuple)):
+        for _ in rows:  # the rows past an empty kernel are checked for length only
+            pass
+    return span(K, ncols)
+
+
+def _length_checked(vectors, ambient: int):
+    """The vectors, lazily; one of another length than `ambient` raises DimensionMismatch."""
+    for v in vectors:
+        if len(v) != ambient:
+            raise DimensionMismatch(f"vector of length {len(v)} in ambient {ambient}")
+        yield v
+
+
+def _units(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _null_space(rows, K: list[list[int]]) -> list[list[int]]:
+    """A basis of the vectors in the span of K that every row kills; each vector the update forms is primitive.
+
+    K holds independent int vectors and is updated in place; the rows are
+    int lists, read lazily, and none once K is empty.  Each row r is one
+    step of the fraction-free update (Bareiss, Math. Comp. 22, 1968): at
+    the k_p of least nonzero |r.k_p|, every other k_i with r.k_i != 0
+    becomes (r.k_p) k_i - (r.k_i) k_p divided by its content, and k_p is
+    dropped, so K stays a basis of the kernel of the rows read so far.
+    """
+    for r in rows if K else ():
+        dots = [sum(map(mul, r, k)) for k in K] if any(r) else []
+        nonzero = [t for t, x in enumerate(dots) if x]
+        if nonzero:
+            p = min(nonzero, key=lambda t: abs(dots[t]))
+            a, kp = dots[p], K[p]
+            for t in nonzero:
+                if t != p:
+                    g = gcd(a, dots[t])
+                    K[t] = _primitive([a // g * x - dots[t] // g * y for x, y in zip(K[t], kp)])
+            del K[p]
+            if not K:
+                break
+    return K
 
 
 def complement_constants(I: Subspace, t, order: int, s: int) -> tuple[list[int], dict, int]:

@@ -33,7 +33,6 @@ from bolalg.lie import lie_radical
 from bolalg.linalg import (
     Record,
     Subspace,
-    basis_vec,
     charpoly,
     closure,
     combine,
@@ -187,7 +186,7 @@ def _is_simple(B: BolAlgebra) -> SimplicityResult:
     if n == 0:
         return SimplicityResult("no", None, "zero algebra")
     if B.is_abelian():
-        witness = ideal_closure(B, span([basis_vec(0, n)], n)) if n >= 2 else None
+        witness = B.basis_closure(0) if n >= 2 else None
         return SimplicityResult("no", witness, "abelian")
 
     for i in range(n):
@@ -198,16 +197,7 @@ def _is_simple(B: BolAlgebra) -> SimplicityResult:
     # The matrices of `BolAlgebra.ideal_operators`, in ints at scale s: a
     # charpoly of an int matrix is monic and integral, so its rational
     # roots are ints, and each eigenvalue is a root divided by s.
-    d, T, R = B.integer_rows
-    r = range(n)
-    ops = []
-    for images, s in [([T[k][i] for k in r], d) for i in r] + [([R[k][i][j] for k in r], d * d) for i in r for j in r]:
-        if any(images):
-            m = [[0] * n for _ in r]
-            for k, image in enumerate(images):
-                for q, c in image:
-                    m[q][k] = c
-            ops.append((m, s))
+    ops = B._operators
     ops_t = [[nonzero_row(row) for row in m] for m, _ in ops]  # row q of m is column q of its transpose
     for m, s in ops:
         for root in rational_roots(charpoly(m)):

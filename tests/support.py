@@ -12,7 +12,7 @@ from math import lcm
 from bolalg.core import AxiomReport, BolAlgebra, IdentityCheck, center, ideal_closure, is_ideal
 from bolalg.forms import InvarianceReport
 from bolalg.envelope import PairEndo, induced_bracket, inner_pair
-from bolalg.errors import NotAnIdeal
+from bolalg.errors import DimensionMismatch, NotAnIdeal
 from bolalg.lie import JacobiReport, LieAlgebra, lie_is_ideal
 from bolalg.linalg import (
     ONE,
@@ -23,11 +23,10 @@ from bolalg.linalg import (
     complement_constants,
     failures,
     full_space,
+    frac,
     integer_tensors,
-    mat_vec,
     span,
     transpose,
-    vec_scale,
     vec_sub,
     zero_space,
 )
@@ -75,6 +74,28 @@ def pair_bracket(B: BolAlgebra, P: PairEndo, Q: PairEndo) -> PairEndo:
 # Dense references: the products, the Lie layer, the pair algebra and the
 # linear algebra as they were computed entry by entry in Fractions, straight
 # from the dense tensors, before they read integer rows.
+
+
+def vec(coords):
+    return tuple(frac(c) for c in coords)
+
+
+def vec_scale(c, v):
+    return tuple(c * x for x in v)
+
+
+def mat(rows):
+    m = tuple(tuple(frac(c) for c in row) for row in rows)
+    if m and any(len(row) != len(m[0]) for row in m):
+        raise DimensionMismatch("ragged matrix")
+    return m
+
+
+def mat_vec(m, v):
+    """Apply m to a column vector: (m @ v)."""
+    if m and len(m[0]) != len(v):
+        raise DimensionMismatch(f"matrix has {len(m[0])} columns, vector has {len(v)}")
+    return tuple(sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), ZERO) for row in m)
 
 
 def vec_add(a, b):
@@ -408,6 +429,58 @@ def transport(B: BolAlgebra, S) -> BolAlgebra:
     T = [[to_new(B.binary(S[p], S[q])) for q in range(n)] for p in range(n)]
     R = [[[to_new(B.ternary(S[p], S[q], S[r])) for r in range(n)] for q in range(n)] for p in range(n)]
     return BolAlgebra.from_tensors(n, T, R)
+
+
+def pseudo_derivation_system(B: BolAlgebra) -> list[list[int]]:
+    """Int rows whose null space is PDer(B), the pseudo-derivations (Pi, a) of B as `PairEndo.flatten` vectors.
+
+    The n^2 + n unknowns are Pi[q][p], the coefficient of e_q in Pi e_p,
+    at q*n + p, and a_s at n*n + s.  The rules of `is_pseudo_derivation`
+    give one row per basis pair (i, j) and coordinate q,
+
+        Pi(x*y) - (Pi x)*y - x*(Pi y) - (x, y, a) - (x*y)*a = 0,
+
+    then one per basis triple (i, j, k) and coordinate l,
+
+        Pi(x,y,z) - (Pi x, y, z) - (x, Pi y, z) - (x, y, Pi z) = 0:
+
+    n^3 + n^4 rows, each rule multiplied by d^2 (d from `integer_rows`),
+    which makes every coefficient an int.
+    """
+    n = B.n
+    d, T, R = B.integer_rows
+    a = n * n  # the first component unknown
+    rows = []
+    for i, j in product(range(n), repeat=2):
+        eq = [[0] * (a + n) for _ in range(n)]
+        for p, c in T[i][j]:
+            for q in range(n):
+                eq[q][q * n + p] += d * c  # Pi(x*y)
+            for s in range(n):
+                for q, v in T[p][s]:
+                    eq[q][a + s] -= c * v  # (x*y)*a
+        for p in range(n):
+            for q, c in T[p][j]:
+                eq[q][p * n + i] -= d * c  # (Pi x)*y
+            for q, c in T[i][p]:
+                eq[q][p * n + j] -= d * c  # x*(Pi y)
+            for q, c in R[i][j][p]:
+                eq[q][a + p] -= c  # (x, y, a)
+        rows += eq
+    for i, j, k in product(range(n), repeat=3):
+        eq = [[0] * (a + n) for _ in range(n)]
+        for p, c in R[i][j][k]:
+            for l in range(n):
+                eq[l][l * n + p] += c  # Pi(x,y,z)
+        for p in range(n):
+            for l, c in R[p][j][k]:
+                eq[l][p * n + i] -= c  # (Pi x, y, z)
+            for l, c in R[i][p][k]:
+                eq[l][p * n + j] -= c  # (x, Pi y, z)
+            for l, c in R[i][j][p]:
+                eq[l][p * n + k] -= c  # (x, y, Pi z)
+        rows += eq
+    return rows
 
 
 def restrict_scalars(B: BolAlgebra, d: int) -> BolAlgebra:

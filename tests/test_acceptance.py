@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from support import axiom_oracle, collect_ideals, mutate_binary, mutate_ternary, summand_embeddings, transport
+from support import axiom_oracle, collect_ideals, mat, mutate_binary, mutate_ternary, summand_embeddings, transport
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import check_axioms, direct_sum, prod_span, tri_span
@@ -32,7 +32,7 @@ from bolalg.lie import (
     killing_gram,
     lie_is_solvable,
 )
-from bolalg.linalg import basis_vec, full_space, intersect, mat, span, subspace_sum, zero_space
+from bolalg.linalg import basis_vec, full_space, intersect, span, subspace_sum, zero_space
 from bolalg.radical import radical
 from bolalg.series import bol_derived_series, is_solvable
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import collect_ideals, mutate_binary, mutate_ternary, summand_embeddings
+from support import collect_ideals, mutate_binary, mutate_ternary, summand_embeddings, vec
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import (
@@ -20,7 +20,7 @@ from bolalg.core import (
     tri_span,
 )
 from bolalg.errors import DimensionMismatch, NotAnIdeal, UnknownExample
-from bolalg.linalg import basis_vec, full_space, span, vec, zero_space, zero_vec
+from bolalg.linalg import basis_vec, full_space, span, zero_space, zero_vec
 
 F = Fraction
 

@@ -4,7 +4,7 @@ from functools import reduce
 from itertools import combinations_with_replacement
 
 import pytest
-from support import rational_basis, record_fields, replaced, spy_on_cache, transport, unimodular_basis
+from support import mat, rational_basis, record_fields, replaced, spy_on_cache, transport, unimodular_basis
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra, center, check_axioms, direct_sum, prod_span, tri_span
@@ -80,8 +80,6 @@ def test_decompose_abelian_precondition_violation():
 
 
 def test_decompose_rejects_degenerate_form():
-    from bolalg.linalg import mat
-
     with pytest.raises(PreconditionViolation):
         decompose_semisimple(catalog("sl2bol"), BilinearForm(mat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])))
 

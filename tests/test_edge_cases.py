@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from support import vec
 
 from bolalg.catalog import catalog
 from bolalg.core import BolAlgebra, center, check_axioms, is_ideal, quotient, restrict
@@ -10,7 +11,7 @@ from bolalg.decompose import structure_report
 from bolalg.envelope import envelope
 from bolalg.errors import DimensionMismatch, IllDefinedQuotient, NotASubsystem
 from bolalg.forms import envelope_form
-from bolalg.linalg import full_space, span, vec
+from bolalg.linalg import full_space, span
 from bolalg.radical import is_simple, radical
 from bolalg.series import bol_derived_series
 

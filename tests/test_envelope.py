@@ -1,7 +1,9 @@
 import importlib
 import random
 import re
+import time
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import comb
 
@@ -11,9 +13,11 @@ from support import (
     collect_ideals,
     dense_binary,
     dense_ternary,
+    mat_vec,
     mutate_binary,
     mutate_ternary,
     pair_bracket,
+    pseudo_derivation_system,
     rational_basis,
     reference_induced_bracket,
     reference_left_op,
@@ -22,6 +26,7 @@ from support import (
     summand_embeddings,
     transport,
     unimodular_basis,
+    vec,
 )
 
 from bolalg.catalog import catalog, catalog_names
@@ -45,9 +50,8 @@ from bolalg.linalg import (
     identity,
     intersect,
     is_zero_vec,
-    mat_vec,
+    kernel,
     span,
-    vec,
     vec_sub,
     zero_mat,
     zero_vec,
@@ -167,6 +171,25 @@ def test_h_closure_members_are_pseudo_derivations():
         B = catalog(name)
         for P in h_closure(B):
             assert is_pseudo_derivation(B, P).ok
+
+
+@pytest.mark.parametrize(
+    ("names", "dense", "dim"),
+    [("sl2bol", False, 6), ("sl2bol+so3bol", False, 12), ("sl2bol+so3bol+lts_sl2", True, 15), ("sl2bol+so3bol+sl2bol+so3bol", True, 24)],
+)
+def test_pseudo_derivations_are_the_kernel_of_a_tall_system(names, dense, dim):
+    # n^3 + n^4 equations in n^2 + n unknowns: at dense n = 12, 22 464 x 156
+    B = reduce(direct_sum, map(catalog, names.split("+")))
+    if dense:
+        B = transport(B, unimodular_basis(random.Random(5), B.n))
+    rows = pseudo_derivation_system(B)
+    assert len(rows) == B.n**3 + B.n**4
+    start = time.perf_counter()
+    pder = kernel(rows, B.n**2 + B.n)
+    assert time.perf_counter() - start < 30
+    assert pder.dim == dim
+    assert all(is_pseudo_derivation(B, PairEndo.unflatten(v, B.n)).ok for v in pder.basis)
+    assert span([P.flatten() for P in h_closure(B)], B.n**2 + B.n) <= pder
 
 
 def test_pair_bracket_preserves_pseudo_derivations():
@@ -332,18 +355,18 @@ def test_verify_envelope_rejects_a_broken_jacobi_identity():
     C[0][1][0] += F(1, 3)
     C[1][0][0] -= F(1, 3)
     with pytest.raises(FatalInconsistency, match="fails Jacobi at basis triple"):
-        ENVELOPE._verify_envelope(catalog("sl2bol"), LieAlgebra.from_constants(G.m, C))
+        ENVELOPE._verify_envelope(catalog("sl2bol"), LieAlgebra.from_constants(G.m, C), h_closure(catalog("sl2bol")))
 
 
 def test_verify_envelope_rejects_a_wrong_projection():
     # a Lie algebra whose base brackets are those of sl2, over lts_sl2 whose binary product is zero
     with pytest.raises(FatalInconsistency, match=re.escape("projection identity fails at (0,1)")):
-        ENVELOPE._verify_envelope(catalog("lts_sl2"), envelope(catalog("sl2bol")).lie)
+        ENVELOPE._verify_envelope(catalog("lts_sl2"), envelope(catalog("sl2bol")).lie, h_closure(catalog("lts_sl2")))
 
 
 def test_verify_envelope_rejects_a_wrong_recovery_in_the_base():
     with pytest.raises(FatalInconsistency, match=re.escape("recovery identity fails at (0,1,0)")):
-        ENVELOPE._verify_envelope(catalog("lts_sl2"), LieAlgebra.from_constants(6, [[[0] * 6] * 6] * 6))
+        ENVELOPE._verify_envelope(catalog("lts_sl2"), LieAlgebra.from_constants(6, [[[0] * 6] * 6] * 6), h_closure(catalog("lts_sl2")))
 
 
 def test_verify_envelope_rejects_a_recovery_with_an_h_part():
@@ -354,7 +377,18 @@ def test_verify_envelope_rejects_a_recovery_with_an_h_part():
     G = LieAlgebra.from_constants(3, C)
     assert jacobi_check(G).ok
     with pytest.raises(FatalInconsistency, match=re.escape("recovery identity fails at (0,1,0)")):
-        ENVELOPE._verify_envelope(catalog("abelian2"), G)
+        ENVELOPE._verify_envelope(catalog("abelian2"), G, h_closure(catalog("abelian2")))
+
+
+def test_verify_envelope_rejects_a_central_h_part_in_a_base_bracket():
+    # f = D(e0, e1) is central in heis3bol's envelope and acts as zero on B:
+    # adding it to [e0, e1] keeps Jacobi, projection and recovery
+    E = envelope(catalog("heis3bol"))
+    C = [[list(row) for row in plane] for plane in E.lie.C]
+    C[0][1][3] += 1
+    C[1][0][3] -= 1
+    with pytest.raises(FatalInconsistency, match=re.escape("inner-pair identity fails at (0,1)")):
+        ENVELOPE._verify_envelope(E.base, LieAlgebra.from_constants(E.lie.m, C), E.h_basis)
 
 
 def test_h_closure_rejects_a_pair_that_is_not_a_pseudo_derivation():
@@ -372,12 +406,13 @@ def test_envelope_rejects_a_bracket_outside_h(monkeypatch):
         envelope.__wrapped__(B)
 
 
-@pytest.mark.parametrize("name", ["sl2bol", "lts_sl2", "mixed"])
+@pytest.mark.parametrize("name", ["sl2bol", "lts_sl2", "mixed", "heis3bol", "heis3bol+solv2"])
 def test_envelope_rejects_its_rows_with_any_one_coefficient_changed(name, monkeypatch):
     # G's rows are formed in ints and handed to integer_tensors at one scale;
     # raising any one bracket coefficient [f_i, f_j] at f_k by 1 (and
-    # lowering [f_j, f_i] with it) must fail Jacobi, projection or recovery
-    B = catalog(name)
+    # lowering [f_j, f_i] with it) must fail Jacobi, projection, recovery or
+    # the inner-pair identity; heis3bol's h has a central element
+    B = reduce(direct_sum, map(catalog, name.split("+")))
     m = envelope(B).lie.m
     build = ENVELOPE.integer_tensors
     for i, j, k in product(range(m), repeat=3):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from support import rational_basis, reference_invariance_check, symmetric_lts, transport, unimodular_basis
+from support import mat, rational_basis, reference_invariance_check, symmetric_lts, transport, unimodular_basis, vec
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import direct_sum, prod_span
@@ -22,7 +22,7 @@ from bolalg.forms import (
     trace_form,
 )
 from bolalg.lie import killing_gram
-from bolalg.linalg import full_space, mat, rank, span, vec, zero_space
+from bolalg.linalg import full_space, rank, span, zero_space
 
 F = Fraction
 

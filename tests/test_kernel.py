@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 from support import (
+    mat_vec,
     mutate_binary,
     mutate_ternary,
     random_algebra,
@@ -28,7 +29,7 @@ from bolalg.catalog import catalog, catalog_names
 from bolalg.core import BolAlgebra, check_axioms, direct_sum
 from bolalg.envelope import PairEndo, PseudoDerivationReport, inner_pair, is_pseudo_derivation
 from bolalg.lie import LieAlgebra, jacobi_check
-from bolalg.linalg import failures, mat_vec, vec_sub
+from bolalg.linalg import failures, vec_sub
 
 LIE = importlib.import_module("bolalg.lie")
 

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from support import lie_direct_sum, lie_quotient, reference_bracket, reference_span
+from support import lie_direct_sum, lie_quotient, reference_bracket, reference_span, vec
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.envelope import envelope
@@ -21,7 +21,7 @@ from bolalg.lie import (
     lie_is_solvable,
     lie_radical,
 )
-from bolalg.linalg import basis_vec, full_space, rank, span, vec, zero_space
+from bolalg.linalg import basis_vec, full_space, rank, span, zero_space
 
 F = Fraction
 

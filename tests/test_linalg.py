@@ -7,8 +7,9 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import reference_rref
+from support import mat, mat_vec, reference_rref, vec
 
+from bolalg import linalg
 from bolalg.catalog import catalog
 from bolalg.core import prod_span, tri_span
 from bolalg.linalg import (
@@ -24,14 +25,11 @@ from bolalg.linalg import (
     independent,
     intersect,
     kernel,
-    mat,
-    mat_vec,
     rank,
     rational_roots,
     rref,
     span,
     subspace_sum,
-    vec,
     zero_space,
 )
 from bolalg.errors import DimensionMismatch
@@ -82,6 +80,34 @@ def test_kernel_ignores_zero_rows():
 def test_kernel_rejects_a_row_of_the_wrong_length(m):
     with pytest.raises(DimensionMismatch):
         kernel(m, 3)
+
+
+def test_kernel_reads_no_row_past_an_empty_kernel_and_checks_every_row_of_a_list():
+    n = 4
+    independent_rows = [[int(j >= i) for j in range(n)] for i in range(n)]  # unit upper triangular
+
+    def rows():
+        yield from independent_rows
+        raise AssertionError("a row past an empty kernel was read")
+
+    assert kernel(rows(), n) == zero_space(n)
+    m = independent_rows + [[0] * n]
+    for at in range(len(m) + 1):
+        for container in (list, tuple):
+            with pytest.raises(DimensionMismatch):
+                kernel(container(m[:at] + [[1] * (n - 1)] + m[at:]), n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_null_space_update_keeps_every_vector_primitive(seed):
+    # without the content division the entries of a 12 x 20 system grow and share factors
+    rng = random.Random(seed)
+    rows = [[rng.randint(-9, 9) for _ in range(20)] for _ in range(12)]
+    K = linalg._null_space(rows, linalg._units(20))
+    assert len(K) == 20 - rank(rows)
+    assert all(gcd(*k) == 1 for k in K)
+    assert all(sum(x * y for x, y in zip(r, k)) == 0 for r in rows for k in K)
+    assert span(K, 20) == span([_from_sympy(v) for v in _to_sympy(rows, 20).nullspace()], 20)
 
 
 def test_kernel_single_equation():

@@ -13,6 +13,7 @@ from support import (
     summand_embeddings,
     transport,
     unimodular_basis,
+    vec,
 )
 
 from bolalg.catalog import catalog, catalog_names
@@ -22,7 +23,7 @@ from bolalg.envelope import envelope
 from bolalg.errors import IllDefinedQuotient
 from bolalg.fileio import parse_bol_document
 from bolalg.lie import lie_radical
-from bolalg.linalg import basis_vec, full_space, span, vec, zero_space
+from bolalg.linalg import basis_vec, full_space, span, zero_space
 from bolalg.radical import _is_simple, is_semisimple, is_simple, radical
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -1,11 +1,11 @@
 import pytest
 
-from support import collect_ideals, summand_embeddings
+from support import collect_ideals, summand_embeddings, vec
 
 from bolalg.catalog import catalog, catalog_names
 from bolalg.core import prod_span, tri_span
 from bolalg.errors import NotAnIdeal
-from bolalg.linalg import full_space, span, vec, zero_space
+from bolalg.linalg import full_space, span, zero_space
 from bolalg.series import bol_derived_series, is_solvable, lts_derived_series
 
 
